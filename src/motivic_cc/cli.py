@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .lpoly import LPoly, VS_NONE, VS_UV, VS_Y
-from .series import QQ, RING_L, RING_UV, RING_Y, TSeries
+from .series import QQ, RING_L, RING_UV, RING_Y, IntegralityError, TSeries
 from .lambda_power import EulerExponents, euler_exp, euler_log
 from . import motives as mo
 from . import hirzebruch as hz
@@ -53,6 +53,17 @@ def check_order(n: int) -> int:
         raise UnsupportedRangeError(
             f"order {n} exceeds the cap {cap} (set {MAX_ORDER_ENV} to raise it)")
     return n
+
+
+def check_dim(d: int) -> int:
+    if d < 1:
+        raise SchemaError("dimension must be >= 1")
+    return d
+
+
+def is_int(x) -> bool:
+    """JSON integers only: ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # -- rational and model (de)serialization ------------------------------------
@@ -99,13 +110,13 @@ def model_from_doc(doc: dict) -> hz.HomologyModel:
     name = doc["name"]
     dim = doc["dim"]
     proper = doc["proper"]
-    if not isinstance(name, str) or not isinstance(dim, int) or not isinstance(proper, bool):
+    if not isinstance(name, str) or not is_int(dim) or not isinstance(proper, bool):
         raise SchemaError("name must be a string, dim an integer, proper a boolean")
     basis = []
     for rec in doc["basis"]:
         if not isinstance(rec, dict) or set(rec) != {"id", "deg"}:
             raise SchemaError(f"bad basis record {rec!r}")
-        if not isinstance(rec["id"], str) or not isinstance(rec["deg"], int):
+        if not isinstance(rec["id"], str) or not is_int(rec["deg"]):
             raise SchemaError(f"bad basis record {rec!r}")
         basis.append((rec["id"], rec["deg"]))
     ty = {}
@@ -114,14 +125,14 @@ def model_from_doc(doc: dict) -> hz.HomologyModel:
     for b, terms in doc["ty_class"].items():
         poly = RING_Y.zero
         for t in terms:
-            if not isinstance(t, dict) or set(t) != {"yNum", "c"} or not isinstance(t["yNum"], int):
+            if not isinstance(t, dict) or set(t) != {"yNum", "c"} or not is_int(t["yNum"]):
                 raise SchemaError(f"bad ty_class term {t!r}")
             poly = poly + LPoly(VS_Y, {(t["yNum"],): parse_rational(t["c"])})
         ty[b] = poly
     e_poly = RING_UV.zero
     for t in doc["e_poly"]:
         if not isinstance(t, dict) or set(t) != {"u", "v", "c"} or \
-                not all(isinstance(t[k], int) for k in ("u", "v", "c")):
+                not all(is_int(t[k]) for k in ("u", "v", "c")):
             raise SchemaError(f"bad e_poly term {t!r}")
         e_poly = e_poly + LPoly(VS_UV, {(2 * t["u"], 2 * t["v"]): t["c"]})
     try:
@@ -140,13 +151,15 @@ def series_from_doc(doc: dict) -> TSeries:
         raise SchemaError('series file needs exactly the keys "order" and "coeffs"')
     order = doc["order"]
     coeffs = doc["coeffs"]
-    if not isinstance(order, int) or not isinstance(coeffs, list) or len(coeffs) != order + 1:
-        raise SchemaError("series file: coeffs must list order+1 coefficients")
+    if not is_int(order) or order < 0 or not isinstance(coeffs, list) \
+            or len(coeffs) != order + 1:
+        raise SchemaError("series file: order must be an integer >= 0 and "
+                          "coeffs must list order+1 coefficients")
     out = []
     for terms in coeffs:
         poly = RING_L.zero
         for t in terms:
-            if not isinstance(t, dict) or set(t) != {"lNum", "c"} or not isinstance(t["lNum"], int):
+            if not isinstance(t, dict) or set(t) != {"lNum", "c"} or not is_int(t["lNum"]):
                 raise SchemaError(f"bad series term {t!r}")
             poly = poly + LPoly(mo.L.vars, {(t["lNum"],): parse_rational(t["c"])})
         out.append(poly)
@@ -163,6 +176,8 @@ BUILTIN_ATOMS = ("point", "P0", "P1", "P2", "P3", "P4")
 
 def builtin_model(name: str) -> hz.HomologyModel:
     parts = name.split("x")
+    if "" in parts:
+        raise SchemaError(f"builtin {name!r} has an empty factor; write products like P1xP1")
     models = []
     for part in parts:
         if part not in BUILTIN_ATOMS:
@@ -286,31 +301,26 @@ def cmd_exponents(args) -> int:
         if s.order < order:
             raise UnsupportedRangeError(
                 f"series file stops at t^{s.order}, need t^{order}")
-        b = euler_log(TSeries(RING_L, s.coeffs[: order + 1]))
+        try:
+            b = euler_log(TSeries(RING_L, s.coeffs[: order + 1]))
+        except IntegralityError as exc:
+            raise SchemaError(f"series file: {exc}") from exc
         source = "series-file"
     else:
         if args.dim is None:
             raise SchemaError("one of --dim or --series is required")
-        d = args.dim
-        if d < 1:
-            raise SchemaError("dimension must be >= 1")
-        if d == 1:
-            exps = ((RING_L.one,) + (RING_L.zero,) * max(order - 1, 0))[:order]
-            b = EulerExponents(RING_L, exps)
-        elif d == 2:
-            b = euler_log(mo.surface_punctual_series(order))
+        d = check_dim(args.dim)
+        closed = mo.punctual_exponents(d, order)
+        # the inversion route, checked against the closed forms where they exist
+        b = euler_log(mo.punctual_series(d, order))
+        if d == 2:
             for k in range(1, min(order, 3) + 1):
-                ok = b.exponent(k) == mo.alpha_closed_small(2)[k - 1]
+                ok = b.exponent(k) == closed.exponent(k)
                 checks.append({"name": f"closed-form-alpha-{k}",
                                "status": "ok" if ok else "fail"})
-        elif d <= 4:
-            if order > 3:
-                raise UnsupportedRangeError(
-                    f"punctual exponents for d={d} are only known through k=3, got N={order}")
-            b = EulerExponents(RING_L, mo.punctual_exponents_small(d).exps[:order])
-            checks.append({"name": "closed-form-match", "status": "ok"})
-        else:
-            raise UnsupportedRangeError(f"no punctual data for dimension {d}")
+        elif d > 2:
+            checks.append({"name": "closed-form-match",
+                           "status": "ok" if b == closed else "fail"})
         source = f"dim-{d}"
     coeffs = [{"k": k, "alpha": str(b.exponent(k))} for k in range(1, b.order + 1)]
     doc = report("exponents", {"source": source}, order, coeffs, checks)
@@ -326,7 +336,7 @@ def _chi_int(model: hz.HomologyModel) -> int:
 def cmd_classes(args) -> int:
     model = load_model(args)
     order = check_order(args.order)
-    d = args.dim
+    d = args.dim if args.dim is None else check_dim(args.dim)
     kind = args.kind
     checks: list[dict] = []
     params = {"model": model.name, "kind": kind, "dim": d}
@@ -338,6 +348,8 @@ def cmd_classes(args) -> int:
         got = po.pont_degree(model, series)
         checks.append({"name": name, "status": "ok" if got == make_expected() else "fail"})
 
+    if kind in ("hilb", "chern") and d is None:
+        raise SchemaError(f"--kind {kind} requires --dim")
     if kind in ("virtual", "aluffi") and d != 3:
         raise UnsupportedRangeError(f"--kind {kind} is a threefold formula; use --dim 3")
 
@@ -348,8 +360,6 @@ def cmd_classes(args) -> int:
             None if model.l_class is None else
             (lambda: mo.map_series(mo.hilb_motive_series(model.l_class, 1, order), "chi-y")))
     elif kind == "hilb":
-        if d is None:
-            raise SchemaError("--kind hilb requires --dim")
         series = po.hilb_class_series(model, d, order)
         degree_check(
             "degree-vs-cheah-route", series,
@@ -365,8 +375,6 @@ def cmd_classes(args) -> int:
             None if model.l_class is None else
             (lambda: mo.map_series(mo.config_space_series(model.l_class, order), "chi-y")))
     elif kind == "chern":
-        if d is None:
-            raise SchemaError("--kind chern requires --dim")
         series = po.chern_class_series(model, d, order)
         def chern_expected():
             scalars = po.chi_alpha_scalars(d, order)

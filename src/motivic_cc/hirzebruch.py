@@ -124,10 +124,6 @@ class HomologyModel:
         return f"HomologyModel({self.name}, dim={self.dim})"
 
 
-def degree(model: HomologyModel, hclass: dict[str, LPoly]) -> LPoly:
-    return model.degree_of(hclass)
-
-
 def proj_space_model(d: int) -> HomologyModel:
     """Projective space with basis [P^0], ..., [P^d].
 

@@ -100,16 +100,34 @@ def punctual_exponents_small(d: int) -> EulerExponents:
 
 def surface_punctual_series(order: int) -> TSeries:
     """prod_k (1 - t^k)^(-L^(k-1)), the punctual series of a surface."""
-    b = EulerExponents(RING_L, tuple(L ** (k - 1) for k in range(1, order + 1)))
-    return euler_exp(b)
+    return euler_exp(punctual_exponents(2, order))
+
+
+def punctual_exponents(d: int, order: int) -> EulerExponents:
+    """alpha_1 .. alpha_order, the Euler exponents of the punctual Hilbert series.
+
+    The one table of which punctual data exist: curves and surfaces at every
+    order, d = 3 and 4 through k = 3; anything else is out of range.
+    """
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if d > 4 or (d > 2 and order > 3):
+        raise UnsupportedRangeError(f"no punctual data for d={d} at order {order}: "
+                                    "d = 1, 2 at any order, d = 3, 4 through k = 3")
+    if d == 1:
+        exps = (RING_L.one,) + (RING_L.zero,) * (order - 1)
+    elif d == 2:
+        exps = tuple(L ** (k - 1) for k in range(1, order + 1))
+    else:
+        exps = punctual_exponents_small(d).exps
+    return EulerExponents(RING_L, exps[:order])
 
 
 def punctual_series(d: int, order: int, punctual: TSeries | None = None) -> TSeries:
     """The punctual Hilbert series for dimension d through t^order.
 
     A caller-supplied ``punctual`` series (over the L ring, normalized)
-    overrides the built-in data, which covers d=1 and d=2 at any order and
-    d >= 3 only through t^3.
+    overrides the built-in data of :func:`punctual_exponents`.
     """
     if punctual is not None:
         if punctual.ring != RING_L or punctual.coeffs[0] != RING_L.one:
@@ -118,11 +136,7 @@ def punctual_series(d: int, order: int, punctual: TSeries | None = None) -> TSer
             raise UnsupportedRangeError(
                 f"supplied punctual series stops at t^{punctual.order}, need t^{order}")
         return TSeries(RING_L, punctual.coeffs[: order + 1])
-    if d == 1:
-        return TSeries(RING_L, [RING_L.one] * (order + 1))
-    if d == 2:
-        return surface_punctual_series(order)
-    return punctual_hilb_small(d, order)
+    return euler_exp(punctual_exponents(d, order), order)
 
 
 # -- specialization homomorphisms ----------------------------------------

@@ -23,7 +23,7 @@ from .series import CoeffRing, QQ, RING_L, RING_Y, TSeries
 from .lambda_power import euler_log
 from .motives import (
     TwoRouteMismatchError, UnsupportedRangeError, Y,
-    chi_of_y, punctual_exponents_small, spec_chi, spec_chi_minus_y,
+    chi_of_y, punctual_exponents, spec_chi, spec_chi_minus_y,
     virtual_alpha, virtual_punctual_series, map_series,
 )
 from .hirzebruch import HomologyModel, chern_class_of
@@ -108,12 +108,6 @@ class PontSeries:
                 d[ms] = d.get(ms, self.ring.zero) + c
             out.append(d)
         return PontSeries.from_dicts(self.model, self.ring, out)
-
-    def __neg__(self) -> "PontSeries":
-        return self.scale(self.ring.from_int(-1))
-
-    def __sub__(self, other: "PontSeries") -> "PontSeries":
-        return self + (-other)
 
     def scale(self, c) -> "PontSeries":
         c = self.ring.coerce(c)
@@ -207,11 +201,6 @@ def pont_exp(arg: PontSeries) -> PontSeries:
     return result
 
 
-def _scale_hclass(gamma: HClass, c, ring: CoeffRing) -> HClass:
-    c = ring.coerce(c)
-    return {b: v * c for b, v in gamma.items()}
-
-
 def hom_exp_inv(model: HomologyModel, gamma: HClass, k: int, order: int,
                 ring: CoeffRing = RING_Y, adams: bool = True) -> PontSeries:
     """(1 - t^k d^k_*)^(-gamma) = exp(sum_r d^{rk}_*(Psi_r gamma) t^{rk} / r).
@@ -229,56 +218,69 @@ def hom_exp_inv(model: HomologyModel, gamma: HClass, k: int, order: int,
     return pont_exp(PontSeries.from_dicts(model, ring, dicts))
 
 
+def exp_series(model: HomologyModel, gamma: HClass, scalars, order: int,
+               ring: CoeffRing = RING_Y, adams: bool = True) -> PontSeries:
+    """prod_k (1 - t^k d^k_*)^(-s_k gamma) for scalars s_1, s_2, ... through t^order.
+
+    The log of the product is linear in atoms: atom (rk, b) collects
+    Psi_r(s_k gamma)_b / r (the Adams twist is dropped with ``adams=False``).
+    Atoms generate the free Pontrjagin ring, so the exponential factors atom
+    by atom: a multiset with multiplicities m_x gets prod_x a_x^(m_x) / m_x!.
+    The product of :func:`hom_exp_inv` factors is the reference route.
+    """
+    gamma = {b: ring.coerce(c) for b, c in gamma.items()}
+    log: dict[tuple[int, str], object] = {}
+    for k, s in enumerate(scalars[:order], start=1):
+        s = ring.coerce(s)
+        if s == ring.zero:
+            continue
+        g = {b: c * s for b, c in gamma.items()}
+        for r in range(1, order // k + 1):
+            for b, c in (adams_h(model, r, g, ring) if adams else g).items():
+                log[r * k, b] = log.get((r * k, b), ring.zero) + ring.div_int(c, r)
+    dicts = [dict() for _ in range(order + 1)]
+    dicts[0][()] = ring.one
+    # multiply in one atom at a time; walking n downward never extends a
+    # multiset that already contains the current atom
+    for atom in sorted(log):
+        a, j = log[atom], atom[0]
+        powers = [ring.one]
+        for m in range(1, order // j + 1):
+            powers.append(ring.div_int(powers[-1] * a, m))
+        for n in range(order - j, -1, -1):
+            for ms, c in dicts[n].items():
+                for m in range(1, (order - n) // j + 1):
+                    dicts[n + m * j][ms + (atom,) * m] = c * powers[m]
+    return PontSeries.from_dicts(model, ring, dicts)
+
+
 def hom_exponentiation(model: HomologyModel, a: TSeries, gamma: HClass,
                        require_integral: bool = True) -> PontSeries:
     """(1 + sum a_n t^n d^n_*)^gamma via the Euler decomposition of a.
 
     The scalar series a is decomposed as prod_k (1 - t^k)^(-b_k) in its own
-    coefficient ring, and the result is the product of the one-factor
-    exponentials with exponents b_k * gamma.
+    coefficient ring, and the result is the product with exponents b_k * gamma.
     """
-    ring = a.ring
     b = euler_log(a, require_integral=require_integral)
-    result = PontSeries.unit(model, ring, a.order)
-    for k in range(1, a.order + 1):
-        bk = b.exponent(k)
-        if bk == ring.zero:
-            continue
-        result = result * hom_exp_inv(model, _scale_hclass(gamma, bk, ring),
-                                      k, a.order, ring)
-    return result
+    return exp_series(model, gamma, b.exps, a.order, a.ring)
 
 
 # -- the generating series of the main results -------------------------------
 
 def sym_prod_class_series(model: HomologyModel, order: int) -> PontSeries:
     """Hirzebruch classes of symmetric products: (1 - t d_*)^(-T_{(-y)*}(X))."""
-    return hom_exp_inv(model, model.ty, 1, order)
+    return exp_series(model, model.ty, [RING_Y.one], order)
 
 
 def chi_y_alpha_scalars(d: int, order: int) -> list[LPoly]:
-    """chi_{-y}(alpha_k) for k = 1..order, in the ranges the data allows."""
-    if d == 1:
-        return [RING_Y.one] + [RING_Y.zero] * (order - 1)
-    if d == 2:
-        return [Y ** (k - 1) for k in range(1, order + 1)]
-    if order > 3:
-        raise UnsupportedRangeError(
-            f"chi_(-y)(alpha_k) is unknown past k = 3 for d = {d}, got N = {order}")
-    alphas = punctual_exponents_small(d).exps
-    return [spec_chi_minus_y(a) for a in alphas[:order]]
+    """chi_{-y}(alpha_k) for k = 1..order, in the ranges the punctual data allows."""
+    return [spec_chi_minus_y(a) for a in punctual_exponents(d, order).exps]
 
 
 def hilb_class_series(model: HomologyModel, d: int, order: int) -> PontSeries:
     """Pushed-forward Hirzebruch classes of Hilbert schemes of a d-fold:
     prod_k (1 - t^k d^k_*)^(-chi_{-y}(alpha_k) T_{(-y)*}(X))."""
-    result = PontSeries.unit(model, RING_Y, order)
-    for k, scalar in enumerate(chi_y_alpha_scalars(d, order), start=1):
-        if scalar.is_zero():
-            continue
-        result = result * hom_exp_inv(model, _scale_hclass(model.ty, scalar, RING_Y),
-                                      k, order)
-    return result
+    return exp_series(model, model.ty, chi_y_alpha_scalars(d, order), order)
 
 
 def mt2_series(model: HomologyModel, a_motivic: TSeries, order: int) -> PontSeries:
@@ -296,36 +298,25 @@ def mt2_series(model: HomologyModel, a_motivic: TSeries, order: int) -> PontSeri
 def config_class_series(model: HomologyModel, order: int) -> PontSeries:
     """Classes of configuration spaces:
     (1 - t^2 d^2_*)^(+T) * (1 - t d_*)^(-T)."""
-    pos = hom_exp_inv(model, _scale_hclass(model.ty, RING_Y.from_int(-1), RING_Y),
-                      2, order)
-    return pos * hom_exp_inv(model, model.ty, 1, order)
+    return exp_series(model, model.ty, [RING_Y.one, -RING_Y.one], order)
 
 
 def chi_alpha_scalars(d: int, order: int) -> list[Fraction]:
-    """chi(alpha_k) for k = 1..order: 1 for surfaces, k for threefolds."""
-    if d == 1:
-        return [Fraction(1)] + [Fraction(0)] * (order - 1)
-    if d == 2:
-        return [Fraction(1)] * order
+    """chi(alpha_k) for k = 1..order.
+
+    Threefolds are known at every order: chi(alpha_k) = k is the MacMahon
+    exponent, although alpha_k itself is only known through k = 3.
+    """
     if d == 3:
         return [Fraction(k) for k in range(1, order + 1)]
-    if order > 3:
-        raise UnsupportedRangeError(
-            f"chi(alpha_k) is unknown past k = 3 for d = {d}, got N = {order}")
-    return [spec_chi(a) for a in punctual_exponents_small(d).exps[:order]]
+    return [spec_chi(a) for a in punctual_exponents(d, order).exps]
 
 
 def chern_class_series(model: HomologyModel, d: int, order: int) -> PontSeries:
     """Pushed-forward MacPherson Chern classes of Hilbert schemes:
     prod_k (1 - t^k d^k_*)^(-chi(alpha_k) c_*(X)), with no Adams twist."""
-    c = chern_class_of(model)
-    result = PontSeries.unit(model, QQ, order)
-    for k, scalar in enumerate(chi_alpha_scalars(d, order), start=1):
-        if scalar == 0:
-            continue
-        result = result * hom_exp_inv(model, _scale_hclass(c, scalar, QQ),
-                                      k, order, ring=QQ, adams=False)
-    return result
+    return exp_series(model, chern_class_of(model), chi_alpha_scalars(d, order),
+                      order, ring=QQ, adams=False)
 
 
 def virtual_class_series(model: HomologyModel, order: int) -> tuple[PontSeries, PontSeries]:
@@ -340,24 +331,13 @@ def virtual_class_series(model: HomologyModel, order: int) -> tuple[PontSeries, 
     two routes share no exponent data and must agree, else this raises.
     """
     a_y = map_series(virtual_punctual_series(order), "chi-y")
-    b = euler_log(a_y.subst(1, -1))
-    route1 = PontSeries.unit(model, RING_Y, order)
-    for k in range(1, order + 1):
-        bk = b.exponent(k)
-        if bk.is_zero():
-            continue
-        route1 = route1 * hom_exp_inv(model, _scale_hclass(model.ty, bk, RING_Y),
-                                      k, order)
-    t_form = route1.subst_neg_t()
-    route2 = PontSeries.unit(model, RING_Y, order)
-    for k in range(1, order + 1):
-        scalar = spec_chi_minus_y(virtual_alpha(k))
-        route2 = route2 * hom_exp_inv(model, _scale_hclass(model.ty, scalar, RING_Y),
-                                      k, order)
-    if t_form.subst_neg_t() != route2:
+    route1 = exp_series(model, model.ty, euler_log(a_y.subst(1, -1)).exps, order)
+    route2 = exp_series(model, model.ty, [spec_chi_minus_y(virtual_alpha(k))
+                                          for k in range(1, order + 1)], order)
+    if route1 != route2:
         raise TwoRouteMismatchError(
             f"virtual class series on {model.name}: the two generating-series forms disagree")
-    return t_form, route2
+    return route1.subst_neg_t(), route2
 
 
 def aluffi_series(model: HomologyModel, order: int) -> PontSeries:

@@ -16,7 +16,7 @@ from motivic_cc.motives import (
     config_space_series,
 )
 from motivic_cc.hirzebruch import (
-    chern_limit_check, degree, point_model, proj_space_model, qyhat_series,
+    chern_limit_check, point_model, proj_space_model, qyhat_series,
 )
 from motivic_cc.pontrjagin import (
     aluffi_series, chern_class_series, config_class_series, hilb_class_series,
@@ -84,7 +84,7 @@ def test_criterion_06_hirzebruch_p1_and_degrees():
     for d in range(5):
         m = proj_space_model(d)
         expected = LPoly(VS_Y, {(2 * i,): 1 for i in range(d + 1)})
-        assert degree(m, m.ty) == expected
+        assert m.degree_of(m.ty) == expected
     ok(6, "T_{(-y)*}(P^1) = (1-y)[P^1] + (1+y)[P^0]; degrees are 1 + y + ... + y^d, d <= 4;")
 
 

@@ -1,15 +1,29 @@
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 from motivic_cc.cli import (
     EXIT_OK, EXIT_CHECK_FAILED, EXIT_SCHEMA, EXIT_RANGE, builtin_model, main,
     model_from_doc, model_to_doc,
 )
+from helpers import load_bench_cases
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_err(capsys, *argv):
+    """Exit code and stderr of a command that must fail with a one-line error."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code, err
 
 
 def run_json(capsys, *argv):
@@ -48,10 +62,13 @@ def test_exponents_dims(capsys):
 
 
 def test_exponents_range_errors(capsys):
-    code, _ = run(capsys, "exponents", "--dim", "3", "--order", "4")
-    assert code == EXIT_RANGE
-    code, _ = run(capsys, "exponents", "--dim", "7", "--order", "2")
-    assert code == EXIT_RANGE
+    for dim, order in (("3", "4"), ("7", "2"), ("5", "3")):
+        code, _ = run_err(capsys, "exponents", "--dim", dim, "--order", order)
+        assert code == EXIT_RANGE
+    for dim in ("0", "-1"):
+        code, err = run_err(capsys, "exponents", "--dim", dim, "--order", "3")
+        assert code == EXIT_SCHEMA
+        assert err == "error: dimension must be >= 1\n"
 
 
 def test_exponents_series_file(tmp_path, capsys):
@@ -89,9 +106,18 @@ def test_classes_aluffi_needs_dim3(capsys):
 
 
 def test_classes_hilb_range_error(capsys):
-    code, _ = run(capsys, "classes", "--builtin", "P3", "--dim", "3",
-                  "--kind", "hilb", "--order", "4")
-    assert code == EXIT_RANGE
+    # the same table of punctual data as `exponents`
+    for builtin, dim, kind, order in (("P3", "3", "hilb", "4"), ("P1", "5", "hilb", "3"),
+                                      ("P1", "5", "chern", "3"), ("P1", "4", "chern", "4")):
+        code, _ = run_err(capsys, "classes", "--builtin", builtin, "--dim", dim,
+                          "--kind", kind, "--order", order)
+        assert code == EXIT_RANGE
+    for dim in ("0", "-1"):
+        for kind in ("hilb", "chern", "sym"):
+            code, err = run_err(capsys, "classes", "--builtin", "P1", "--dim", dim,
+                                "--kind", kind, "--order", "3")
+            assert code == EXIT_SCHEMA
+            assert err == "error: dimension must be >= 1\n"
 
 
 def test_classes_point_aluffi_macmahon(capsys):
@@ -111,6 +137,60 @@ def test_classes_virtual_and_config(capsys):
                          "--kind", "config", "--order", "4")
     assert code == EXIT_OK
     assert all(c["status"] == "ok" for c in doc["checks"])
+
+
+def test_series_file_boundary(tmp_path, capsys):
+    path = tmp_path / "series.json"
+    one = [{"lNum": 0, "c": "1"}]
+    for doc in (
+        {"order": -1, "coeffs": []},
+        {"order": 1, "coeffs": [one, [{"lNum": 0, "c": "1/2"}]]},  # b_1 = 1/2
+        {"order": True, "coeffs": [one, one]},
+        {"order": 1, "coeffs": [one, [{"lNum": False, "c": "1"}]]},
+    ):
+        path.write_text(json.dumps(doc))
+        code, _ = run_err(capsys, "exponents", "--series", str(path), "--order", "1")
+        assert code == EXIT_SCHEMA, doc
+
+
+def test_model_file_rejects_booleans(tmp_path, capsys):
+    # each boolean equals the integer it replaces, so only its type is wrong
+    edits = {
+        "dim": lambda d: d.update(dim=True),
+        "deg": lambda d: d["basis"][0].update(deg=True),
+        "yNum": lambda d: d["ty_class"]["P1"][0].update(yNum=False),
+        "u": lambda d: d["e_poly"][1].update(u=True),
+        "v": lambda d: d["e_poly"][1].update(v=True),
+        "c": lambda d: d["e_poly"][1].update(c=True),
+    }
+    path = tmp_path / "m.json"
+    for field, edit in edits.items():
+        doc = model_to_doc(builtin_model("P1"))
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        code, _ = run_err(capsys, "model", "--model", str(path))
+        assert code == EXIT_SCHEMA, field
+
+
+def test_builtin_names_empty_factor(capsys):
+    for name in ("Px", "P1x", "xP1"):
+        code, err = run_err(capsys, "model", "--builtin", name)
+        assert code == EXIT_SCHEMA
+        assert "empty factor" in err
+
+
+BENCH_CASES = load_bench_cases().FIXED_CASES["classes"]
+
+
+@pytest.mark.parametrize("case", BENCH_CASES, ids=[c.id for c in BENCH_CASES])
+def test_classes_report_digest(case, capsys, monkeypatch):
+    """Each fixed benchmark case prints the report whose digest is committed."""
+    digests = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text())
+    monkeypatch.setenv("MOTIVIC_CC_MAX_ORDER", "40")  # the cap the benchmark runs under
+    code, out = run(capsys, *case.args)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[case.id]
 
 
 def test_model_roundtrip():

@@ -5,24 +5,29 @@ import pytest
 
 from motivic_cc.lpoly import LPoly, VS_Y
 from motivic_cc.series import QQ, RING_L, RING_Y, TSeries
-from motivic_cc.lambda_power import pre_lambda
+from motivic_cc.lambda_power import euler_log, pre_lambda
 from motivic_cc.motives import (
-    Y, macmahon_series, map_series, proj_space_class, punctual_series,
-    hilb_motive_series, config_space_series, virtual_hilb_series,
+    Y, chi_of_y, macmahon_series, map_series, proj_space_class, punctual_series,
+    hilb_motive_series, config_space_series, spec_chi_minus_y, virtual_alpha,
+    virtual_hilb_series, virtual_punctual_series,
 )
-from motivic_cc.hirzebruch import point_model, proj_space_model
+from motivic_cc.hirzebruch import chern_class_of, point_model, proj_space_model
 from motivic_cc.pontrjagin import (
     PontElement, PontSeries, adams_h, aluffi_series, chern_class_series,
-    config_class_series, d_push, hilb_class_series, hom_exp_inv,
-    hom_exponentiation, mt2_series, normalized_y1_limit, pont_degree,
-    pont_exp, power_op, sym_prod_class_series, virtual_class_series,
+    chi_alpha_scalars, chi_y_alpha_scalars, config_class_series, d_push,
+    exp_series, hilb_class_series, hom_exp_inv, hom_exponentiation, mt2_series,
+    normalized_y1_limit, pont_degree, pont_exp, power_op, sym_prod_class_series,
+    virtual_class_series,
 )
-from helpers import random_hclass
+from motivic_cc.cli import model_from_doc
+from helpers import load_bench_cases, random_hclass, random_series
 
 POINT = point_model()
 P1 = proj_space_model(1)
 P2 = proj_space_model(2)
 P3 = proj_space_model(3)
+# non-proper, with half-integer powers of y and rational coefficients
+GEN = model_from_doc(load_bench_cases().generate_model(5))
 
 
 def embed(model, element: PontElement, order: int, ring=RING_Y) -> PontSeries:
@@ -234,13 +239,91 @@ def test_hilb_class_series_range_errors():
     hilb_class_series(P2, 2, 4)
 
 
-def test_hilb_class_series_surface_structure():
-    s = hilb_class_series(P2, 2, 3)
-    manual = PontSeries.unit(P2, RING_Y, 3)
-    for k in (1, 2, 3):
-        scaled = {b: c * Y ** (k - 1) for b, c in P2.ty.items()}
-        manual = manual * hom_exp_inv(P2, scaled, k, 3)
-    assert s == manual
+def reference_product(model, gamma, scalars, order, ring=RING_Y, adams=True):
+    """prod_k (1 - t^k d^k_*)^(-s_k gamma) as a product of hom_exp_inv factors."""
+    out = PontSeries.unit(model, ring, order)
+    for k, s in enumerate(scalars[:order], start=1):
+        scaled = {b: ring.coerce(c) * ring.coerce(s) for b, c in gamma.items()}
+        out = out * hom_exp_inv(model, scaled, k, order, ring, adams)
+    return out
+
+
+def rational_class(model):
+    """c_*(X) of a proper model; the y = 1 value of the stored class otherwise."""
+    if model.proper:
+        return chern_class_of(model)
+    return {b: chi_of_y(c) for b, c in model.ty.items()}
+
+
+N = 4
+
+
+def hilb_case(d, n):
+    return lambda m: (hilb_class_series(m, d, n),
+                      reference_product(m, m.ty, chi_y_alpha_scalars(d, n), n))
+
+
+def chern_case(d):
+    def case(m):
+        scalars = chi_alpha_scalars(d, N)
+        gamma = rational_class(m)
+        fast = (chern_class_series(m, d, N) if m.proper
+                else exp_series(m, gamma, scalars, N, QQ, adams=False))
+        return fast, reference_product(m, gamma, scalars, N, QQ, adams=False)
+    return case
+
+
+def virtual_route_case(route):
+    def case(m):
+        t_form, mt_form = virtual_class_series(m, N)
+        if route == 1:
+            a_y = map_series(virtual_punctual_series(N), "chi-y")
+            scalars = euler_log(a_y.subst(1, -1)).exps
+            return t_form.subst_neg_t(), reference_product(m, m.ty, scalars, N)
+        scalars = [spec_chi_minus_y(virtual_alpha(k)) for k in range(1, N + 1)]
+        return mt_form, reference_product(m, m.ty, scalars, N)
+    return case
+
+
+def hom_exponentiation_case(m):
+    a = random_series(random.Random(10), RING_Y, N, normalized=True, halves=True)
+    return (hom_exponentiation(m, a, m.ty),
+            reference_product(m, m.ty, euler_log(a).exps, N))
+
+
+CASES = {
+    "sym": lambda m: (sym_prod_class_series(m, N), reference_product(m, m.ty, [1], N)),
+    "hilb1": hilb_case(1, N),
+    "hilb2": hilb_case(2, N),
+    "hilb3": hilb_case(3, 3),
+    "config": lambda m: (config_class_series(m, N), reference_product(m, m.ty, [1, -1], N)),
+    "chern2": chern_case(2),
+    "chern3": chern_case(3),
+    "virtual-route1": virtual_route_case(1),
+    "virtual-route2": virtual_route_case(2),
+    "hom-exponentiation": hom_exponentiation_case,
+}
+MODELS = {"point": POINT, "P1": P1, "P2": P2, "gen5": GEN}
+
+
+@pytest.mark.parametrize("model_name,kind",
+                         [(m, k) for m in MODELS for k in CASES],
+                         ids=[f"{m}-{k}" for m in MODELS for k in CASES])
+def test_exp_series_matches_reference(model_name, kind):
+    """The closed-form exponential against the product of one-factor exponentials."""
+    fast, ref = CASES[kind](MODELS[model_name])
+    assert fast == ref
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS)
+def test_exp_series_degenerate_inputs_give_unit(model):
+    assert exp_series(model, model.ty, [1, Y], 0) == PontSeries.unit(model, RING_Y, 0)
+    unit = PontSeries.unit(model, RING_Y, 3)
+    assert exp_series(model, {}, [1, Y, -1], 3) == unit
+    assert exp_series(model, model.ty, [0, RING_Y.zero, 0], 3) == unit
+    assert exp_series(model, model.ty, [], 3) == unit
+    assert exp_series(model, rational_class(model), [0, 0], 3, QQ, adams=False) == \
+        PontSeries.unit(model, QQ, 3)
 
 
 def test_hilb_degree_matches_cheah_route_p2():
@@ -287,14 +370,6 @@ def test_config_p1():
     assert deg.coeffs[2] == Y ** 2
     rhs = map_series(config_space_series(proj_space_class(1), 4), "chi-y")
     assert deg == rhs
-
-
-def test_chern_series_surface_structure():
-    s = chern_class_series(P2, 2, 3)
-    manual = PontSeries.unit(P2, QQ, 3)
-    for k in (1, 2, 3):
-        manual = manual * hom_exp_inv(P2, P2.chern, k, 3, ring=QQ, adams=False)
-    assert s == manual
 
 
 def test_chern_point_threefold_degree_is_macmahon():
