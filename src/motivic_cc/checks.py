@@ -297,7 +297,8 @@ def suite_hirzebruch(order: int, seed: int) -> list[dict]:
     def degree_is_chi_y():
         for d in range(5):
             m = hz.proj_space_model(d)
-            _require(m.degree_of(m.ty) == m.chi_y(), f"degree vs chi_-y for P{d}")
+            _require(m.degree_of(m.ty) == mo.hodge_spec(m.e_poly, "chi-y"),
+                     f"degree vs chi_-y for P{d}")
 
     def chern_limits():
         models = [hz.proj_space_model(d) for d in (1, 2, 3)]

@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .lpoly import LPoly, VS_NONE, VS_UV, VS_Y
+from .lpoly import LPoly, VS_UV, VS_Y
 from .series import QQ, RING_L, RING_UV, RING_Y, IntegralityError, TSeries
 from .lambda_power import EulerExponents, euler_exp, euler_log
 from . import motives as mo
@@ -100,6 +100,12 @@ def model_to_doc(model: hz.HomologyModel) -> dict:
     }
 
 
+def _array(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise SchemaError(f"{what} must be an array")
+    return x
+
+
 def model_from_doc(doc: dict) -> hz.HomologyModel:
     if not isinstance(doc, dict):
         raise SchemaError("model file must contain a JSON object")
@@ -112,8 +118,10 @@ def model_from_doc(doc: dict) -> hz.HomologyModel:
     proper = doc["proper"]
     if not isinstance(name, str) or not is_int(dim) or not isinstance(proper, bool):
         raise SchemaError("name must be a string, dim an integer, proper a boolean")
+    if doc["zeroDegreeBasisId"] is not None and not isinstance(doc["zeroDegreeBasisId"], str):
+        raise SchemaError("zeroDegreeBasisId must be a basis id or null")
     basis = []
-    for rec in doc["basis"]:
+    for rec in _array(doc["basis"], "basis"):
         if not isinstance(rec, dict) or set(rec) != {"id", "deg"}:
             raise SchemaError(f"bad basis record {rec!r}")
         if not isinstance(rec["id"], str) or not is_int(rec["deg"]):
@@ -124,13 +132,13 @@ def model_from_doc(doc: dict) -> hz.HomologyModel:
         raise SchemaError("ty_class must map basis ids to term arrays")
     for b, terms in doc["ty_class"].items():
         poly = RING_Y.zero
-        for t in terms:
+        for t in _array(terms, f"ty_class entry {b!r}"):
             if not isinstance(t, dict) or set(t) != {"yNum", "c"} or not is_int(t["yNum"]):
                 raise SchemaError(f"bad ty_class term {t!r}")
             poly = poly + LPoly(VS_Y, {(t["yNum"],): parse_rational(t["c"])})
         ty[b] = poly
     e_poly = RING_UV.zero
-    for t in doc["e_poly"]:
+    for t in _array(doc["e_poly"], "e_poly"):
         if not isinstance(t, dict) or set(t) != {"u", "v", "c"} or \
                 not all(is_int(t[k]) for k in ("u", "v", "c")):
             raise SchemaError(f"bad e_poly term {t!r}")
@@ -156,9 +164,9 @@ def series_from_doc(doc: dict) -> TSeries:
         raise SchemaError("series file: order must be an integer >= 0 and "
                           "coeffs must list order+1 coefficients")
     out = []
-    for terms in coeffs:
+    for n, terms in enumerate(coeffs):
         poly = RING_L.zero
-        for t in terms:
+        for t in _array(terms, f"series file: the t^{n} coefficient"):
             if not isinstance(t, dict) or set(t) != {"lNum", "c"} or not is_int(t["lNum"]):
                 raise SchemaError(f"bad series term {t!r}")
             poly = poly + LPoly(mo.L.vars, {(t["lNum"],): parse_rational(t["c"])})
@@ -264,15 +272,8 @@ def cmd_zeta(args) -> int:
     model = load_model(args)
     order = check_order(args.order)
     z = mo.kapranov_zeta(model.e_poly, order)
-    if args.spec == "uv":
-        series = z
-    elif args.spec == "chi-y":
-        series = z.map_coeffs(RING_Y, lambda p: p.substitute(VS_Y, whole={"u": mo.Y, "v": 1}))
-    elif args.spec == "chi":
-        series = z.map_coeffs(
-            QQ, lambda p: p.substitute(VS_NONE, whole={"u": 1, "v": 1}).as_fraction())
-    else:
-        raise SchemaError(f"unknown specialization {args.spec!r}")
+    series = z if args.spec == "uv" else z.map_coeffs(
+        RING_Y if args.spec == "chi-y" else QQ, lambda e: mo.hodge_spec(e, args.spec))
     checks = []
     if model.l_class is not None:
         route = mo.map_series(mo.hilb_motive_series(model.l_class, 1, order), "e")
@@ -328,11 +329,6 @@ def cmd_exponents(args) -> int:
     return EXIT_CHECK_FAILED if checks_failed(checks) else EXIT_OK
 
 
-def _chi_int(model: hz.HomologyModel) -> int:
-    chi = model.e_poly.substitute(VS_UV, whole={"u": 1, "v": 1}).as_fraction()
-    return int(chi)
-
-
 def cmd_classes(args) -> int:
     model = load_model(args)
     order = check_order(args.order)
@@ -368,7 +364,8 @@ def cmd_classes(args) -> int:
     elif kind == "config":
         series = po.config_class_series(model, order)
         one_plus = TSeries.from_terms(RING_L, order, {0: 1, 1: 1})
-        ok = series == po.mt2_series(model, one_plus, order)
+        ok = euler_log(mo.map_series(one_plus, "chi-y")) == \
+            EulerExponents(RING_Y, po.config_scalars(order))
         checks.append({"name": "config-vs-exponentiation", "status": "ok" if ok else "fail"})
         degree_check(
             "degree-vs-motivic-route", series,
@@ -378,7 +375,7 @@ def cmd_classes(args) -> int:
         series = po.chern_class_series(model, d, order)
         def chern_expected():
             scalars = po.chi_alpha_scalars(d, order)
-            chi = _chi_int(model)
+            chi = int(mo.hodge_spec(model.e_poly, "chi"))
             return euler_exp(EulerExponents(QQ, tuple(s * chi for s in scalars)), order)
 
         degree_check("degree-vs-euler-product", series, chern_expected)
@@ -395,8 +392,9 @@ def cmd_classes(args) -> int:
         chern = po.chern_class_series(model, 3, order)
         ok = series == chern.subst_neg_t()
         checks.append({"name": "sign-relation-vs-chern", "status": "ok" if ok else "fail"})
+        chi = int(mo.hodge_spec(model.e_poly, "chi"))
         degree_check("degree-vs-macmahon", series,
-                     lambda: mo.macmahon_series(order, _chi_int(model)).subst(1, -1))
+                     lambda: mo.macmahon_series(order, chi).subst(1, -1))
         params["convention"] = "coefficients enumerate against (-t)^n"
     else:
         raise SchemaError(f"unknown kind {kind!r}")

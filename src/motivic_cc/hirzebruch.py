@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .lpoly import LPoly, VS_UV, VS_Y
 from .series import RING_UV, RING_Y, TSeries
-from .motives import TwoRouteMismatchError, Y, chi_of_y, proj_space_class
+from .motives import TwoRouteMismatchError, Y, chi_of_y, hodge_spec, proj_space_class
 
 
 def _factorials(n: int) -> list[int]:
@@ -92,7 +92,7 @@ class HomologyModel:
         self.l_class = l_class
         if proper:
             got = self.degree_of(self.ty)
-            want = self.chi_y()
+            want = hodge_spec(self.e_poly, "chi-y")
             if got != want:
                 raise ValueError(
                     f"model {name}: degree of stored class is {got}, "
@@ -100,10 +100,6 @@ class HomologyModel:
 
     def degs(self) -> dict[str, int]:
         return dict(self.basis)
-
-    def chi_y(self) -> LPoly:
-        """chi_{-y}(X) from the Hodge polynomial: u -> y, v -> 1."""
-        return self.e_poly.substitute(VS_Y, whole={"u": Y, "v": 1})
 
     def degree_of(self, hclass: dict[str, LPoly]) -> LPoly:
         """Push a homology class down to a point (proper models only)."""

@@ -139,8 +139,7 @@ def pre_lambda_polyring(p: LPoly, order: int) -> TSeries:
     if not p.is_integral():
         raise IntegralityError(f"polynomial-ring lambda needs integer coefficients: {p}")
     result = TSeries.one(ring, order)
-    for exps in sorted(p.terms):
-        a = int(p.terms[exps])
+    for exps, a in sorted(p.num.items()):
         w = LPoly(p.vars, {exps: 1})
         geom = TSeries(ring, [w ** n for n in range(order + 1)])
         result = result * geom.pow_int(a)

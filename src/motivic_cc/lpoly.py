@@ -1,21 +1,27 @@
 """Sparse Laurent polynomials with half-integer exponents over exact rationals.
 
-A polynomial is a mapping from exponent vectors to nonzero ``Fraction``
-coefficients.  Exponents are counted in units of 1/2 and stored doubled, so
-the tuple entry ``3`` means the variable appears with exponent 3/2 and ``-2``
-means exponent -1.  Odd (genuinely half-integral) exponents are only legal
-for the variables declared half-admissible (``L`` and ``y``); ``u``, ``v``
-and every other symbol stay integral.
+A polynomial stores integer numerators ``num`` (exponent vector -> nonzero
+``int``) over one ``int`` denominator ``den`` in canonical form: ``den > 0``,
+``gcd(den, *num.values()) == 1``, and zero has ``den == 1``.  Arithmetic runs
+on the integers; ``terms`` reads the coefficients back as ``Fraction``s.
+Exponents are counted in units of 1/2 and stored doubled, so the tuple entry
+``3`` means the variable appears with exponent 3/2 and ``-2`` means exponent
+-1.  Odd (genuinely half-integral) exponents are only legal for the variables
+declared half-admissible (``L`` and ``y``); ``u``, ``v`` and every other
+symbol stay integral.
 
 All values are immutable after construction and all operations are pure, so
 instances can be shared freely between threads.  Structural equality equals
-mathematical equality because zero coefficients are never stored.
+mathematical equality because the form is canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
+from types import MappingProxyType
 from typing import Mapping, Union
 
 Coeff = Union[int, Fraction]
@@ -71,50 +77,49 @@ VS_Y = VarSet(("y",))
 VS_UV = VarSet(("u", "v"))
 
 
-def _coerce(c: Coeff) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"not an exact coefficient: {c!r}")
-
-
 class LPoly:
-    """Laurent polynomial over a fixed :class:`VarSet`.
+    """Laurent polynomial over a fixed :class:`VarSet`: ``num`` over ``den``, canonical."""
 
-    ``terms`` maps doubled-exponent vectors to ``Fraction`` coefficients;
-    zero coefficients are dropped on construction.
-    """
-
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "num", "den")
 
     def __init__(self, vars: VarSet, terms: Mapping[Expvec, Coeff]):
-        clean: dict[Expvec, Fraction] = {}
         n = len(vars)
         for exps, c in terms.items():
             if len(exps) != n:
                 raise VariableMismatchError(
                     f"exponent vector {exps} does not match variables {vars}")
-            c = _coerce(c)
-            if c == 0:
-                continue
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"not an exact coefficient: {c!r}")
             for name, e in zip(vars.names, exps):
-                if e % 2 != 0 and name not in HALF_ADMISSIBLE:
+                if c and e % 2 != 0 and name not in HALF_ADMISSIBLE:
                     raise ValueError(
                         f"half-integer exponent {Fraction(e, 2)} on integral variable {name}")
-            clean[tuple(exps)] = c
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
+        # over the lcm of the reduced denominators the numerators share no factor with it
+        den = lcm(*(c.denominator for c in terms.values() if c))
+        _set_vars(self, vars)
+        _set_num(self, {tuple(e): c.numerator * (den // c.denominator)
+                        for e, c in terms.items() if c})
+        _set_den(self, den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("LPoly is immutable")
 
     @classmethod
-    def _make(cls, vars: VarSet, terms: dict[Expvec, Fraction]) -> "LPoly":
-        # internal fast path: operands were valid, so skip per-term checks
+    def _reduce(cls, vars: VarSet, num: dict[Expvec, int], den: int) -> "LPoly":
+        """``num/den`` in canonical form; operands were valid, so exponents are not checked."""
+        if not den:
+            raise ZeroDivisionError("polynomial with denominator 0")
+        if 0 in num.values():
+            num = {e: c for e, c in num.items() if c}
+        if den != 1:
+            g = gcd(den, *num.values()) if den > 0 else -gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
         obj = object.__new__(cls)
-        object.__setattr__(obj, "vars", vars)
-        object.__setattr__(obj, "terms", {e: c for e, c in terms.items() if c != 0})
+        _set_vars(obj, vars)
+        _set_num(obj, num)
+        _set_den(obj, den)
         return obj
 
     # -- constructors ------------------------------------------------
@@ -130,23 +135,26 @@ class LPoly:
         exps[vars.index(name)] = half_steps
         return cls(vars, {tuple(exps): 1})
 
+    @property
+    def terms(self) -> Mapping[Expvec, Fraction]:
+        """The coefficients as ``Fraction``s, a read-only mapping built on each access."""
+        den = self.den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self.num.items()})
+
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * len(self.vars): Fraction(1)}
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not any(any(exps) for exps in self.num)
 
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.terms.values())
+        return self.den == 1
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return Fraction(self.num.get((0,) * len(self.vars), 0), self.den)
 
     def as_fraction(self) -> Fraction:
         """The value of a constant polynomial."""
@@ -157,22 +165,25 @@ class LPoly:
     # -- ring operations -----------------------------------------------
 
     def _check(self, other: "LPoly") -> None:
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise VariableMismatchError(f"variable sets differ: {self.vars} vs {other.vars}")
 
     def __add__(self, other) -> "LPoly":
         if not isinstance(other, LPoly):
             other = LPoly.const(self.vars, other)
         self._check(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return LPoly._make(self.vars, out)
+        g = gcd(self.den, other.den)
+        m1, m2 = other.den // g, self.den // g
+        out = {e: c * m1 for e, c in self.num.items()}
+        get = out.get
+        for e, c in other.num.items():
+            out[e] = get(e, 0) + c * m2
+        return LPoly._reduce(self.vars, out, self.den * m1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LPoly":
-        return LPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
+        return LPoly._reduce(self.vars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "LPoly":
         if not isinstance(other, LPoly):
@@ -186,32 +197,32 @@ class LPoly:
         if not isinstance(other, LPoly):
             return self.scale(other)
         self._check(other)
-        out: dict[Expvec, Fraction] = {}
+        out: dict[Expvec, int] = {}
         get = out.get
-        zero = Fraction(0)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(sum, zip(e1, e2)))
-                out[e] = get(e, zero) + c1 * c2
-        return LPoly._make(self.vars, out)
+        for e1, c1 in self.num.items():
+            for e2, c2 in other.num.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return LPoly._reduce(self.vars, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c: Coeff) -> "LPoly":
-        c = _coerce(c)
-        if c == 0:
-            return LPoly._make(self.vars, {})
-        return LPoly._make(self.vars, {e: cc * c for e, cc in self.terms.items()})
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"not an exact coefficient: {c!r}")
+        p = c.numerator
+        return LPoly._reduce(self.vars, {e: x * p for e, x in self.num.items()},
+                             self.den * c.denominator)
 
     def __pow__(self, n: int) -> "LPoly":
         if not isinstance(n, int):
             raise TypeError("polynomial powers must be integers")
         if n < 0:
-            if len(self.terms) != 1:
+            if len(self.num) != 1:
                 raise ExactDivisionError(
                     f"negative power of a non-monomial: ({self})^{n}")
-            ((exps, c),) = self.terms.items()
-            inv = LPoly(self.vars, {tuple(-e for e in exps): Fraction(1) / c})
+            ((exps, c),) = self.num.items()
+            inv = LPoly._reduce(self.vars, {tuple(-e for e in exps): self.den}, c)
             return inv ** (-n)
         result = LPoly.const(self.vars, 1)
         base = self
@@ -227,10 +238,10 @@ class LPoly:
             other = LPoly.const(self.vars, other)
         if not isinstance(other, LPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        return hash((self.vars, self.den, frozenset(self.num.items())))
 
     # -- the Adams endomorphisms ----------------------------------------
 
@@ -250,12 +261,12 @@ class LPoly:
         if r == 1:
             return self
         signed = [i for i, name in enumerate(self.vars.names) if name in NEGATIVE_ROOT]
-        out: dict[Expvec, Fraction] = {}
-        for exps, c in self.terms.items():
+        out: dict[Expvec, int] = {}
+        for exps, c in self.num.items():
             if r % 2 == 0 and sum(exps[i] for i in signed) % 2 == 1:
                 c = -c
             out[tuple(e * r for e in exps)] = c
-        return LPoly._make(self.vars, out)
+        return LPoly._reduce(self.vars, out, self.den)
 
     # -- exact division ---------------------------------------------------
 
@@ -271,8 +282,8 @@ class LPoly:
         if self.is_zero():
             return self
         n = len(self.vars)
-        shift_a = tuple(min(e[i] for e in self.terms) for i in range(n))
-        shift_b = tuple(min(e[i] for e in other.terms) for i in range(n))
+        shift_a = tuple(min(e[i] for e in self.num) for i in range(n))
+        shift_b = tuple(min(e[i] for e in other.num) for i in range(n))
         num = {tuple(a - s for a, s in zip(e, shift_a)): c for e, c in self.terms.items()}
         den = {tuple(a - s for a, s in zip(e, shift_b)): c for e, c in other.terms.items()}
         lead_b = max(den)
@@ -294,8 +305,8 @@ class LPoly:
                 else:
                     rem[e] = nc
         shift_q = tuple(a - b for a, b in zip(shift_a, shift_b))
-        return LPoly._make(self.vars, {tuple(a + s for a, s in zip(e, shift_q)): c
-                                       for e, c in quot.items()})
+        return LPoly(self.vars, {tuple(a + s for a, s in zip(e, shift_q)): c
+                                 for e, c in quot.items()})
 
     # -- substitution ---------------------------------------------------
 
@@ -317,8 +328,6 @@ class LPoly:
 
         def value(name: str, v) -> "LPoly":
             if isinstance(v, (int, Fraction)):
-                if _coerce(v) == 0:
-                    return LPoly.const(target, 0)
                 return LPoly.const(target, v)
             if not isinstance(v, LPoly):
                 raise TypeError(f"bad substitution value for {name}: {v!r}")
@@ -327,13 +336,9 @@ class LPoly:
                     f"value for {name} lives over {v.vars}, expected {target}")
             return v
 
-        kept: list[int] = []
-        for i, name in enumerate(self.vars.names):
-            if name in whole or name in half:
-                continue
-            if name not in target:
+        for name in self.vars.names:
+            if name not in whole and name not in half and name not in target:
                 raise SubstitutionError(f"variable {name} neither assigned nor kept")
-            kept.append(i)
 
         result = LPoly.const(target, 0)
         for exps, c in self.terms.items():
@@ -361,11 +366,12 @@ class LPoly:
     # -- printing --------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
+        den = self.den
         parts: list[str] = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
+        for exps in sorted(self.num):
+            c = self.num[exps]
             mono = ""
             for name, e in zip(self.vars.names, exps):
                 if e == 0:
@@ -377,14 +383,16 @@ class LPoly:
                     mono += f"{name}^{k}" if k > 0 else f"{name}^({k})"
                 else:
                     mono += f"{name}^({e}/2)"
+            g = gcd(c, den)  # c/den printed like the reduced Fraction
+            cs = str(c // g) if g == den else f"{c // g}/{den // g}"
             if not mono:
-                body = str(c)
-            elif c == 1:
+                body = cs
+            elif c == den:
                 body = mono
-            elif c == -1:
+            elif c == -den:
                 body = "-" + mono
             else:
-                body = f"{c}*{mono}"
+                body = f"{cs}*{mono}"
             if parts and not body.startswith("-"):
                 parts.append("+" + body)
             else:
@@ -393,3 +401,7 @@ class LPoly:
 
     def __repr__(self) -> str:
         return f"LPoly<{self}>"
+
+
+# slot setters that get past the immutability guard of LPoly.__setattr__
+_set_vars, _set_num, _set_den = LPoly.vars.__set__, LPoly.num.__set__, LPoly.den.__set__

@@ -161,6 +161,13 @@ def spec_chi(m: LPoly) -> Fraction:
     return chi_of_y(spec_chi_minus_y(m))
 
 
+def hodge_spec(e: LPoly, which: str) -> LPoly | Fraction:
+    """chi_{-y} (u -> y, v -> 1) or chi (u, v -> 1) of a Hodge polynomial e(u,v)."""
+    if which == "chi":
+        return e.substitute(VS_NONE, whole={"u": 1, "v": 1}).as_fraction()
+    return e.substitute(VS_Y, whole={"u": Y, "v": 1})
+
+
 def map_series(a: TSeries, which: str) -> TSeries:
     """Apply a named specialization coefficientwise to an L-series."""
     if which == "e":

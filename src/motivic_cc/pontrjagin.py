@@ -295,10 +295,15 @@ def mt2_series(model: HomologyModel, a_motivic: TSeries, order: int) -> PontSeri
     return hom_exponentiation(model, a_y, model.ty)
 
 
+def config_scalars(order: int) -> list[LPoly]:
+    """The Euler exponents (1, -1, 0, ...) of chi_{-y}(1 + t) = (1 - t^2)/(1 - t)."""
+    return ([RING_Y.one, -RING_Y.one] + [RING_Y.zero] * order)[:order]
+
+
 def config_class_series(model: HomologyModel, order: int) -> PontSeries:
     """Classes of configuration spaces:
     (1 - t^2 d^2_*)^(+T) * (1 - t d_*)^(-T)."""
-    return exp_series(model, model.ty, [RING_Y.one, -RING_Y.one], order)
+    return exp_series(model, model.ty, config_scalars(order), order)
 
 
 def chi_alpha_scalars(d: int, order: int) -> list[Fraction]:

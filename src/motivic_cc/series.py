@@ -140,7 +140,7 @@ class LaurentRing(CoeffRing):
         return x.adams(r)
 
     def div_int(self, x: LPoly, n: int) -> LPoly:
-        return x.scale(Fraction(1, n))
+        return LPoly._reduce(x.vars, x.num, x.den * n)
 
     def is_integral(self, x: LPoly) -> bool:
         return x.is_integral()

@@ -15,8 +15,8 @@ from motivic_cc.lambda_power import EulerExponents, pre_lambda
 
 def random_lpoly(rng: random.Random, vars: VarSet, max_deg: int = 6,
                  terms: int = 4, coeff_bound: int = 5, laurent: bool = False,
-                 halves: bool = False) -> LPoly:
-    out: dict[tuple[int, ...], int] = {}
+                 halves: bool = False, denom_bound: int = 1) -> LPoly:
+    out: dict[tuple[int, ...], Fraction] = {}
     for _ in range(rng.randint(0, terms)):
         exps = []
         for name in vars.names:
@@ -25,8 +25,77 @@ def random_lpoly(rng: random.Random, vars: VarSet, max_deg: int = 6,
             if halves and rng.random() < 0.3:
                 e += 1
             exps.append(e)
-        out[tuple(exps)] = rng.randint(-coeff_bound, coeff_bound)
+        c = rng.randint(-coeff_bound, coeff_bound)
+        if denom_bound > 1:
+            c = Fraction(c, rng.randint(1, denom_bound))
+        out[tuple(exps)] = c
     return LPoly(vars, out)
+
+
+# -- a dict-of-Fraction reference for LPoly arithmetic -----------------------------
+# polynomials are plain {doubled exponent vector: nonzero Fraction} dicts
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_scale(a: dict, c) -> dict:
+    return {e: x * c for e, x in a.items() if x * c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out = ref_add(out, {e: c1 * c2})
+    return out
+
+
+def ref_pow(a: dict, n: int, nvars: int) -> dict:
+    """a^n by repeated multiplication; a negative n needs a monomial."""
+    if n < 0:
+        ((e, c),) = a.items()
+        a, n = {tuple(-x for x in e): 1 / c}, -n
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_adams(a: dict, r: int, vars: VarSet) -> dict:
+    """Exponents times r; odd L-exponents flip sign for even r (the root -L^(1/2))."""
+    out = {}
+    for e, c in a.items():
+        odd_l = sum(x for name, x in zip(vars.names, e) if name == "L") % 2
+        out[tuple(x * r for x in e)] = -c if r % 2 == 0 and odd_l else c
+    return out
+
+
+def ref_substitute(a: dict, vars: VarSet, target: VarSet, whole=None, half=None) -> dict:
+    """Term by term: ``whole`` values raised to e/2, ``half`` values to e, the rest kept."""
+    whole, half = whole or {}, half or {}
+
+    def value(v):
+        return dict(v.terms) if isinstance(v, LPoly) else {(0,) * len(target): Fraction(v)}
+
+    out: dict = {}
+    for e, c in a.items():
+        term = {(0,) * len(target): c}
+        for name, x in zip(vars.names, e):
+            if name in half:
+                term = ref_mul(term, ref_pow(value(half[name]), x, len(target)))
+            elif name in whole:
+                term = ref_mul(term, ref_pow(value(whole[name]), x // 2, len(target)))
+            elif x:
+                mono = [0] * len(target)
+                mono[target.index(name)] = x
+                term = ref_mul(term, {tuple(mono): Fraction(1)})
+        out = ref_add(out, term)
+    return out
 
 
 def random_series(rng: random.Random, ring: CoeffRing, order: int,

@@ -1,13 +1,19 @@
+import copy
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from motivic_cc.cli import (
     EXIT_OK, EXIT_CHECK_FAILED, EXIT_SCHEMA, EXIT_RANGE, builtin_model, main,
     model_from_doc, model_to_doc,
 )
+from motivic_cc import pontrjagin as po
+from motivic_cc.series import RING_Y
 from helpers import load_bench_cases
 
 
@@ -139,6 +145,17 @@ def test_classes_virtual_and_config(capsys):
     assert all(c["status"] == "ok" for c in doc["checks"])
 
 
+def test_config_check_catches_wrong_scalars(capsys, monkeypatch):
+    """config-vs-exponentiation fails once the scalars of the series are perturbed."""
+    right = po.config_scalars
+    monkeypatch.setattr(po, "config_scalars",
+                        lambda order: right(order)[:2] + [RING_Y.one] + right(order)[3:])
+    code, doc = run_json(capsys, "classes", "--builtin", "P1", "--kind", "config",
+                         "--order", "4")
+    assert code == EXIT_CHECK_FAILED
+    assert {"name": "config-vs-exponentiation", "status": "fail"} in doc["checks"]
+
+
 def test_series_file_boundary(tmp_path, capsys):
     path = tmp_path / "series.json"
     one = [{"lNum": 0, "c": "1"}]
@@ -170,6 +187,94 @@ def test_model_file_rejects_booleans(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         code, _ = run_err(capsys, "model", "--model", str(path))
         assert code == EXIT_SCHEMA, field
+
+
+MISTYPED = {
+    "basis": lambda d: d.update(basis=7),
+    "e_poly": lambda d: d.update(e_poly=5),
+    "ty_class": lambda d: d["ty_class"].update(P1=3),
+    "zeroDegreeBasisId": lambda d: d.update(zeroDegreeBasisId=["P0"]),
+}
+
+
+@pytest.mark.parametrize("field", MISTYPED)
+def test_model_file_rejects_mistyped_fields(field, tmp_path, capsys):
+    doc = model_to_doc(builtin_model("P1"))
+    MISTYPED[field](doc)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, err = run_err(capsys, "model", "--model", str(path))
+    assert code == EXIT_SCHEMA and field in err
+
+
+def test_series_file_rejects_non_list_coeffs(tmp_path, capsys):
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"order": 1, "coeffs": [[{"lNum": 0, "c": "1"}], 5]}))
+    code, err = run_err(capsys, "exponents", "--series", str(path), "--order", "1")
+    assert code == EXIT_SCHEMA and "t^1" in err
+
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.text(max_size=6), inner, max_size=4), max_leaves=10)
+
+# a valid document of each file format, and the command that reads it
+FILE_FORMATS = {
+    "model": (model_to_doc(builtin_model("P1")), ("model", "--model")),
+    "series": ({"order": 3, "coeffs": [[{"lNum": 0, "c": "1"}], [{"lNum": 2, "c": "1"}], [],
+                                       [{"lNum": -1, "c": "-3"}, {"lNum": 4, "c": "2"}]]},
+               ("exponents", "--order", "3", "--series")),
+}
+
+
+def positions(x, path=()):
+    """(path, value) for every position in a JSON document, the root included."""
+    yield path, x
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, val in items:
+        yield from positions(val, path + (key,))
+
+
+def mutate(doc, path, delete, value):
+    """``doc`` with the value at ``path`` replaced by ``value``, or deleted."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def file_documents(doc):
+    """Arbitrary JSON, any position of ``doc`` replaced or deleted, or an array or
+    object of ``doc`` replaced by a scalar."""
+    paths = [p for p, _ in positions(doc)]
+    containers = [p for p, v in positions(doc) if isinstance(v, (dict, list))]
+    edits = st.tuples(st.sampled_from(paths), st.booleans(), JSON_VALUES) | \
+        st.tuples(st.sampled_from(containers), st.just(False), SCALARS)
+    return JSON_VALUES | edits.map(lambda e: mutate(doc, *e))
+
+
+@pytest.mark.parametrize("fmt", FILE_FORMATS)
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_file_ingestion_never_tracebacks(fmt, data, tmp_path):
+    """Malformed input files end in a documented exit code with no traceback."""
+    valid, argv = FILE_FORMATS[fmt]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data.draw(file_documents(valid))))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([*argv, str(path)])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_SCHEMA, EXIT_RANGE)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_builtin_names_empty_factor(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from motivic_cc.lpoly import LPoly, VS_NONE, VS_UV, VS_Y
 from motivic_cc.series import QQ, RING_Y, TSeries
-from motivic_cc.motives import TwoRouteMismatchError, Y
+from motivic_cc.motives import TwoRouteMismatchError, Y, hodge_spec
 from motivic_cc.hirzebruch import (
     HomologyModel, chern_class_of, chern_limit_check, point_model,
     product_model, proj_space_model, qy_series, qyhat_series,
@@ -110,7 +110,7 @@ def test_degree_is_chi_y_genus():
         m = proj_space_model(d)
         expected = LPoly(VS_Y, {(2 * i,): 1 for i in range(d + 1)})
         assert m.degree_of(m.ty) == expected
-        assert m.degree_of(m.ty) == m.chi_y()
+        assert m.degree_of(m.ty) == hodge_spec(m.e_poly, "chi-y")
     assert proj_space_model(2).degree_of({}) == RING_Y.zero
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -7,7 +8,10 @@ from motivic_cc.lpoly import (
     LPoly, VarSet, VS_L, VS_NONE, VS_UV, VS_Y,
     ExactDivisionError, SubstitutionError, VariableMismatchError,
 )
-from helpers import random_lpoly
+from motivic_cc.series import LaurentRing
+from helpers import (
+    random_lpoly, ref_adams, ref_add, ref_mul, ref_pow, ref_scale, ref_substitute,
+)
 
 L = LPoly.var(VS_L, "L")
 LHALF = LPoly.var(VS_L, "L", 1)
@@ -163,3 +167,83 @@ def test_str_is_canonical_and_exact():
     s = str(p)
     assert s == "L^(-3/2)+1/2-2*L"
     assert "." not in s
+
+
+# -- the integer-numerator representation against a dict-of-Fraction reference ----
+
+# variable set -> whether half exponents are legal on it
+VARSETS = {"none": (VS_NONE, False), "L": (VS_L, True), "y": (VS_Y, True), "uv": (VS_UV, False)}
+
+# per variable set: (target, whole, half) substitutions whose values stay
+# invertible, so Laurent exponents are legal
+SUBSTITUTIONS = {
+    "none": [(VS_Y, {}, {})],
+    "L": [(VS_Y, {}, {"L": -YHALF}), (VS_NONE, {}, {"L": Fraction(2, 3)})],
+    "y": [(VS_NONE, {}, {"y": Fraction(-3, 2)}), (VS_L, {}, {"y": -LHALF})],
+    "uv": [(VS_Y, {"u": Y, "v": 1}, {}), (VS_UV, {"u": 2 * V}, {})],
+}
+
+
+def rational_lpoly(rng, vars, halves):
+    return random_lpoly(rng, vars, max_deg=3, terms=4, laurent=True, halves=halves,
+                        denom_bound=6)
+
+
+def assert_canonical(p: LPoly):
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(c) is int and c != 0 for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    if p.is_zero():
+        assert p.den == 1
+
+
+@pytest.mark.parametrize("name", VARSETS)
+def test_ops_match_fraction_reference(name):
+    vars, halves = VARSETS[name]
+    n = len(vars)
+    rng = random.Random(name)
+    for _ in range(40):
+        a, b = rational_lpoly(rng, vars, halves), rational_lpoly(rng, vars, halves)
+        ta, tb = dict(a.terms), dict(b.terms)
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        assert dict((a + b).terms) == ref_add(ta, tb)
+        assert dict((a - b).terms) == ref_add(ta, ref_scale(tb, -1))
+        assert dict((a * b).terms) == ref_mul(ta, tb)
+        assert dict(a.scale(c).terms) == ref_scale(ta, c)
+        assert dict(LaurentRing(vars).div_int(a, -4).terms) == ref_scale(ta, Fraction(-1, 4))
+        k = rng.randint(0, 3)
+        assert dict((a ** k).terms) == ref_pow(ta, k, n)
+        r = rng.randint(1, 4)
+        assert dict(a.adams(r).terms) == ref_adams(ta, r, vars)
+        if ta:
+            mono = {next(iter(ta)): c or Fraction(1, 5)}
+            k = rng.randint(1, 3)
+            assert dict((LPoly(vars, mono) ** -k).terms) == ref_pow(mono, -k, n)
+        if tb:
+            q = (a * b).exact_div(b)
+            assert dict(q.terms) == ta
+            assert ref_mul(dict(q.terms), tb) == ref_mul(ta, tb)
+        for target, whole, half in SUBSTITUTIONS[name]:
+            got = a.substitute(target, whole=whole, half=half)
+            assert dict(got.terms) == ref_substitute(ta, vars, target, whole, half)
+
+
+def test_canonical_form():
+    rng = random.Random(5)
+    for vars, halves in VARSETS.values():
+        ring = LaurentRing(vars)
+        for _ in range(40):
+            a, b = rational_lpoly(rng, vars, halves), rational_lpoly(rng, vars, halves)
+            c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+            results = [a, b, a + b, a - b, a * b, -a, a.scale(c), a.scale(0), a - a,
+                       a ** 2, a.adams(2), ring.div_int(a, 6), ring.div_int(a, -6),
+                       LPoly(vars, {(0,) * len(vars): True})]
+            if not b.is_zero():
+                results.append((a * b).exact_div(b))
+            for p in results:
+                assert_canonical(p)
+            # one value reached by different routes: equal, so equally hashed
+            for x, y in ((a + b, b + a), (a * b, b * a), ((a + b) - b, a),
+                         (LPoly(vars, a.terms), a), (a.scale(Fraction(1, 3)).scale(3), a),
+                         (ring.div_int(a * 6, 6), a), (a - a, ring.zero)):
+                assert x == y and hash(x) == hash(y)
