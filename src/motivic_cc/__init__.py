@@ -6,7 +6,7 @@ from .lpoly import (
     ExactDivisionError, SubstitutionError, VariableMismatchError,
 )
 from .series import (
-    CoeffRing, LaurentRing, RationalField, TSeries,
+    LaurentRing, TSeries,
     QQ, RING_L, RING_UV, RING_Y,
     IntegralityError, NonUnitError, OrderMismatchError,
 )

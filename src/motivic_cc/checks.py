@@ -1,7 +1,8 @@
 """Seeded randomized verification suites behind the ``verify`` command.
 
 Each suite returns a list of {name, status, detail} records; a failing check
-carries the counterexample in ``detail``.  Identical (suite, order, seed)
+carries the counterexample in ``detail``, and :func:`run_suite` appends the
+``verify`` command line that reruns it.  Identical (suite, order, seed)
 inputs produce identical reports.
 """
 
@@ -452,12 +453,17 @@ SUITES = {
 
 
 def run_suite(name: str, order: int, seed: int) -> list[dict]:
-    if name == "all":
-        out = []
-        for key in ("lambda", "motives", "hirzebruch", "pontrjagin"):
-            for rec in SUITES[key](order, seed):
-                out.append({**rec, "name": f"{key}/{rec['name']}"})
-        return out
-    if name not in SUITES:
+    """The records of one suite, or of all of them with each name prefixed by its suite's.
+
+    A failing record's detail ends with the command that reruns its suite.
+    """
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name](order, seed)
+    out = []
+    for key in (SUITES if name == "all" else (name,)):
+        for rec in SUITES[key](order, seed):
+            if rec["status"] == "fail":
+                rec["detail"] += (f"; reproduce: motivic-cc verify --suite {key} "
+                                  f"--order {order} --seed {seed}, check {rec['name']}")
+            out.append({**rec, "name": f"{key}/{rec['name']}"} if name == "all" else rec)
+    return out

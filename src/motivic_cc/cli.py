@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -68,13 +69,15 @@ def is_int(x) -> bool:
 
 # -- rational and model (de)serialization ------------------------------------
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
+RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(s: str) -> Fraction:
+def parse_rational(s) -> Fraction:
+    """A JSON integer or a string "p" or "p/q"; decimals and exponents are refused."""
+    if not (is_int(s) or isinstance(s, str) and RATIONAL.fullmatch(s)):
+        raise SchemaError(f"bad rational {s!r}")
     try:
-        return Fraction(str(s))
+        return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {s!r}") from exc
 
@@ -85,7 +88,7 @@ def model_to_doc(model: hz.HomologyModel) -> dict:
         c = model.ty.get(b)
         if c is None:
             continue
-        ty[b] = [{"yNum": exps[0], "c": format_rational(coeff)}
+        ty[b] = [{"yNum": exps[0], "c": str(coeff)}
                  for exps, coeff in sorted(c.terms.items())]
     e_terms = [{"u": e[0] // 2, "v": e[1] // 2, "c": int(c)}
                for e, c in sorted(model.e_poly.terms.items())]
@@ -199,18 +202,22 @@ def builtin_model(name: str) -> hz.HomologyModel:
     return model
 
 
+def read_json(path: str, what: str):
+    """The JSON document in ``path``; an unreadable or malformed file is a schema error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {what} file: {exc}")
+    except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
+        raise SchemaError(f"{what} file is not valid JSON: {exc}")
+
+
 def load_model(args) -> hz.HomologyModel:
     if getattr(args, "builtin", None):
         return builtin_model(args.builtin)
     if getattr(args, "model", None):
-        try:
-            with open(args.model) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise SchemaError(f"cannot read model file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"model file is not valid JSON: {exc}")
-        return model_from_doc(doc)
+        return model_from_doc(read_json(args.model, "model"))
     raise SchemaError("one of --builtin or --model is required")
 
 
@@ -220,21 +227,17 @@ def atom_str(k: int, basis_id: str) -> str:
     return f"d{k}*[{basis_id}]"
 
 
-def coeff_str(c) -> str:
-    return format_rational(c) if isinstance(c, Fraction) else str(c)
-
-
 def pont_coefficients(s: po.PontSeries) -> list[dict]:
     out = []
     for n, el in enumerate(s.components):
-        terms = [{"atoms": [atom_str(k, b) for k, b in ms], "c": coeff_str(c)}
+        terms = [{"atoms": [atom_str(k, b) for k, b in ms], "c": str(c)}
                  for ms, c in sorted(el.terms.items())]
         out.append({"n": n, "terms": terms})
     return out
 
 
 def series_coefficients(s: TSeries) -> list[dict]:
-    return [{"n": n, "c": coeff_str(c)} for n, c in enumerate(s.coeffs)]
+    return [{"n": n, "c": str(c)} for n, c in enumerate(s.coeffs)]
 
 
 def report(command: str, params: dict, order: int, coefficients: list,
@@ -291,14 +294,7 @@ def cmd_exponents(args) -> int:
     order = check_order(args.order)
     checks = []
     if args.series:
-        try:
-            with open(args.series) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise SchemaError(f"cannot read series file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"series file is not valid JSON: {exc}")
-        s = series_from_doc(doc)
+        s = series_from_doc(read_json(args.series, "series"))
         if s.order < order:
             raise UnsupportedRangeError(
                 f"series file stops at t^{s.order}, need t^{order}")

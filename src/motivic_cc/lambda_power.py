@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .lpoly import LPoly
-from .series import CoeffRing, IntegralityError, NonUnitError, TSeries, LaurentRing
+from .series import IntegralityError, NonUnitError, TSeries, LaurentRing
 
 
 def divisors(n: int) -> list[int]:
@@ -50,7 +50,7 @@ def mobius(n: int) -> int:
 class EulerExponents:
     """The exponent sequence b_1 .. b_N of prod_k (1 - t^k)^(-b_k)."""
 
-    ring: CoeffRing
+    ring: LaurentRing
     exps: tuple
 
     def __post_init__(self):
@@ -69,11 +69,11 @@ class EulerExponents:
         return EulerExponents(self.ring, tuple(b * m for b in self.exps))
 
 
-def pre_lambda(ring: CoeffRing, m, order: int) -> TSeries:
+def pre_lambda(ring: LaurentRing, m, order: int) -> TSeries:
     """lambda_t(m) = exp(sum_r Psi_r(m) t^r / r), a normalized series."""
     m = ring.coerce(m)
     arg = TSeries.from_terms(ring, order,
-                             {r: ring.div_int(ring.adams(r, m), r)
+                             {r: m.adams(r).div_int(r)
                               for r in range(1, order + 1)})
     return arg.exp()
 
@@ -89,10 +89,10 @@ def euler_exp(b: EulerExponents, order: int | None = None) -> TSeries:
     arg = [ring.zero] * (n + 1)
     for k in range(1, min(b.order, n) + 1):
         bk = b.exponent(k)
-        if bk == ring.zero:
+        if not bk.num:
             continue
         for r in range(1, n // k + 1):
-            arg[k * r] = arg[k * r] + ring.div_int(ring.adams(r, bk), r)
+            arg[k * r] = arg[k * r] + bk.adams(r).div_int(r)
     return TSeries(ring, arg).exp()
 
 
@@ -113,10 +113,10 @@ def euler_log(a: TSeries, require_integral: bool = True) -> EulerExponents:
             mu = mobius(k // d)
             if mu == 0:
                 continue
-            term = ring.adams(k // d, c[d] * d)
+            term = (c[d] * d).adams(k // d)
             acc = acc + (term if mu == 1 else -term)
-        bk = ring.div_int(acc, k)
-        if require_integral and not ring.is_integral(bk):
+        bk = acc.div_int(k)
+        if require_integral and not bk.is_integral():
             raise IntegralityError(f"Euler exponent b_{k} = {bk} is not integral")
         out.append(bk)
     return EulerExponents(ring, tuple(out))

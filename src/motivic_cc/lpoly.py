@@ -4,6 +4,7 @@ A polynomial stores integer numerators ``num`` (exponent vector -> nonzero
 ``int``) over one ``int`` denominator ``den`` in canonical form: ``den > 0``,
 ``gcd(den, *num.values()) == 1``, and zero has ``den == 1``.  Arithmetic runs
 on the integers; ``terms`` reads the coefficients back as ``Fraction``s.
+Over no variables (``VS_NONE``) a polynomial is an exact rational.
 Exponents are counted in units of 1/2 and stored doubled, so the tuple entry
 ``3`` means the variable appears with exponent 3/2 and ``-2`` means exponent
 -1.  Odd (genuinely half-integral) exponents are only legal for the variables
@@ -103,6 +104,9 @@ class LPoly:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("LPoly is immutable")
+
+    def __reduce__(self):
+        return LPoly._reduce, (self.vars, self.num, self.den)
 
     @classmethod
     def _reduce(cls, vars: VarSet, num: dict[Expvec, int], den: int) -> "LPoly":
@@ -206,6 +210,10 @@ class LPoly:
         return LPoly._reduce(self.vars, out, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def div_int(self, n: int) -> "LPoly":
+        """Exact division by the nonzero integer ``n``."""
+        return LPoly._reduce(self.vars, self.num, self.den * n)
 
     def scale(self, c: Coeff) -> "LPoly":
         if not isinstance(c, (int, Fraction)):

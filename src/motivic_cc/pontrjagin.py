@@ -4,8 +4,9 @@ Classes living on the n-th symmetric product are written in terms of
 pushforward atoms d^k_*(basis class); a term is a multiset of such atoms
 with total index n, stored as a sorted tuple of (k, basis id) pairs.  The
 grading variable t keeps track of n, the product is multiset union with
-coefficients multiplying, and the coefficient ring is either Q[y^(1/2)]
-(Hirzebruch level) or Q (Chern level) via the usual ring descriptor.
+coefficients multiplying.  Coefficients are :class:`LPoly` values over
+``RING_Y`` = Q[y^(1/2)] (Hirzebruch level) or over ``QQ``, the ring with no
+variables (Chern level); the series records which.
 
 The free model deliberately ignores any relations holding in the honest
 homology of symmetric products: every identity proved by the calculus is
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lpoly import LPoly
-from .series import CoeffRing, QQ, RING_L, RING_Y, TSeries
+from .series import LaurentRing, QQ, RING_L, RING_Y, TSeries
 from .lambda_power import euler_log
 from .motives import (
     TwoRouteMismatchError, UnsupportedRangeError, Y,
@@ -37,21 +38,23 @@ class PontElement:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[Multiset, object], ring: CoeffRing):
+    def __init__(self, n: int, terms: dict[Multiset, LPoly]):
         clean = {}
-        zero = ring.zero
         for ms, c in terms.items():
             if sum(k for k, _ in ms) != n:
                 raise ValueError(f"multiset {ms} does not have total index {n}")
             if any(k < 1 for k, _ in ms):
                 raise ValueError(f"atom index must be >= 1 in {ms}")
-            if c != zero:
+            if c.num:
                 clean[tuple(sorted(ms))] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("PontElement is immutable")
+
+    def __reduce__(self):
+        return PontElement, (self.n, self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, PontElement)
@@ -63,7 +66,7 @@ class PontSeries:
 
     __slots__ = ("model", "ring", "components")
 
-    def __init__(self, model: HomologyModel, ring: CoeffRing,
+    def __init__(self, model: HomologyModel, ring: LaurentRing,
                  components: tuple[PontElement, ...]):
         for n, el in enumerate(components):
             if el.n != n:
@@ -75,6 +78,9 @@ class PontSeries:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("PontSeries is immutable")
 
+    def __reduce__(self):
+        return PontSeries, (self.model, self.ring, self.components)
+
     @property
     def order(self) -> int:
         return len(self.components) - 1
@@ -82,7 +88,7 @@ class PontSeries:
     @classmethod
     def from_dicts(cls, model, ring, dicts) -> "PontSeries":
         return cls(model, ring,
-                   tuple(PontElement(n, d, ring) for n, d in enumerate(dicts)))
+                   tuple(PontElement(n, d) for n, d in enumerate(dicts)))
 
     @classmethod
     def unit(cls, model, ring, order: int) -> "PontSeries":
@@ -155,21 +161,19 @@ class PontSeries:
 
 # -- atoms and operations ---------------------------------------------------
 
-def d_push(model: HomologyModel, k: int, hclass: HClass,
-           ring: CoeffRing = RING_Y) -> PontElement:
+def d_push(model: HomologyModel, k: int, hclass: HClass) -> PontElement:
     """d^k_* of a homology class: linear expansion into atoms (k, basis id)."""
     if k < 1:
         raise ValueError("pushforward index must be >= 1")
-    return PontElement(k, {((k, b),): c for b, c in hclass.items()}, ring)
+    return PontElement(k, {((k, b),): c for b, c in hclass.items()})
 
 
-def adams_h(model: HomologyModel, r: int, hclass: HClass,
-            ring: CoeffRing = RING_Y) -> HClass:
+def adams_h(model: HomologyModel, r: int, hclass: HClass) -> HClass:
     """Homological Adams operation: 1/r^k in degree k, and y -> y^r."""
     if r < 1:
         raise ValueError("Adams index must be >= 1")
     degs = model.degs()
-    return {b: ring.adams(r, c) * Fraction(1, r ** degs[b])
+    return {b: c.adams(r) * Fraction(1, r ** degs[b])
             for b, c in hclass.items()}
 
 
@@ -202,7 +206,7 @@ def pont_exp(arg: PontSeries) -> PontSeries:
 
 
 def hom_exp_inv(model: HomologyModel, gamma: HClass, k: int, order: int,
-                ring: CoeffRing = RING_Y, adams: bool = True) -> PontSeries:
+                ring: LaurentRing = RING_Y, adams: bool = True) -> PontSeries:
     """(1 - t^k d^k_*)^(-gamma) = exp(sum_r d^{rk}_*(Psi_r gamma) t^{rk} / r).
 
     With ``adams=False`` the Adams twist is dropped (the Chern-level
@@ -211,7 +215,7 @@ def hom_exp_inv(model: HomologyModel, gamma: HClass, k: int, order: int,
     gamma = {b: ring.coerce(c) for b, c in gamma.items()}
     dicts = [dict() for _ in range(order + 1)]
     for r in range(1, order // k + 1):
-        g = adams_h(model, r, gamma, ring) if adams else gamma
+        g = adams_h(model, r, gamma) if adams else gamma
         inv_r = Fraction(1, r)
         for b, c in g.items():
             dicts[r * k][((r * k, b),)] = c * inv_r
@@ -219,7 +223,7 @@ def hom_exp_inv(model: HomologyModel, gamma: HClass, k: int, order: int,
 
 
 def exp_series(model: HomologyModel, gamma: HClass, scalars, order: int,
-               ring: CoeffRing = RING_Y, adams: bool = True) -> PontSeries:
+               ring: LaurentRing = RING_Y, adams: bool = True) -> PontSeries:
     """prod_k (1 - t^k d^k_*)^(-s_k gamma) for scalars s_1, s_2, ... through t^order.
 
     The log of the product is linear in atoms: atom (rk, b) collects
@@ -232,12 +236,12 @@ def exp_series(model: HomologyModel, gamma: HClass, scalars, order: int,
     log: dict[tuple[int, str], object] = {}
     for k, s in enumerate(scalars[:order], start=1):
         s = ring.coerce(s)
-        if s == ring.zero:
+        if not s.num:
             continue
         g = {b: c * s for b, c in gamma.items()}
         for r in range(1, order // k + 1):
-            for b, c in (adams_h(model, r, g, ring) if adams else g).items():
-                log[r * k, b] = log.get((r * k, b), ring.zero) + ring.div_int(c, r)
+            for b, c in (adams_h(model, r, g) if adams else g).items():
+                log[r * k, b] = log.get((r * k, b), ring.zero) + c.div_int(r)
     dicts = [dict() for _ in range(order + 1)]
     dicts[0][()] = ring.one
     # multiply in one atom at a time; walking n downward never extends a
@@ -246,7 +250,7 @@ def exp_series(model: HomologyModel, gamma: HClass, scalars, order: int,
         a, j = log[atom], atom[0]
         powers = [ring.one]
         for m in range(1, order // j + 1):
-            powers.append(ring.div_int(powers[-1] * a, m))
+            powers.append((powers[-1] * a).div_int(m))
         for n in range(order - j, -1, -1):
             for ms, c in dicts[n].items():
                 for m in range(1, (order - n) // j + 1):
@@ -386,7 +390,7 @@ def normalized_y1_limit(s: PontSeries) -> PontSeries:
     one_minus_y = RING_Y.one - Y
     out = []
     for el in s.components:
-        d: dict[Multiset, Fraction] = {}
+        d: dict[Multiset, LPoly] = {}
         for ms, c in el.terms.items():
             m = sum(degs[b] for _, b in ms)
             try:
@@ -394,6 +398,6 @@ def normalized_y1_limit(s: PontSeries) -> PontSeries:
             except ArithmeticError as exc:
                 raise TwoRouteMismatchError(
                     f"pole at y=1 for multiset {ms}") from exc
-            d[ms] = chi_of_y(reduced)
+            d[ms] = QQ.coerce(chi_of_y(reduced))
         out.append(d)
     return PontSeries.from_dicts(s.model, QQ, out)

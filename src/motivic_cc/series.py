@@ -2,10 +2,11 @@
 
 A :class:`TSeries` stores coefficients for t^0 .. t^N; every operation
 truncates at N and mixing different truncation orders (or different
-coefficient rings) is an error rather than a silent re-truncation.  The
-coefficient ring is described by a :class:`CoeffRing`, which also carries
-the ring's Adams endomorphisms and its notion of integrality, so the same
-series code serves Q, the motivic Laurent ring in L, Z[u,v] and Q[y^(1/2)].
+coefficient rings) is an error rather than a silent re-truncation.  Every
+coefficient is an :class:`LPoly`, which carries its own Adams endomorphisms
+and integrality test; a :class:`LaurentRing` names the variable set, so the
+same series code serves Q (the ring ``QQ`` with no variables), the motivic
+Laurent ring in L, Z[u,v] and Q[y^(1/2)].
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .lpoly import LPoly, VarSet, VS_L, VS_UV, VS_Y
+from .lpoly import LPoly, VarSet, VS_L, VS_NONE, VS_UV, VS_Y
 
 
 class OrderMismatchError(ValueError):
@@ -28,104 +29,19 @@ class IntegralityError(ArithmeticError):
     """A coefficient left the declared integral subring."""
 
 
-class CoeffRing:
-    """Descriptor of an exact coefficient ring with Adams operations."""
+class LaurentRing:
+    """Laurent polynomials over Q in a fixed variable set; ``QQ`` has no variables.
 
-    name: str = "?"
-
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def coerce(self, x):
-        raise NotImplementedError
-
-    def adams(self, r: int, x):
-        """The r-th Adams endomorphism applied to x."""
-        raise NotImplementedError
-
-    def div_int(self, x, n: int):
-        """Exact division of x by the integer n in the rationalized ring."""
-        raise NotImplementedError
-
-    def is_integral(self, x) -> bool:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return self.name
-
-
-class RationalField(CoeffRing):
-    """Plain rationals; Adams operations act as the identity."""
-
-    name = "Q"
-    _ZERO = Fraction(0)
-    _ONE = Fraction(1)
-
-    @property
-    def zero(self) -> Fraction:
-        return self._ZERO
-
-    @property
-    def one(self) -> Fraction:
-        return self._ONE
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into Q")
-
-    def adams(self, r: int, x: Fraction) -> Fraction:
-        return x
-
-    def div_int(self, x: Fraction, n: int) -> Fraction:
-        return x / n
-
-    def is_integral(self, x: Fraction) -> bool:
-        return x.denominator == 1
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
-
-class LaurentRing(CoeffRing):
-    """Laurent polynomials over Q in a fixed variable set.
-
-    Adams operations scale exponent vectors (the polynomial-ring pre-lambda
-    structure); integrality means integer coefficients.
+    The ring supplies zero, one and the coercion of ``int``/``Fraction``
+    values; Adams operations, exact division by integers and integrality
+    are methods of the :class:`LPoly` coefficients.
     """
 
     def __init__(self, vars: VarSet):
         self.vars = vars
-        self.name = f"Q[{','.join(vars.names) or ''}]"
-        self._zero = LPoly.const(vars, 0)
-        self._one = LPoly.const(vars, 1)
-
-    @property
-    def zero(self) -> LPoly:
-        return self._zero
-
-    @property
-    def one(self) -> LPoly:
-        return self._one
-
-    def from_int(self, n: int) -> LPoly:
-        return LPoly.const(self.vars, n)
+        self.name = f"Q[{','.join(vars.names)}]" if vars.names else "Q"
+        self.zero = LPoly.const(vars, 0)
+        self.one = LPoly.const(vars, 1)
 
     def coerce(self, x) -> LPoly:
         if isinstance(x, LPoly):
@@ -136,23 +52,17 @@ class LaurentRing(CoeffRing):
             return LPoly.const(self.vars, x)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
-    def adams(self, r: int, x: LPoly) -> LPoly:
-        return x.adams(r)
-
-    def div_int(self, x: LPoly, n: int) -> LPoly:
-        return LPoly._reduce(x.vars, x.num, x.den * n)
-
-    def is_integral(self, x: LPoly) -> bool:
-        return x.is_integral()
-
     def __eq__(self, other):
         return isinstance(other, LaurentRing) and other.vars == self.vars
 
     def __hash__(self):
         return hash(self.vars)
 
+    def __repr__(self):
+        return self.name
 
-QQ = RationalField()
+
+QQ = LaurentRing(VS_NONE)
 RING_L = LaurentRing(VS_L)
 RING_Y = LaurentRing(VS_Y)
 RING_UV = LaurentRing(VS_UV)
@@ -163,7 +73,7 @@ class TSeries:
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: CoeffRing, coeffs: Sequence):
+    def __init__(self, ring: LaurentRing, coeffs: Sequence):
         if not coeffs:
             raise ValueError("a series needs at least the t^0 coefficient")
         object.__setattr__(self, "ring", ring)
@@ -172,20 +82,23 @@ class TSeries:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("TSeries is immutable")
 
+    def __reduce__(self):
+        return TSeries, (self.ring, self.coeffs)
+
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, ring: CoeffRing, order: int) -> "TSeries":
+    def zero(cls, ring: LaurentRing, order: int) -> "TSeries":
         return cls(ring, [ring.zero] * (order + 1))
 
     @classmethod
-    def one(cls, ring: CoeffRing, order: int) -> "TSeries":
+    def one(cls, ring: LaurentRing, order: int) -> "TSeries":
         return cls(ring, [ring.one] + [ring.zero] * order)
 
     @classmethod
-    def from_terms(cls, ring: CoeffRing, order: int, terms: dict[int, object]) -> "TSeries":
+    def from_terms(cls, ring: LaurentRing, order: int, terms: dict[int, object]) -> "TSeries":
         coeffs = [ring.zero] * (order + 1)
         for n, c in terms.items():
             if 0 <= n <= order:
@@ -222,14 +135,13 @@ class TSeries:
             return TSeries(self.ring, [a * c for a in self.coeffs])
         self._check(other)
         n = self.order
-        zero = self.ring.zero
-        out = [zero] * (n + 1)
+        out = [self.ring.zero] * (n + 1)
         for i, a in enumerate(self.coeffs):
-            if a == zero:
+            if not a.num:
                 continue
             for j in range(0, n - i + 1):
                 b = other.coeffs[j]
-                if b == zero:
+                if not b.num:
                     continue
                 out[i + j] = out[i + j] + a * b
         return TSeries(self.ring, out)
@@ -279,7 +191,7 @@ class TSeries:
             acc = self.ring.zero
             for k in range(1, m + 1):
                 acc = acc + (self.coeffs[k] * out[m - k]) * k
-            out[m] = self.ring.div_int(acc, m)
+            out[m] = acc.div_int(m)
         return TSeries(self.ring, out)
 
     def log(self) -> "TSeries":
@@ -292,7 +204,7 @@ class TSeries:
             acc = self.ring.zero
             for k in range(1, m):
                 acc = acc + (out[k] * self.coeffs[m - k]) * k
-            out[m] = self.coeffs[m] - self.ring.div_int(acc, m)
+            out[m] = self.coeffs[m] - acc.div_int(m)
         return TSeries(self.ring, out)
 
     def subst(self, k: int = 1, sign: int = 1) -> "TSeries":
@@ -306,21 +218,21 @@ class TSeries:
             out[n * k] = c if (sign == 1 or n % 2 == 0) else -c
         return TSeries(self.ring, out)
 
-    def map_coeffs(self, target: CoeffRing, f: Callable) -> "TSeries":
+    def map_coeffs(self, target: LaurentRing, f: Callable) -> "TSeries":
         """Apply a coefficient-ring homomorphism f to every coefficient."""
         return TSeries(target, [f(c) for c in self.coeffs])
 
     def assert_integral(self, what: str = "series") -> "TSeries":
         """Fail loudly if any coefficient left the declared integral subring."""
         for n, c in enumerate(self.coeffs):
-            if not self.ring.is_integral(c):
+            if not c.is_integral():
                 raise IntegralityError(f"{what}: t^{n} coefficient {c} is not integral")
         return self
 
     def __str__(self) -> str:
         parts = []
         for n, c in enumerate(self.coeffs):
-            if c == self.ring.zero:
+            if not c.num:
                 continue
             parts.append(f"({c})*t^{n}" if n else f"({c})")
         return " + ".join(parts) if parts else "0"

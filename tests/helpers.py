@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from motivic_cc.lpoly import LPoly, VarSet
-from motivic_cc.series import CoeffRing, TSeries
+from motivic_cc.series import LaurentRing, TSeries
 from motivic_cc.lambda_power import EulerExponents, pre_lambda
 
 
@@ -98,15 +98,11 @@ def ref_substitute(a: dict, vars: VarSet, target: VarSet, whole=None, half=None)
     return out
 
 
-def random_series(rng: random.Random, ring: CoeffRing, order: int,
+def random_series(rng: random.Random, ring: LaurentRing, order: int,
                   normalized: bool = False, zero_constant: bool = False,
                   **poly_kw) -> TSeries:
-    def coeff():
-        if hasattr(ring, "vars"):
-            return random_lpoly(rng, ring.vars, max_deg=3, terms=3, **poly_kw)
-        return Fraction(rng.randint(-5, 5))
-
-    coeffs = [coeff() for _ in range(order + 1)]
+    coeffs = [random_lpoly(rng, ring.vars, max_deg=3, terms=3, **poly_kw)
+              for _ in range(order + 1)]
     if normalized:
         coeffs[0] = ring.one
     if zero_constant:

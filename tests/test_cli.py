@@ -12,8 +12,8 @@ from motivic_cc.cli import (
     EXIT_OK, EXIT_CHECK_FAILED, EXIT_SCHEMA, EXIT_RANGE, builtin_model, main,
     model_from_doc, model_to_doc,
 )
-from motivic_cc import pontrjagin as po
-from motivic_cc.series import RING_Y
+from motivic_cc import motives as mo, pontrjagin as po
+from motivic_cc.series import QQ, RING_Y, TSeries
 from helpers import load_bench_cases
 
 
@@ -284,7 +284,8 @@ def test_builtin_names_empty_factor(capsys):
         assert "empty factor" in err
 
 
-BENCH_CASES = load_bench_cases().FIXED_CASES["classes"]
+BENCH_CASES = [case for workload in ("classes", "motivic")
+               for case in load_bench_cases().FIXED_CASES[workload]]
 
 
 @pytest.mark.parametrize("case", BENCH_CASES, ids=[c.id for c in BENCH_CASES])
@@ -326,6 +327,22 @@ def test_schema_errors(tmp_path, capsys):
     path.write_text("not json")
     code, _ = run(capsys, "zeta", "--model", str(path), "--order", "2")
     assert code == EXIT_SCHEMA
+    # numbers are bounded at the boundary: exponent notation and JSON floats are
+    # no rationals, and an integer past Python's 4300-digit limit does not load
+    for c in ("1e5000", 0.5):
+        doc = model_to_doc(builtin_model("P1"))
+        doc["ty_class"]["P1"][0]["c"] = c
+        path.write_text(json.dumps(doc))
+        code, err = run_err(capsys, "model", "--model", str(path))
+        assert code == EXIT_SCHEMA and "bad rational" in err
+    huge = "1" + "0" * 5000
+    path.write_text(json.dumps(model_to_doc(builtin_model("P1"))).replace(
+        '"dim": 1', f'"dim": {huge}'))
+    code, err = run_err(capsys, "model", "--model", str(path))
+    assert code == EXIT_SCHEMA and "model file is not valid JSON" in err
+    path.write_text(f'{{"order": {huge}, "coeffs": []}}')
+    code, err = run_err(capsys, "exponents", "--series", str(path), "--order", "1")
+    assert code == EXIT_SCHEMA and "series file is not valid JSON" in err
 
 
 def test_inconsistent_model_rejected(tmp_path, capsys):
@@ -374,6 +391,20 @@ def test_reports_deterministic(capsys):
     _, d = run(capsys, "classes", "--builtin", "P2", "--dim", "2",
                "--kind", "chern", "--order", "3")
     assert c == d
+
+
+def test_verify_failure_names_its_reproduction(capsys, monkeypatch):
+    """A failing check's detail ends with the command and the check that rerun it."""
+    monkeypatch.setattr(mo, "macmahon_series", lambda order, chi=1: TSeries.one(QQ, order))
+    for suite, name in (("motives", "macmahon-fixture"), ("all", "motives/macmahon-fixture")):
+        code, doc = run_json(capsys, "verify", "--suite", suite, "--order", "4", "--seed", "9")
+        assert code == EXIT_CHECK_FAILED
+        failed = {c["name"]: c["detail"] for c in doc["checks"] if c["status"] == "fail"}
+        assert failed[name].startswith("MacMahon prefix: ")
+        assert failed[name].endswith(
+            "; reproduce: motivic-cc verify --suite motives --order 4 --seed 9, "
+            "check macmahon-fixture")
+        assert all("detail" not in c for c in doc["checks"] if c["status"] == "ok")
 
 
 def test_verify_suite_passes(capsys):

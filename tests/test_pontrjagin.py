@@ -1,10 +1,12 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from motivic_cc.lpoly import LPoly, VS_Y
-from motivic_cc.series import QQ, RING_L, RING_Y, TSeries
+from motivic_cc.lpoly import LPoly, VS_NONE, VS_Y
+from motivic_cc.series import QQ, RING_L, RING_Y, LaurentRing, TSeries
 from motivic_cc.lambda_power import euler_log, pre_lambda
 from motivic_cc.motives import (
     Y, chi_of_y, macmahon_series, map_series, proj_space_class, punctual_series,
@@ -410,3 +412,33 @@ def test_aluffi_point_degree_is_macmahon_with_sign():
     deg = pont_degree(POINT, aluffi)
     m = macmahon_series(8)
     assert deg.subst(1, -1) == m
+
+
+def test_chern_level_coefficients_are_constant_lpolys():
+    """Q is the Laurent ring with no variables, and Chern-level series hold its elements."""
+    assert QQ == LaurentRing(VS_NONE) and str(QQ) == "Q"
+    coefficients = []
+    for s in (chern_class_series(P2, 2, 4), aluffi_series(P3, 4),
+              normalized_y1_limit(hilb_class_series(P2, 2, 3))):
+        assert s.ring == QQ
+        coefficients += [c for el in s.components for c in el.terms.values()]
+    chi = map_series(hilb_motive_series(proj_space_class(2), 2, 4), "chi")
+    assert chi.ring == QQ
+    coefficients += chi.coeffs
+    assert coefficients and all(isinstance(c, LPoly) and c.vars == VS_NONE
+                                for c in coefficients)
+
+
+VALUES = {
+    "LPoly": lambda: Y.scale(Fraction(-2, 3)) + LPoly.var(VS_Y, "y", 1),
+    "TSeries": lambda: map_series(punctual_series(2, 3), "chi-y"),
+    "PontElement": lambda: d_push(P1, 2, P1.ty),
+    "PontSeries": lambda: chern_class_series(P2, 2, 3),
+}
+
+
+@pytest.mark.parametrize("kind", VALUES)
+def test_values_copy_and_pickle(kind):
+    value = VALUES[kind]()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value
