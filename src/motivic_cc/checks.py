@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 from .lpoly import LPoly, VarSet, VS_L, VS_NONE, VS_UV, VS_Y
 from .series import QQ, RING_L, RING_UV, RING_Y, TSeries
@@ -207,12 +208,7 @@ def suite_motives(order: int, seed: int) -> list[dict]:
             x = mo.proj_space_class(d)
             s = mo.map_series(mo.config_space_series(x, min(order, 6)), "chi")
             for n, c in enumerate(s.coeffs):
-                expect = 1
-                for i in range(n):
-                    expect = expect * (d + 1 - i) // (i + 1)
-                if n > d + 1:
-                    expect = 0
-                _require(c == expect, f"config chi: d={d}, n={n}, got {c}")
+                _require(c == comb(d + 1, n), f"config chi: d={d}, n={n}, got {c}")
 
     def specialization_homs():
         for _ in range(50):
@@ -251,17 +247,11 @@ def suite_motives(order: int, seed: int) -> list[dict]:
 # -- hirzebruch suite ---------------------------------------------------------
 
 def _bernoulli_plus(n: int) -> list[Fraction]:
-    def binom(a, b):
-        out = 1
-        for i in range(b):
-            out = out * (a - i) // (i + 1)
-        return out
-
     b = [Fraction(1)]
     for m in range(1, n + 1):
         acc = Fraction(0)
         for j in range(m):
-            acc += binom(m + 1, j) * b[j]
+            acc += comb(m + 1, j) * b[j]
         b.append(-acc / (m + 1))
     if n >= 1:
         b[1] = -b[1]
@@ -279,10 +269,7 @@ def suite_hirzebruch(order: int, seed: int) -> list[dict]:
     def qy_specializations():
         q = hz.qy_series(n)
         bern = _bernoulli_plus(n)
-        fact = [1]
-        for i in range(1, n + 1):
-            fact.append(fact[-1] * i)
-        todd = TSeries(QQ, [bern[j] / fact[j] for j in range(n + 1)])
+        todd = TSeries(QQ, [bern[j] / factorial(j) for j in range(n + 1)])
         _require(_eval_y(q, Fraction(0)) == todd, "Q_y at y=0 vs Bernoulli oracle")
         _require(_eval_y(q, Fraction(-1)) == TSeries.from_terms(QQ, n, {1: 1}),
                  "Q_y at y=-1 should be the bare Chern root")

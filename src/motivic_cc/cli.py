@@ -88,7 +88,7 @@ def model_to_doc(model: hz.HomologyModel) -> dict:
         c = model.ty.get(b)
         if c is None:
             continue
-        ty[b] = [{"yNum": exps[0], "c": str(coeff)}
+        ty[b] = [{"yNum": exps[0], "c": coeff_str(coeff)}
                  for exps, coeff in sorted(c.terms.items())]
     e_terms = [{"u": e[0] // 2, "v": e[1] // 2, "c": int(c)}
                for e, c in sorted(model.e_poly.terms.items())]
@@ -227,17 +227,27 @@ def atom_str(k: int, basis_id: str) -> str:
     return f"d{k}*[{basis_id}]"
 
 
+def coeff_str(c) -> str:
+    """``str(c)``; a number past Python's int-to-str digit limit is out of range."""
+    try:
+        return str(c)
+    except ValueError as exc:
+        raise UnsupportedRangeError("a computed coefficient passes Python's "
+                                    f"{sys.get_int_max_str_digits()}-digit limit for printing "
+                                    "integers") from exc
+
+
 def pont_coefficients(s: po.PontSeries) -> list[dict]:
     out = []
     for n, el in enumerate(s.components):
-        terms = [{"atoms": [atom_str(k, b) for k, b in ms], "c": str(c)}
+        terms = [{"atoms": [atom_str(k, b) for k, b in ms], "c": coeff_str(c)}
                  for ms, c in sorted(el.terms.items())]
         out.append({"n": n, "terms": terms})
     return out
 
 
 def series_coefficients(s: TSeries) -> list[dict]:
-    return [{"n": n, "c": str(c)} for n, c in enumerate(s.coeffs)]
+    return [{"n": n, "c": coeff_str(c)} for n, c in enumerate(s.coeffs)]
 
 
 def report(command: str, params: dict, order: int, coefficients: list,
@@ -319,7 +329,7 @@ def cmd_exponents(args) -> int:
             checks.append({"name": "closed-form-match",
                            "status": "ok" if b == closed else "fail"})
         source = f"dim-{d}"
-    coeffs = [{"k": k, "alpha": str(b.exponent(k))} for k in range(1, b.order + 1)]
+    coeffs = [{"k": k, "alpha": coeff_str(b.exponent(k))} for k in range(1, b.order + 1)]
     doc = report("exponents", {"source": source}, order, coeffs, checks)
     print_report(doc, args.pretty)
     return EXIT_CHECK_FAILED if checks_failed(checks) else EXIT_OK

@@ -17,34 +17,26 @@ so the y -> 1 normalization limit can be cross-checked.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 
 from .lpoly import LPoly, VS_UV, VS_Y
 from .series import RING_UV, RING_Y, TSeries
 from .motives import TwoRouteMismatchError, Y, chi_of_y, hodge_spec, proj_space_class
 
 
-def _factorials(n: int) -> list[int]:
-    out = [1]
-    for i in range(1, n + 1):
-        out.append(out[-1] * i)
-    return out
-
-
 def qy_series(order: int) -> TSeries:
     """Expansion of a(1 + y e^(-a))/(1 - e^(-a)) through a^order."""
-    fact = _factorials(order + 2)
     # (1 - e^(-a))/a  and  1 + y e^(-a)
-    den = TSeries(RING_Y, [Fraction((-1) ** j, fact[j + 1]) for j in range(order + 1)])
+    den = TSeries(RING_Y, [Fraction((-1) ** j, factorial(j + 1)) for j in range(order + 1)])
     num = TSeries(RING_Y, [RING_Y.one + Y] +
-                  [Y.scale(Fraction((-1) ** j, fact[j])) for j in range(1, order + 1)])
+                  [Y.scale(Fraction((-1) ** j, factorial(j))) for j in range(1, order + 1)])
     return num * den.invert()
 
 
 def qyhat_series(order: int) -> TSeries:
     """Expansion of a(1+y)/(1 - e^(-a(1+y))) - a y, the normalized series."""
-    fact = _factorials(order + 2)
     one_plus_y = RING_Y.one + Y
-    den = TSeries(RING_Y, [(one_plus_y ** j).scale(Fraction((-1) ** j, fact[j + 1]))
+    den = TSeries(RING_Y, [(one_plus_y ** j).scale(Fraction((-1) ** j, factorial(j + 1)))
                            for j in range(order + 1)])
     correction = TSeries.from_terms(RING_Y, order, {1: -Y})
     return den.invert() + correction
@@ -139,7 +131,7 @@ def proj_space_model(d: int) -> HomologyModel:
         ty[f"P{d - j}"] = coeff.substitute(VS_Y, whole={"y": -Y})
     basis = tuple((f"P{i}", i) for i in range(d, -1, -1))
     e_poly = LPoly(VS_UV, {(2 * i, 2 * i): 1 for i in range(d + 1)})
-    chern = {f"P{d - j}": Fraction(_binom(d + 1, j)) for j in range(d + 1)}
+    chern = {f"P{d - j}": Fraction(comb(d + 1, j)) for j in range(d + 1)}
     name = "point" if d == 0 else f"P{d}"
     return HomologyModel(name, d, True, basis, "P0", ty, e_poly,
                          chern=chern, l_class=proj_space_class(d))
@@ -147,13 +139,6 @@ def proj_space_model(d: int) -> HomologyModel:
 
 def point_model() -> HomologyModel:
     return proj_space_model(0)
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def product_model(m1: HomologyModel, m2: HomologyModel) -> HomologyModel:

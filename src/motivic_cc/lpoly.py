@@ -4,7 +4,8 @@ A polynomial stores integer numerators ``num`` (exponent vector -> nonzero
 ``int``) over one ``int`` denominator ``den`` in canonical form: ``den > 0``,
 ``gcd(den, *num.values()) == 1``, and zero has ``den == 1``.  Arithmetic runs
 on the integers; ``terms`` reads the coefficients back as ``Fraction``s.
-Over no variables (``VS_NONE``) a polynomial is an exact rational.
+Substitution and the Adams operations are monomial maps, one loop that
+relabels exponents.  Over ``VS_NONE`` a polynomial is an exact rational.
 Exponents are counted in units of 1/2 and stored doubled, so the tuple entry
 ``3`` means the variable appears with exponent 3/2 and ``-2`` means exponent
 -1.  Odd (genuinely half-integral) exponents are only legal for the variables
@@ -251,31 +252,6 @@ class LPoly:
     def __hash__(self):
         return hash((self.vars, self.den, frozenset(self.num.items())))
 
-    # -- the Adams endomorphisms ----------------------------------------
-
-    def adams(self, r: int) -> "LPoly":
-        """Scale every exponent vector by ``r``; a ring endomorphism.
-
-        This realizes the operation determined by the product formula for
-        the pre-lambda structure on polynomial rings: a monomial ``m`` maps
-        to ``m^r``, and half-integer exponents scale the same way, e.g.
-        ``y^(1/2) -> y^(r/2)``.  For the motivic variable the distinguished
-        root is ``-L^(1/2)`` (see :data:`NEGATIVE_ROOT`), so odd L-exponents
-        pick up the sign making ``-L^(1/2) -> (-L^(1/2))^r``; without it the
-        genus specializations would not commute with the Adams operations.
-        """
-        if r < 1:
-            raise ValueError(f"Adams index must be >= 1, got {r}")
-        if r == 1:
-            return self
-        signed = [i for i, name in enumerate(self.vars.names) if name in NEGATIVE_ROOT]
-        out: dict[Expvec, int] = {}
-        for exps, c in self.num.items():
-            if r % 2 == 0 and sum(exps[i] for i in signed) % 2 == 1:
-                c = -c
-            out[tuple(e * r for e in exps)] = c
-        return LPoly._reduce(self.vars, out, self.den)
-
     # -- exact division ---------------------------------------------------
 
     def exact_div(self, other: "LPoly") -> "LPoly":
@@ -316,60 +292,84 @@ class LPoly:
         return LPoly(self.vars, {tuple(a + s for a, s in zip(e, shift_q)): c
                                  for e, c in quot.items()})
 
-    # -- substitution ---------------------------------------------------
+    # -- monomial maps ----------------------------------------------------
+
+    def _relabel(self, target: VarSet, images) -> "LPoly":
+        """Map each variable's root (``step`` 1) or whole (``step`` 2) to ``p/q`` times a monomial.
+
+        ``images[i] = (name, step, p, q, mono)``, where ``mono`` lists ``(target
+        index, doubled exponent)`` pairs; the relabelled sum is reduced once.
+        """
+        terms = []
+        for exps, c in self.num.items():
+            mono, d = [0] * len(target), 1
+            for e, (name, step, p, q, img) in zip(exps, images):
+                k, odd = divmod(e, step)
+                if odd:
+                    raise SubstitutionError(f"{name}^({e}/2) needs a value for {name}^(1/2)")
+                for j, x in img:
+                    mono[j] += x * k
+                if k < 0:
+                    if not p:
+                        raise ExactDivisionError(f"negative power of zero at {name}")
+                    p, q, k = q, p, -k
+                c, d = c * p ** k, d * q ** k
+            terms.append((tuple(mono), c, d))
+        den = lcm(*(d for _, _, d in terms))
+        out: dict[Expvec, int] = {}
+        for mono, c, d in terms:
+            out[mono] = out.get(mono, 0) + c * (den // d)
+        return LPoly._reduce(target, out, den * self.den)
+
+    def adams(self, r: int) -> "LPoly":
+        """The monomial map ``m -> m^r`` of the pre-lambda product formula, a ring endomorphism.
+
+        Roots are relabelled: ``y^(1/2) -> y^(r/2)``, and the distinguished
+        root ``-L^(1/2)`` (:data:`NEGATIVE_ROOT`) goes to its ``r``-th power, so
+        ``L^(1/2) -> (-1)^(r+1) L^(r/2)``; without that sign the genus
+        specializations would not commute with the Adams operations.
+        """
+        if r < 1:
+            raise ValueError(f"Adams index must be >= 1, got {r}")
+        if r == 1:
+            return self
+        sign = 1 if r % 2 else -1
+        return self._relabel(self.vars, [
+            (name, 1, sign if name in NEGATIVE_ROOT else 1, 1, ((i, r),))
+            for i, name in enumerate(self.vars.names)])
 
     def substitute(self, target: VarSet,
                    whole: Mapping[str, "LPoly | Coeff"] | None = None,
                    half: Mapping[str, "LPoly | Coeff"] | None = None) -> "LPoly":
-        """Evaluate into the ``target`` variable set.
+        """Evaluate into ``target`` by the monomial map the values define.
 
-        ``whole[name]`` gives the value of the variable itself and is legal
-        only where ``name`` occurs with integer exponents; ``half[name]``
-        gives the value of ``name**(1/2)`` and covers all exponents.  The
-        paper's sign conventions for square roots are deliberate, so no root
-        is ever taken implicitly: a half-integer exponent without a ``half``
-        entry is an error.  Variables mentioned in neither mapping must be
-        present in ``target`` and are kept.
+        ``whole[name]`` is the value of the variable itself, legal only where
+        ``name`` occurs with integer exponents; ``half[name]`` is the value of
+        ``name**(1/2)`` and covers all exponents.  A value is a rational times
+        at most one monomial over ``target``.  No root is ever taken
+        implicitly: the paper's sign conventions for them are deliberate.
+        Variables in neither mapping must be in ``target`` and are kept.
         """
-        whole = dict(whole or {})
-        half = dict(half or {})
+        whole, half = whole or {}, half or {}
 
-        def value(name: str, v) -> "LPoly":
+        def image(name: str) -> tuple:
+            if name not in half and name not in whole:
+                if name not in target:
+                    raise SubstitutionError(f"variable {name} neither assigned nor kept")
+                return name, 1, 1, 1, ((target.index(name), 1),)
+            step, v = (1, half[name]) if name in half else (2, whole[name])
             if isinstance(v, (int, Fraction)):
-                return LPoly.const(target, v)
+                return name, step, v.numerator, v.denominator, ()
             if not isinstance(v, LPoly):
                 raise TypeError(f"bad substitution value for {name}: {v!r}")
             if v.vars != target:
-                raise VariableMismatchError(
-                    f"value for {name} lives over {v.vars}, expected {target}")
-            return v
+                raise VariableMismatchError(f"value for {name} is over {v.vars}, not {target}")
+            if len(v.num) > 1:
+                raise SubstitutionError(f"value for {name} is not a monomial: {v}")
+            ((exps, c),) = v.num.items() or [((), 0)]
+            return name, step, c, v.den, tuple((j, x) for j, x in enumerate(exps) if x)
 
-        for name in self.vars.names:
-            if name not in whole and name not in half and name not in target:
-                raise SubstitutionError(f"variable {name} neither assigned nor kept")
-
-        result = LPoly.const(target, 0)
-        for exps, c in self.terms.items():
-            term = LPoly.const(target, c)
-            for i, name in enumerate(self.vars.names):
-                e = exps[i]
-                if e == 0:
-                    continue
-                if name in half:
-                    term = term * value(name, half[name]) ** e
-                elif name in whole:
-                    if e % 2 != 0:
-                        raise SubstitutionError(
-                            f"{name} occurs with exponent {Fraction(e, 2)}; "
-                            f"declare a value for {name}^(1/2)")
-                    term = term * value(name, whole[name]) ** (e // 2)
-                else:
-                    j = target.index(name)
-                    mono = [0] * len(target)
-                    mono[j] = e
-                    term = term * LPoly(target, {tuple(mono): 1})
-            result = result + term
-        return result
+        return self._relabel(target, [image(name) for name in self.vars.names])
 
     # -- printing --------------------------------------------------------
 

@@ -123,19 +123,8 @@ def punctual_exponents(d: int, order: int) -> EulerExponents:
     return EulerExponents(RING_L, exps[:order])
 
 
-def punctual_series(d: int, order: int, punctual: TSeries | None = None) -> TSeries:
-    """The punctual Hilbert series for dimension d through t^order.
-
-    A caller-supplied ``punctual`` series (over the L ring, normalized)
-    overrides the built-in data of :func:`punctual_exponents`.
-    """
-    if punctual is not None:
-        if punctual.ring != RING_L or punctual.coeffs[0] != RING_L.one:
-            raise ValueError("supplied punctual series must be normalized over the L ring")
-        if punctual.order < order:
-            raise UnsupportedRangeError(
-                f"supplied punctual series stops at t^{punctual.order}, need t^{order}")
-        return TSeries(RING_L, punctual.coeffs[: order + 1])
+def punctual_series(d: int, order: int) -> TSeries:
+    """The punctual Hilbert series for dimension d through t^order."""
     return euler_exp(punctual_exponents(d, order), order)
 
 
@@ -181,14 +170,13 @@ def map_series(a: TSeries, which: str) -> TSeries:
 
 # -- the main motivic series -----------------------------------------------
 
-def hilb_motive_series(x: LPoly, d: int, order: int,
-                       punctual: TSeries | None = None) -> TSeries:
+def hilb_motive_series(x: LPoly, d: int, order: int) -> TSeries:
     """Generating series of Hilbert-scheme classes: (punctual series)^[X].
 
     ``x`` may live over the L ring or the (u,v) ring; in the latter case the
     punctual series is pushed through the Hodge specialization first.
     """
-    a = punctual_series(d, order, punctual)
+    a = punctual_series(d, order)
     if x.vars == VS_UV:
         return power(map_series(a, "e"), x)
     return power(a, RING_L.coerce(x))

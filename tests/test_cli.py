@@ -345,6 +345,25 @@ def test_schema_errors(tmp_path, capsys):
     assert code == EXIT_SCHEMA and "series file is not valid JSON" in err
 
 
+@pytest.mark.parametrize("pretty", [(), ("--pretty",)])
+def test_computed_number_past_digit_limit(pretty, tmp_path, capsys):
+    # a 4001-digit coefficient loads, but its square in the Sym^2 class cannot
+    # be printed: exit 3, a one-line error naming the limit, and no report
+    doc = {"name": "F", "dim": 1, "proper": False,
+           "basis": [{"id": "a", "deg": 0}, {"id": "b", "deg": 1}],
+           "zeroDegreeBasisId": None, "ty_class": {"a": [{"yNum": 0, "c": "9" * 4001}]},
+           "e_poly": [{"u": 0, "v": 0, "c": 1}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(capsys, "model", "--model", str(path))
+    assert code == EXIT_OK
+    code = main(["classes", "--model", str(path), "--kind", "sym", "--order", "2", *pretty])
+    out, err = capsys.readouterr()
+    assert code == EXIT_RANGE and out == ""
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("error: ") and "4300-digit limit" in err
+
+
 def test_inconsistent_model_rejected(tmp_path, capsys):
     model = builtin_model("P1")
     doc = model_to_doc(model)

@@ -9,6 +9,8 @@ from motivic_cc.lpoly import (
     ExactDivisionError, SubstitutionError, VariableMismatchError,
 )
 from motivic_cc.series import LaurentRing
+from motivic_cc.motives import chi_of_y, hodge_spec, spec_chi_minus_y, spec_e
+from motivic_cc.hirzebruch import proj_space_model, qy_series
 from helpers import (
     random_lpoly, ref_adams, ref_add, ref_mul, ref_pow, ref_scale, ref_substitute,
 )
@@ -160,6 +162,28 @@ def test_substitute_uncovered_variable():
 def test_substitute_negative_power_at_zero():
     with pytest.raises(ExactDivisionError):
         (L ** (-1)).substitute(VS_NONE, whole={"L": 0})
+    zero = LPoly.const(VS_NONE, 0)
+    # the zero image meets the negative exponent first, second, or after a
+    # positive power of zero has already cleared the term
+    for p, whole in ((U ** -1 * V, {"u": 0, "v": 1}), (U * V ** -1, {"u": 1, "v": zero}),
+                     (U * V ** -1, {"u": zero, "v": 0})):
+        with pytest.raises(ExactDivisionError):
+            p.substitute(VS_NONE, whole=whole)
+
+
+def test_substitute_keeps_half_admissible_variable():
+    p = LPoly(VarSet(("L", "y")), {(1, 3): 2, (-3, 0): 1})  # 2 L^(1/2) y^(3/2) + L^(-3/2)
+    assert p.substitute(VS_L, half={"y": 1}) == 2 * LHALF + LHALF ** -3
+    assert p.substitute(VS_L, half={"y": -1}) == -2 * LHALF + LHALF ** -3
+
+
+def test_substitute_values_are_monomials():
+    with pytest.raises(SubstitutionError):
+        (U * V).substitute(VS_UV, whole={"u": 1 + U})
+    with pytest.raises(VariableMismatchError):
+        (U * V).substitute(VS_Y, whole={"u": Y, "v": U})
+    with pytest.raises(TypeError):
+        (U * V).substitute(VS_NONE, whole={"u": 1, "v": 0.5})
 
 
 def test_str_is_canonical_and_exact():
@@ -246,3 +270,39 @@ def test_canonical_form():
                          (LPoly(vars, a.terms), a), (a.scale(Fraction(1, 3)).scale(3), a),
                          ((a * 6).div_int(6), a), (a - a, LaurentRing(vars).zero)):
                 assert x == y and hash(x) == hash(y)
+
+
+# the monomial maps the library uses: (map, source, halves, target, whole, half)
+PRODUCTION_MAPS = {
+    "spec_e": (spec_e, VS_L, False, VS_UV, {"L": U * V}, {}),
+    "spec_chi_minus_y": (spec_chi_minus_y, VS_L, True, VS_Y, {}, {"L": -YHALF}),
+    "chi_of_y": (chi_of_y, VS_Y, True, VS_NONE, {}, {"y": 1}),
+    "hodge_spec_chi": (lambda e: hodge_spec(e, "chi"), VS_UV, False, VS_NONE,
+                       {"u": 1, "v": 1}, {}),
+    "hodge_spec_chi_y": (lambda e: hodge_spec(e, "chi-y"), VS_UV, False, VS_Y,
+                         {"u": Y, "v": 1}, {}),
+    "proj_space_y_sign": (lambda p: p.substitute(VS_Y, whole={"y": -Y}), VS_Y, False, VS_Y,
+                          {"y": -Y}, {}),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCTION_MAPS)
+def test_production_maps_match_reference(name):
+    fn, vars, halves, target, whole, half = PRODUCTION_MAPS[name]
+    rng = random.Random(name)
+    for _ in range(40):
+        a = rational_lpoly(rng, vars, halves)
+        got = fn(a)
+        if not isinstance(got, LPoly):
+            got = LPoly.const(VS_NONE, got)
+        assert dict(got.terms) == ref_substitute(dict(a.terms), vars, target, whole, half)
+
+
+def test_proj_space_classes_flip_the_sign_of_y():
+    # T_{(-y)*}(P^d) stores the Euler-sequence coefficients at y -> -y
+    for d in range(4):
+        q = qy_series(d).pow_int(d + 1)
+        for j in range(d + 1):
+            coeff = q.coeffs[j].exact_div(1 + Y)
+            expect = ref_substitute(dict(coeff.terms), VS_Y, VS_Y, {"y": -Y}, {})
+            assert dict(proj_space_model(d).ty[f"P{d - j}"].terms) == expect

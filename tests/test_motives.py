@@ -84,13 +84,6 @@ def test_hilb_series_unknown_range():
         hilb_motive_series(proj_space_class(3), 3, 4)
 
 
-def test_hilb_series_accepts_supplied_punctual():
-    # a user-supplied punctual series overrides the built-in data
-    supplied = TSeries(RING_L, [RING_L.one] * 6)
-    s = hilb_motive_series(proj_space_class(1), 9, 5, punctual=supplied)
-    assert s == hilb_motive_series(proj_space_class(1), 1, 5)
-
-
 def test_hilb_series_curve_is_symmetric_products():
     # Hilbert schemes of a curve are its symmetric products
     s = hilb_motive_series(proj_space_class(1), 1, 6)
