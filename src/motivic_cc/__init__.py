@@ -33,6 +33,5 @@ from .pontrjagin import (
     hom_exponentiation, mt2_series, normalized_y1_limit, pont_degree,
     pont_exp, power_op, sym_prod_class_series, virtual_class_series,
 )
-from .checks import run_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

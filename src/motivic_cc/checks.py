@@ -136,7 +136,7 @@ def suite_lambda(order: int, seed: int) -> list[dict]:
             _require(pw(a, m * mm) == pw(pw(a, mm), m), f"(v): {a}; {m}; {mm}")
             k = rng.randint(1, 3)
             _require(pw(a.subst(k), m) == pw(a, m).subst(k), f"(vii): {a}; {m}; k={k}")
-        one_plus = TSeries.from_terms(RING_Y, n, {0: 1, 1: 1})
+        one_plus = TSeries.from_terms(RING_Y, max(n, 1), {0: 1, 1: 1})
         m = _random_lpoly(rng, VS_Y, max_deg=2, terms=2)
         s = power(one_plus, m, require_integral=False)
         _require(s.coeffs[1] == m, f"(vi): linear term of (1+t)^({m}) is {s.coeffs[1]}")
@@ -144,7 +144,7 @@ def suite_lambda(order: int, seed: int) -> list[dict]:
     def polyring_consistency():
         for _ in range(50):
             p = _random_lpoly(rng, VS_UV, max_deg=3, terms=3)
-            n = rng.randint(1, min(order, 6))
+            n = rng.randint(1, max(1, min(order, 6)))
             _require(pre_lambda_polyring(p, n) == pre_lambda(RING_UV, p, n),
                      f"polyring lambda: {p}")
 

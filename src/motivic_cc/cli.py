@@ -3,7 +3,7 @@
 Reports are JSON documents with exact rational/polynomial strings (never
 floats) and deterministic field ordering; ``--pretty`` renders a plain-text
 table instead.  Exit codes: 0 success, 1 verification failure, 2 input or
-schema error, 3 unsupported range.
+schema error, 3 unsupported range, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .lambda_power import EulerExponents, euler_exp, euler_log
 from . import motives as mo
 from . import hirzebruch as hz
 from . import pontrjagin as po
-from .checks import run_suite
 from .motives import TwoRouteMismatchError, UnsupportedRangeError
 
 
@@ -36,6 +35,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_SCHEMA = 2
 EXIT_RANGE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout early
 
 
 def order_cap() -> int:
@@ -411,6 +411,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .checks import run_suite  # imported here: no other command pays for it
     order = check_order(args.order)
     results = run_suite(args.suite, order, args.seed)
     doc = report("verify", {"suite": args.suite, "order": order, "seed": args.seed},
@@ -478,7 +479,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the Python docs recipe: devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -146,10 +146,7 @@ def product_model(m1: HomologyModel, m2: HomologyModel) -> HomologyModel:
     if not (m1.proper and m2.proper):
         raise ValueError("product model needs proper factors")
     basis = tuple((f"{b1}*{b2}", k1 + k2) for b1, k1 in m1.basis for b2, k2 in m2.basis)
-    ty = {}
-    for b1, c1 in m1.ty.items():
-        for b2, c2 in m2.ty.items():
-            ty[f"{b1}*{b2}"] = c1 * c2
+    ty = {f"{b1}*{b2}": c1 * c2 for b1, c1 in m1.ty.items() for b2, c2 in m2.ty.items()}
     chern = None
     if m1.chern is not None and m2.chern is not None:
         chern = {f"{b1}*{b2}": c1 * c2

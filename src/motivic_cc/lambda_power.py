@@ -85,14 +85,12 @@ def euler_exp(b: EulerExponents, order: int | None = None) -> TSeries:
     which is the factor-by-factor product with the logs combined first.
     """
     n = b.order if order is None else order
-    ring = b.ring
-    arg = [ring.zero] * (n + 1)
-    for k in range(1, min(b.order, n) + 1):
-        bk = b.exponent(k)
-        if not bk.num:
-            continue
-        for r in range(1, n // k + 1):
-            arg[k * r] = arg[k * r] + bk.adams(r).div_int(r)
+    ring, exps = b.ring, b.exps
+    # [t^m] of the argument is (1/m) sum_{kr=m} k Psi_r(b_k)
+    arg = [ring.zero] + [
+        LPoly.dot(ring.vars, [(k, exps[k - 1].adams(m // k), ring.one)
+                              for k in divisors(m) if k <= b.order and exps[k - 1].num], m)
+        for m in range(1, n + 1)]
     return TSeries(ring, arg).exp()
 
 
@@ -108,14 +106,8 @@ def euler_log(a: TSeries, require_integral: bool = True) -> EulerExponents:
     c = a.log().coeffs
     out = []
     for k in range(1, a.order + 1):
-        acc = ring.zero
-        for d in divisors(k):
-            mu = mobius(k // d)
-            if mu == 0:
-                continue
-            term = (c[d] * d).adams(k // d)
-            acc = acc + (term if mu == 1 else -term)
-        bk = acc.div_int(k)
+        bk = LPoly.dot(ring.vars, [(mu * d, c[d].adams(k // d), ring.one)
+                                   for d in divisors(k) if (mu := mobius(k // d))], k)
         if require_integral and not bk.is_integral():
             raise IntegralityError(f"Euler exponent b_{k} = {bk} is not integral")
         out.append(bk)

@@ -2,9 +2,10 @@
 
 A polynomial stores integer numerators ``num`` (exponent vector -> nonzero
 ``int``) over one ``int`` denominator ``den`` in canonical form: ``den > 0``,
-``gcd(den, *num.values()) == 1``, and zero has ``den == 1``.  Arithmetic runs
-on the integers; ``terms`` reads the coefficients back as ``Fraction``s.
-Substitution and the Adams operations are monomial maps, one loop that
+``gcd(den, *num.values()) == 1``, and zero has ``den == 1``; ``terms`` reads
+the coefficients back as ``Fraction``s.  One kernel, :meth:`LPoly.dot`, makes
+every product and every sum of products over integer numerators, reducing
+once.  Substitution and the Adams operations are monomial maps, one loop that
 relabels exponents.  Over ``VS_NONE`` a polynomial is an exact rational.
 Exponents are counted in units of 1/2 and stored doubled, so the tuple entry
 ``3`` means the variable appears with exponent 3/2 and ``-2`` means exponent
@@ -201,16 +202,38 @@ class LPoly:
     def __mul__(self, other) -> "LPoly":
         if not isinstance(other, LPoly):
             return self.scale(other)
-        self._check(other)
-        out: dict[Expvec, int] = {}
-        get = out.get
-        for e1, c1 in self.num.items():
-            for e2, c2 in other.num.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return LPoly._reduce(self.vars, out, self.den * other.den)
+        return LPoly.dot(self.vars, ((1, self, other),))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def dot(cls, vars: VarSet, terms, n: int = 1) -> "LPoly":
+        """``sum w*a*b / n`` over triples ``(int w, LPoly a, LPoly b)``, reduced once.
+
+        The one product loop: numerators accumulate over the lcm of the ``a.den*b.den``.
+        """
+        out: dict[Expvec, int] = {}
+        get = out.get
+        den = 1
+        for w, a, b in terms:
+            if a.vars is not vars and a.vars != vars or b.vars is not vars and b.vars != vars:
+                raise VariableMismatchError(f"variable sets differ: {a.vars}, {b.vars} vs {vars}")
+            if not (w and a.num and b.num):
+                continue
+            d = a.den * b.den
+            if den % d:  # widen the common denominator to lcm(den, d)
+                g = d // gcd(den, d)
+                for e in out:
+                    out[e] *= g
+                den *= g
+            f = w * (den // d)
+            bn = b.num.items()
+            for e1, c1 in a.num.items():
+                c1 *= f
+                for e2, c2 in bn:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = get(e, 0) + c1 * c2
+        return cls._reduce(vars, out, den * n)
 
     def div_int(self, n: int) -> "LPoly":
         """Exact division by the nonzero integer ``n``."""
@@ -300,25 +323,34 @@ class LPoly:
         ``images[i] = (name, step, p, q, mono)``, where ``mono`` lists ``(target
         index, doubled exponent)`` pairs; the relabelled sum is reduced once.
         """
-        terms = []
+        out: dict[Expvec, int] = {}
+        get = out.get
+        den = 1
         for exps, c in self.num.items():
             mono, d = [0] * len(target), 1
             for e, (name, step, p, q, img) in zip(exps, images):
-                k, odd = divmod(e, step)
+                if not e:
+                    continue
+                k, odd = (e, 0) if step == 1 else divmod(e, step)
                 if odd:
                     raise SubstitutionError(f"{name}^({e}/2) needs a value for {name}^(1/2)")
                 for j, x in img:
                     mono[j] += x * k
+                if q == 1 and p * p == 1:  # a signed monomial: at most a sign flip
+                    c = -c if p < 0 and k & 1 else c
+                    continue
                 if k < 0:
                     if not p:
                         raise ExactDivisionError(f"negative power of zero at {name}")
-                    p, q, k = q, p, -k
+                    p, q, k = (q, p, -k) if p > 0 else (-q, -p, -k)
                 c, d = c * p ** k, d * q ** k
-            terms.append((tuple(mono), c, d))
-        den = lcm(*(d for _, _, d in terms))
-        out: dict[Expvec, int] = {}
-        for mono, c, d in terms:
-            out[mono] = out.get(mono, 0) + c * (den // d)
+            if den % d:  # widen the common denominator to lcm(den, d)
+                g = d // gcd(den, d)
+                for e in out:
+                    out[e] *= g
+                den *= g
+            mono = tuple(mono)
+            out[mono] = get(mono, 0) + c * (den // d)
         return LPoly._reduce(target, out, den * self.den)
 
     def adams(self, r: int) -> "LPoly":

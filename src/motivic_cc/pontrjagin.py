@@ -125,21 +125,15 @@ class PontSeries:
         """The Pontrjagin product: multiset union, t-degrees add."""
         self._check(other)
         n = self.order
-        out = [dict() for _ in range(n + 1)]
-        zero = self.ring.zero
+        pairs = [dict() for _ in range(n + 1)]  # target multiset -> its (1, c1, c2) triples
         for i, a in enumerate(self.components):
-            if not a.terms:
-                continue
             for j in range(0, n - i + 1):
-                b = other.components[j]
-                if not b.terms:
-                    continue
-                tgt = out[i + j]
+                tgt = pairs[i + j]
                 for ms1, c1 in a.terms.items():
-                    for ms2, c2 in b.terms.items():
-                        ms = tuple(sorted(ms1 + ms2))
-                        tgt[ms] = tgt.get(ms, zero) + c1 * c2
-        return PontSeries.from_dicts(self.model, self.ring, out)
+                    for ms2, c2 in other.components[j].terms.items():
+                        tgt.setdefault(tuple(sorted(ms1 + ms2)), []).append((1, c1, c2))
+        return PontSeries.from_dicts(self.model, self.ring, [
+            {ms: LPoly.dot(self.ring.vars, t) for ms, t in d.items()} for d in pairs])
 
     __mul__ = mul
 
@@ -367,14 +361,10 @@ def pont_degree(model: HomologyModel, s: PontSeries) -> TSeries:
     if not model.proper:
         raise ValueError(f"model {model.name} is not proper; no degree map")
     degs = model.degs()
-    out = []
-    for el in s.components:
-        acc = s.ring.zero
-        for ms, c in el.terms.items():
-            if all(degs[b] == 0 for _, b in ms):
-                acc = acc + c
-        out.append(acc)
-    return TSeries(s.ring, out)
+    return TSeries(s.ring, [
+        LPoly.dot(s.ring.vars, [(1, c, s.ring.one) for ms, c in el.terms.items()
+                                if all(degs[b] == 0 for _, b in ms)])
+        for el in s.components])
 
 
 def normalized_y1_limit(s: PontSeries) -> PontSeries:

@@ -3,10 +3,10 @@
 A :class:`TSeries` stores coefficients for t^0 .. t^N; every operation
 truncates at N and mixing different truncation orders (or different
 coefficient rings) is an error rather than a silent re-truncation.  Every
-coefficient is an :class:`LPoly`, which carries its own Adams endomorphisms
-and integrality test; a :class:`LaurentRing` names the variable set, so the
-same series code serves Q (the ring ``QQ`` with no variables), the motivic
-Laurent ring in L, Z[u,v] and Q[y^(1/2)].
+coefficient is an :class:`LPoly`; a :class:`LaurentRing` names the variable
+set, so the same series code serves Q (the ring ``QQ`` with no variables), the
+motivic Laurent ring in L, Z[u,v] and Q[y^(1/2)].  Each output coefficient of
+``*``, ``invert``, ``exp`` and ``log`` is one sum of products, one ``LPoly.dot``.
 """
 
 from __future__ import annotations
@@ -134,17 +134,9 @@ class TSeries:
             c = self.ring.coerce(other)
             return TSeries(self.ring, [a * c for a in self.coeffs])
         self._check(other)
-        n = self.order
-        out = [self.ring.zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.num:
-                continue
-            for j in range(0, n - i + 1):
-                b = other.coeffs[j]
-                if not b.num:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TSeries(self.ring, out)
+        a, b, vars = self.coeffs, other.coeffs, self.ring.vars
+        return TSeries(self.ring, [LPoly.dot(vars, [(1, a[i], b[m - i]) for i in range(m + 1)])
+                                   for m in range(self.order + 1)])
 
     __rmul__ = __mul__
 
@@ -172,39 +164,31 @@ class TSeries:
         """Multiplicative inverse of a series with constant term 1."""
         if self.coeffs[0] != self.ring.one:
             raise NonUnitError(f"constant term is {self.coeffs[0]}, not 1")
-        n = self.order
-        out = [self.ring.one] + [self.ring.zero] * n
-        for m in range(1, n + 1):
-            acc = self.ring.zero
-            for k in range(1, m + 1):
-                acc = acc + self.coeffs[k] * out[m - k]
-            out[m] = -acc
+        c, vars = self.coeffs, self.ring.vars
+        out = [self.ring.one]
+        for m in range(1, self.order + 1):
+            out.append(LPoly.dot(vars, [(-1, c[k], out[m - k]) for k in range(1, m + 1)]))
         return TSeries(self.ring, out)
 
     def exp(self) -> "TSeries":
         """exp of a series with zero constant term."""
         if self.coeffs[0] != self.ring.zero:
             raise NonUnitError(f"exp needs zero constant term, got {self.coeffs[0]}")
-        n = self.order
-        out = [self.ring.one] + [self.ring.zero] * n
-        for m in range(1, n + 1):
-            acc = self.ring.zero
-            for k in range(1, m + 1):
-                acc = acc + (self.coeffs[k] * out[m - k]) * k
-            out[m] = acc.div_int(m)
+        c, vars = self.coeffs, self.ring.vars
+        out = [self.ring.one]
+        for m in range(1, self.order + 1):
+            out.append(LPoly.dot(vars, [(k, c[k], out[m - k]) for k in range(1, m + 1)], m))
         return TSeries(self.ring, out)
 
     def log(self) -> "TSeries":
         """log of a series with constant term 1."""
         if self.coeffs[0] != self.ring.one:
             raise NonUnitError(f"log needs constant term 1, got {self.coeffs[0]}")
-        n = self.order
-        out = [self.ring.zero] * (n + 1)
-        for m in range(1, n + 1):
-            acc = self.ring.zero
-            for k in range(1, m):
-                acc = acc + (out[k] * self.coeffs[m - k]) * k
-            out[m] = self.coeffs[m] - acc.div_int(m)
+        c, vars, one = self.coeffs, self.ring.vars, self.ring.one
+        out = [self.ring.zero]
+        for m in range(1, self.order + 1):
+            out.append(LPoly.dot(vars, [(m, c[m], one)]
+                                 + [(-k, out[k], c[m - k]) for k in range(1, m)], m))
         return TSeries(self.ring, out)
 
     def subst(self, k: int = 1, sign: int = 1) -> "TSeries":

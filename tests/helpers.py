@@ -98,6 +98,84 @@ def ref_substitute(a: dict, vars: VarSet, target: VarSet, whole=None, half=None)
     return out
 
 
+# -- the accumulate-one-product-at-a-time route that LPoly.dot replaced ---------------
+# each partial sum is a separate LPoly sum of LPoly products, reduced every step
+
+def ref_series_mul(a: TSeries, b: TSeries) -> TSeries:
+    n = a.order
+    out = [a.ring.zero] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n - i + 1):
+            out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
+    return TSeries(a.ring, out)
+
+
+def ref_invert(a: TSeries) -> TSeries:
+    out = [a.ring.one] + [a.ring.zero] * a.order
+    for m in range(1, a.order + 1):
+        acc = a.ring.zero
+        for k in range(1, m + 1):
+            acc = acc + a.coeffs[k] * out[m - k]
+        out[m] = -acc
+    return TSeries(a.ring, out)
+
+
+def ref_exp(a: TSeries) -> TSeries:
+    out = [a.ring.one] + [a.ring.zero] * a.order
+    for m in range(1, a.order + 1):
+        acc = a.ring.zero
+        for k in range(1, m + 1):
+            acc = acc + (a.coeffs[k] * out[m - k]) * k
+        out[m] = acc.div_int(m)
+    return TSeries(a.ring, out)
+
+
+def ref_log(a: TSeries) -> TSeries:
+    out = [a.ring.zero] * (a.order + 1)
+    for m in range(1, a.order + 1):
+        acc = a.ring.zero
+        for k in range(1, m):
+            acc = acc + (out[k] * a.coeffs[m - k]) * k
+        out[m] = a.coeffs[m] - acc.div_int(m)
+    return TSeries(a.ring, out)
+
+
+def ref_euler_log(a: TSeries) -> tuple:
+    """b_k = (1/k) sum_{d | k} mu(k/d) Psi_{k/d}(d c_d), one term at a time."""
+    from motivic_cc.lambda_power import divisors, mobius
+
+    c = ref_log(a).coeffs
+    out = []
+    for k in range(1, a.order + 1):
+        acc = a.ring.zero
+        for d in divisors(k):
+            if mobius(k // d):
+                acc = acc + (c[d] * d).adams(k // d) * mobius(k // d)
+        out.append(acc.div_int(k))
+    return tuple(out)
+
+
+def ref_euler_exp(b: EulerExponents, order: int) -> TSeries:
+    """exp(sum_{k,r} Psi_r(b_k) t^{kr} / r), the argument summed one term at a time."""
+    arg = [b.ring.zero] * (order + 1)
+    for k in range(1, min(b.order, order) + 1):
+        for r in range(1, order // k + 1):
+            arg[k * r] = arg[k * r] + b.exponent(k).adams(r).div_int(r)
+    return ref_exp(TSeries(b.ring, arg))
+
+
+def ref_pont_mul(s, t) -> list:
+    """The Pontrjagin product as {multiset: coefficient} dicts, one pair at a time."""
+    out = [dict() for _ in range(s.order + 1)]
+    for i, a in enumerate(s.components):
+        for j in range(s.order - i + 1):
+            for ms1, c1 in a.terms.items():
+                for ms2, c2 in t.components[j].terms.items():
+                    ms = tuple(sorted(ms1 + ms2))
+                    out[i + j][ms] = out[i + j].get(ms, s.ring.zero) + c1 * c2
+    return [{ms: c for ms, c in d.items() if c.num} for d in out]
+
+
 def random_series(rng: random.Random, ring: LaurentRing, order: int,
                   normalized: bool = False, zero_constant: bool = False,
                   **poly_kw) -> TSeries:

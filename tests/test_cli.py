@@ -2,6 +2,9 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -454,3 +457,38 @@ def test_no_floats_anywhere(capsys):
                 assert "." not in x, f"decimal point leaked: {x}"
 
         walk(doc)
+
+
+def package_env() -> dict:
+    """The environment of a child Python that imports this very ``motivic_cc``."""
+    src = str(Path(mo.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_closed_stdout_exits_quietly():
+    # ``motivic-cc classes ... | head -1``: a 0.5 MB report, the reader leaves after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "motivic_cc.cli", "classes", "--builtin", "P2", "--dim", "2",
+         "--kind", "hilb", "--order", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env())
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_verify_passes_at_lowest_orders(capsys, order):
+    code, doc = run_json(capsys, "verify", "--suite", "all", "--order", str(order))
+    assert code == EXIT_OK
+    assert doc["checks"] and all(c["status"] == "ok" for c in doc["checks"])
+
+
+def test_cli_import_leaves_checks_unloaded():
+    # only ``verify`` needs the suites; every other command skips their import
+    script = "import sys, motivic_cc.cli; print('motivic_cc.checks' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=package_env(), check=True).stdout
+    assert out == "False\n"

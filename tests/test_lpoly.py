@@ -252,6 +252,44 @@ def test_ops_match_fraction_reference(name):
             assert dict(got.terms) == ref_substitute(ta, vars, target, whole, half)
 
 
+def dot_operand(rng, vars, halves):
+    """A random operand, a constant (zero and one included), or a very sparse one."""
+    pick = rng.random()
+    if pick < 0.1:
+        return LPoly.const(vars, rng.choice([0, 1]))
+    if pick < 0.2:
+        return LPoly.const(vars, Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
+    if pick < 0.25 and vars.names:
+        return LPoly(vars, {(2000,) * len(vars): Fraction(1, 3), (0,) * len(vars): 1})
+    return rational_lpoly(rng, vars, halves)
+
+
+@pytest.mark.parametrize("name", VARSETS)
+def test_dot_matches_reference(name):
+    vars, halves = VARSETS[name]
+    rng = random.Random(f"dot-{name}")
+    assert LPoly.dot(vars, []) == LaurentRing(vars).zero
+    assert LPoly.dot(vars, [], 5) == LaurentRing(vars).zero
+    for _ in range(60):
+        triples = [(rng.randint(-4, 4), dot_operand(rng, vars, halves),
+                    dot_operand(rng, vars, halves)) for _ in range(rng.randint(0, 5))]
+        div = rng.randint(1, 6)
+        expect: dict = {}
+        for w, a, b in triples:
+            expect = ref_add(expect, ref_scale(ref_mul(dict(a.terms), dict(b.terms)),
+                                               Fraction(w, div)))
+        got = LPoly.dot(vars, triples, div)
+        assert_canonical(got)
+        assert dict(got.terms) == expect
+        assert LPoly.dot(vars, iter(triples), div) == got
+    other = VS_Y if vars != VS_Y else VS_L
+    zero_elsewhere = LPoly.const(other, 0)
+    with pytest.raises(VariableMismatchError):
+        LPoly.dot(vars, [(1, LPoly.const(vars, 1), zero_elsewhere)])
+    with pytest.raises(VariableMismatchError):
+        LPoly.dot(vars, [(0, zero_elsewhere, LPoly.const(vars, 1))])
+
+
 def test_canonical_form():
     rng = random.Random(5)
     for vars, halves in VARSETS.values():

@@ -5,9 +5,15 @@ import pytest
 
 from motivic_cc.lpoly import LPoly, VS_Y
 from motivic_cc.series import (
-    QQ, RING_Y, TSeries, NonUnitError, OrderMismatchError, IntegralityError,
+    QQ, RING_L, RING_UV, RING_Y, TSeries, NonUnitError, OrderMismatchError, IntegralityError,
 )
-from helpers import random_series
+from motivic_cc.lambda_power import EulerExponents, euler_exp, euler_log
+from motivic_cc.hirzebruch import proj_space_model
+from motivic_cc.pontrjagin import PontSeries
+from helpers import (
+    random_lpoly, random_series, ref_euler_exp, ref_euler_log, ref_exp, ref_invert, ref_log,
+    ref_pont_mul, ref_series_mul,
+)
 
 Y = LPoly.var(VS_Y, "y")
 
@@ -105,3 +111,58 @@ def test_assert_integral():
         TSeries.from_terms(QQ, 2, {1: Fraction(1, 2)}).assert_integral()
     with pytest.raises(IntegralityError):
         TSeries(RING_Y, [RING_Y.one, Y.scale(Fraction(1, 3))]).assert_integral()
+
+
+# coefficient rings with the exponents their variables admit
+RINGS = {"QQ": (QQ, {}), "L": (RING_L, {"laurent": True, "halves": True}),
+         "y": (RING_Y, {"halves": True}), "uv": (RING_UV, {})}
+
+
+def random_pont(rng, model, ring, order) -> PontSeries:
+    """Rational coefficients on few atoms, so products collide on their multisets."""
+    dicts = [{(): random_lpoly(rng, ring.vars, max_deg=2, terms=3, denom_bound=4)}]
+    for n in range(1, order + 1):
+        d = {}
+        for _ in range(rng.randint(0, 3)):
+            parts, left = [], n
+            while left > 0:
+                k = rng.randint(1, left)
+                parts.append((k, rng.choice(model.basis)[0]))
+                left -= k
+            d[tuple(sorted(parts))] = random_lpoly(rng, ring.vars, max_deg=2, terms=3,
+                                                  halves=bool(ring.vars.names), denom_bound=4)
+        dicts.append(d)
+    return PontSeries.from_dicts(model, ring, dicts)
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_sums_of_products_match_accumulate_route(name):
+    # every sum of coefficient products is one LPoly.dot; the reference adds
+    # one product at a time
+    ring, kw = RINGS[name]
+    rng = random.Random(name)
+    for _ in range(15):
+        order = rng.randint(0, 6)
+        a = random_series(rng, ring, order, denom_bound=5, **kw)
+        b = random_series(rng, ring, order, denom_bound=5, **kw)
+        unit = random_series(rng, ring, order, normalized=True, denom_bound=5, **kw)
+        nil = random_series(rng, ring, order, zero_constant=True, denom_bound=5, **kw)
+        assert a * b == ref_series_mul(a, b)
+        assert unit.invert() == ref_invert(unit)
+        assert nil.exp() == ref_exp(nil)
+        assert unit.log() == ref_log(unit)
+        assert euler_log(unit, require_integral=False).exps == ref_euler_log(unit)
+        exps = EulerExponents(ring, tuple(
+            random_lpoly(rng, ring.vars, max_deg=2, terms=3, denom_bound=5, **kw)
+            for _ in range(rng.randint(0, order))))
+        assert euler_exp(exps, order) == ref_euler_exp(exps, order)
+
+
+@pytest.mark.parametrize("ring", [QQ, RING_Y], ids=["QQ", "y"])
+def test_pontrjagin_product_matches_accumulate_route(ring):
+    rng = random.Random(ring.name)
+    model = proj_space_model(1)
+    for _ in range(15):
+        order = rng.randint(0, 5)
+        s, t = random_pont(rng, model, ring, order), random_pont(rng, model, ring, order)
+        assert [el.terms for el in s.mul(t).components] == ref_pont_mul(s, t)
