@@ -24,8 +24,7 @@ from .series import LaurentRing, QQ, RING_L, RING_Y, TSeries
 from .lambda_power import euler_log
 from .motives import (
     TwoRouteMismatchError, UnsupportedRangeError, Y,
-    chi_of_y, punctual_exponents, spec_chi, spec_chi_minus_y,
-    virtual_alpha, virtual_punctual_series, map_series,
+    chi_of_y, punctual_exponents, spec_chi, spec_chi_minus_y, virtual_alpha, map_series,
 )
 from .hirzebruch import HomologyModel, chern_class_of
 
@@ -322,25 +321,21 @@ def chern_class_series(model: HomologyModel, d: int, order: int) -> PontSeries:
                       order, ring=QQ, adams=False)
 
 
-def virtual_class_series(model: HomologyModel, order: int) -> tuple[PontSeries, PontSeries]:
-    """Both forms of the virtual Hirzebruch-class series of a threefold.
+def virtual_scalars(order: int) -> list[LPoly]:
+    """chi_{-y} of the closed-form virtual exponents alpha_k, k = 1..order."""
+    return [spec_chi_minus_y(virtual_alpha(k)) for k in range(1, order + 1)]
 
-    Returns (t-form, (-t)-form).  The t-form exponentiates chi_{-y} of the
-    virtual punctual series; since the power calculus does not commute with
-    t -> -t over a ring with Adams operations, the Euler decomposition of
-    the half-integer-localized series is taken on the -t side (where it is
-    an honest product) and the assembled result is read back at -t.  The
-    (-t)-form is built directly from the closed-form virtual exponents; the
-    two routes share no exponent data and must agree, else this raises.
+
+def virtual_class_series(model: HomologyModel, order: int) -> PontSeries:
+    """Virtual Hirzebruch-class series of a threefold, the t-form.
+
+    The power calculus does not commute with t -> -t over a ring with Adams
+    operations, so the closed-form exponents are exponentiated on the -t side
+    and read back at -t.  The Euler-log route to these scalars also starts from
+    virtual_alpha and tests that chi_{-y} commutes with the Adams-twisted Euler
+    decomposition on the -t side; ``classes`` and ``verify`` compare the two.
     """
-    a_y = map_series(virtual_punctual_series(order), "chi-y")
-    route1 = exp_series(model, model.ty, euler_log(a_y.subst(1, -1)).exps, order)
-    route2 = exp_series(model, model.ty, [spec_chi_minus_y(virtual_alpha(k))
-                                          for k in range(1, order + 1)], order)
-    if route1 != route2:
-        raise TwoRouteMismatchError(
-            f"virtual class series on {model.name}: the two generating-series forms disagree")
-    return route1.subst_neg_t(), route2
+    return exp_series(model, model.ty, virtual_scalars(order), order).subst_neg_t()
 
 
 def aluffi_series(model: HomologyModel, order: int) -> PontSeries:

@@ -20,12 +20,13 @@ from motivic_cc.hirzebruch import (
 )
 from motivic_cc.pontrjagin import (
     aluffi_series, chern_class_series, config_class_series, hilb_class_series,
-    mt2_series, pont_degree, virtual_class_series,
+    mt2_series, normalized_y1_limit, pont_degree, virtual_class_series, virtual_scalars,
 )
 from motivic_cc.checks import run_suite
 from helpers import euler_log_bruteforce
 
 from test_hirzebruch import coth_oracle, eval_at_y, todd_oracle
+from test_pontrjagin import reference_product, virtual_euler_log_scalars
 
 
 def ok(n, text):
@@ -137,14 +138,18 @@ def test_criterion_10_config_coherence():
 
 def test_criterion_11_virtual_two_route_and_sign():
     p3 = proj_space_model(3)
-    t_form, mt_form = virtual_class_series(p3, 3)
-    assert t_form.subst_neg_t() == mt_form
+    scalars = virtual_euler_log_scalars(3)
+    assert EulerExponents(RING_Y, scalars) == EulerExponents(RING_Y, virtual_scalars(3))
+    t_form = virtual_class_series(p3, 3)
+    assert t_form.subst_neg_t() == reference_product(p3, p3.ty, scalars, 3)
     chern = chern_class_series(p3, 3, 4)
     aluffi = aluffi_series(p3, 4)
     for n in range(5):
         scaled = {ms: c * ((-1) ** n) for ms, c in chern.components[n].terms.items()}
         assert aluffi.components[n].terms == scaled
-    ok(11, "virtual class series two-route equality on P^3 (t^3); Aluffi sign relation (t^4);")
+    assert normalized_y1_limit(t_form) == aluffi_series(p3, 3)
+    ok(11, "virtual class series two-route equality on P^3 (t^3); Aluffi sign relation (t^4); "
+           "y -> 1 limit of the virtual classes is the Aluffi series (t^3);")
 
 
 def test_criterion_12_property_suites():

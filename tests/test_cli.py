@@ -159,6 +159,48 @@ def test_config_check_catches_wrong_scalars(capsys, monkeypatch):
     assert {"name": "config-vs-exponentiation", "status": "fail"} in doc["checks"]
 
 
+def bump_second(values: list) -> list:
+    """The list with its second entry raised by one."""
+    return values[:1] + [values[1] + 1] + values[2:]
+
+
+def test_aluffi_check_catches_wrong_scalars(capsys, monkeypatch):
+    """sign-relation-vs-chern fails once a MacMahon exponent of the series is perturbed."""
+    right = po.chi_alpha_scalars
+    monkeypatch.setattr(po, "chi_alpha_scalars", lambda d, order: bump_second(right(d, order)))
+    code, doc = run_json(capsys, "classes", "--builtin", "point", "--dim", "3",
+                         "--kind", "aluffi", "--order", "4")
+    assert code == EXIT_CHECK_FAILED
+    assert {"name": "sign-relation-vs-chern", "status": "fail"} in doc["checks"]
+
+
+def test_virtual_check_catches_wrong_scalars(capsys, monkeypatch):
+    """two-route-forms fails, with a full report, once a virtual scalar is perturbed."""
+    right = po.virtual_scalars
+    monkeypatch.setattr(po, "virtual_scalars", lambda order: bump_second(right(order)))
+    code, doc = run_json(capsys, "classes", "--builtin", "P3", "--dim", "3",
+                         "--kind", "virtual", "--order", "3")
+    assert code == EXIT_CHECK_FAILED
+    assert [rec["n"] for rec in doc["coefficients"]] == [0, 1, 2, 3]
+    assert {"name": "two-route-forms", "status": "fail"} in doc["checks"]
+
+
+def test_each_kind_builds_one_series(capsys, monkeypatch):
+    """Every class kind makes one exp_series call; no self-check rebuilds the series."""
+    calls = []
+    real = po.exp_series
+    monkeypatch.setattr(po, "exp_series", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    kinds = ("hilb", "sym", "config", "chern", "virtual", "aluffi")
+    counts = {}
+    for kind in kinds:
+        calls.clear()
+        code, _ = run(capsys, "classes", "--builtin", "P1", "--dim", "3",
+                      "--kind", kind, "--order", "3")
+        assert code == EXIT_OK, kind
+        counts[kind] = len(calls)
+    assert counts == dict.fromkeys(kinds, 1)
+
+
 def test_series_file_boundary(tmp_path, capsys):
     path = tmp_path / "series.json"
     one = [{"lNum": 0, "c": "1"}]

@@ -7,19 +7,19 @@ import pytest
 
 from motivic_cc.lpoly import LPoly, VS_NONE, VS_Y
 from motivic_cc.series import QQ, RING_L, RING_Y, LaurentRing, TSeries
-from motivic_cc.lambda_power import euler_log, pre_lambda
+from motivic_cc.lambda_power import EulerExponents, euler_log, pre_lambda
 from motivic_cc.motives import (
     Y, chi_of_y, macmahon_series, map_series, proj_space_class, punctual_series,
     hilb_motive_series, config_space_series, spec_chi_minus_y, virtual_alpha,
     virtual_hilb_series, virtual_punctual_series,
 )
-from motivic_cc.hirzebruch import chern_class_of, point_model, proj_space_model
+from motivic_cc.hirzebruch import chern_class_of, point_model, product_model, proj_space_model
 from motivic_cc.pontrjagin import (
     PontElement, PontSeries, adams_h, aluffi_series, chern_class_series,
     chi_alpha_scalars, chi_y_alpha_scalars, config_class_series, d_push,
     exp_series, hilb_class_series, hom_exp_inv, hom_exponentiation, mt2_series,
     normalized_y1_limit, pont_degree, pont_exp, power_op, sym_prod_class_series,
-    virtual_class_series,
+    virtual_class_series, virtual_scalars,
 )
 from motivic_cc.cli import model_from_doc
 from helpers import load_bench_cases, random_hclass, random_series
@@ -275,15 +275,19 @@ def chern_case(d):
     return case
 
 
+def virtual_euler_log_scalars(order):
+    """The Euler-log route: exponents of chi_{-y} of the virtual punctual series at -t."""
+    a_y = map_series(virtual_punctual_series(order), "chi-y")
+    return euler_log(a_y.subst(1, -1)).exps
+
+
 def virtual_route_case(route):
     def case(m):
-        t_form, mt_form = virtual_class_series(m, N)
         if route == 1:
-            a_y = map_series(virtual_punctual_series(N), "chi-y")
-            scalars = euler_log(a_y.subst(1, -1)).exps
-            return t_form.subst_neg_t(), reference_product(m, m.ty, scalars, N)
-        scalars = [spec_chi_minus_y(virtual_alpha(k)) for k in range(1, N + 1)]
-        return mt_form, reference_product(m, m.ty, scalars, N)
+            scalars = virtual_euler_log_scalars(N)
+        else:
+            scalars = [spec_chi_minus_y(virtual_alpha(k)) for k in range(1, N + 1)]
+        return virtual_class_series(m, N).subst_neg_t(), reference_product(m, m.ty, scalars, N)
     return case
 
 
@@ -386,13 +390,15 @@ def test_normalization_limit_matches_chern_series():
 
 
 def test_virtual_two_route_p3():
-    t_form, mt_form = virtual_class_series(P3, 3)
-    assert t_form.subst_neg_t() == mt_form
+    scalars = virtual_euler_log_scalars(3)
+    assert EulerExponents(RING_Y, scalars) == EulerExponents(RING_Y, virtual_scalars(3))
+    t_form = virtual_class_series(P3, 3)
+    assert t_form.subst_neg_t() == reference_product(P3, P3.ty, scalars, 3)
     assert t_form.components[0].terms == {(): RING_Y.one}
 
 
 def test_virtual_degree_matches_motivic_route():
-    t_form, _ = virtual_class_series(P3, 3)
+    t_form = virtual_class_series(P3, 3)
     lhs = pont_degree(P3, t_form)
     rhs = map_series(virtual_hilb_series(proj_space_class(3), 3), "chi-y")
     assert lhs == rhs
@@ -405,6 +411,14 @@ def test_aluffi_sign_relation_eq220():
         sign = (-1) ** n
         scaled = {ms: c * sign for ms, c in chern.components[n].terms.items()}
         assert aluffi.components[n].terms == scaled
+
+
+@pytest.mark.parametrize("order", (3, 4))
+@pytest.mark.parametrize("model", (POINT, P1, P3, product_model(P1, P1)),
+                         ids=("point", "P1", "P3", "P1xP1"))
+def test_chern_mnop_virtual_limit_is_aluffi(model, order):
+    """Chern-class MNOP: the y -> 1 limit of the virtual classes is the signed Aluffi series."""
+    assert normalized_y1_limit(virtual_class_series(model, order)) == aluffi_series(model, order)
 
 
 def test_aluffi_point_degree_is_macmahon_with_sign():
