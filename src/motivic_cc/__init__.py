@@ -3,7 +3,7 @@ symmetric products, and their characteristic classes."""
 
 from .lpoly import (
     LPoly, VarSet, VS_L, VS_NONE, VS_UV, VS_Y, HALF_ADMISSIBLE, NEGATIVE_ROOT,
-    ExactDivisionError, SubstitutionError, VariableMismatchError,
+    ExactDivisionError, ExponentLimitError, SubstitutionError, VariableMismatchError,
 )
 from .series import (
     LaurentRing, TSeries,

@@ -51,40 +51,45 @@ def _random_hclass(rng, model):
     return out
 
 
-def _run(results: list, name: str, fn) -> None:
-    try:
-        fn()
-        results.append({"name": name, "status": "ok"})
-    except Exception as exc:
-        results.append({"name": name, "status": "fail", "detail": str(exc)})
+def _run_all(*checks) -> list[dict]:
+    """Run each check; its record is named after the function, with dashes for underscores."""
+    out = []
+    for fn in checks:
+        name = fn.__name__.replace("_", "-")
+        try:
+            fn()
+            out.append({"name": name, "status": "ok"})
+        except Exception as exc:
+            out.append({"name": name, "status": "fail", "detail": str(exc)})
+    return out
 
 
-def _require(cond: bool, detail: str) -> None:
+def _require(cond: bool, detail) -> None:
+    """Fail with ``detail``, a string or a function that formats one only on failure."""
     if not cond:
-        raise AssertionError(detail)
+        raise AssertionError(detail() if callable(detail) else detail)
 
 
 # -- lambda / series suite ---------------------------------------------------
 
 def suite_lambda(order: int, seed: int) -> list[dict]:
     rng = random.Random(seed)
-    results: list[dict] = []
 
-    def ring_axioms():
+    def lpoly_ring_axioms():
         for _ in range(200):
             a = _random_lpoly(rng, VS_UV, max_deg=6, terms=4)
             b = _random_lpoly(rng, VS_UV, max_deg=6, terms=4)
             c = _random_lpoly(rng, VS_UV, max_deg=6, terms=4)
-            _require((a * b) * c == a * (b * c), f"assoc: {a}; {b}; {c}")
-            _require(a * (b + c) == a * b + a * c, f"distrib: {a}; {b}; {c}")
-            _require(a * b == b * a, f"comm: {a}; {b}")
+            _require((a * b) * c == a * (b * c), lambda: f"assoc: {a}; {b}; {c}")
+            _require(a * (b + c) == a * b + a * c, lambda: f"distrib: {a}; {b}; {c}")
+            _require(a * b == b * a, lambda: f"comm: {a}; {b}")
 
     def adams_composition():
         for _ in range(100):
             p = _random_lpoly(rng, VS_L, laurent=True, halves=True)
             r, s = rng.randint(1, 5), rng.randint(1, 5)
             _require(p.adams(r).adams(s) == p.adams(r * s),
-                     f"adams compose: {p}, r={r}, s={s}")
+                     lambda: f"adams compose: {p}, r={r}, s={s}")
 
     def exact_div_roundtrip():
         for _ in range(100):
@@ -92,36 +97,38 @@ def suite_lambda(order: int, seed: int) -> list[dict]:
             b = _random_lpoly(rng, VS_UV)
             if b.is_zero():
                 continue
-            _require((a * b).exact_div(b) == a, f"divide: {a}; {b}")
+            _require((a * b).exact_div(b) == a, lambda: f"divide: {a}; {b}")
 
     def exp_log_roundtrip():
         for _ in range(100):
             a = _random_series(rng, RING_Y, order)
             z = TSeries(RING_Y, [RING_Y.zero] + list(a.coeffs[1:]))
-            _require(z.exp().log() == z, f"exp-log: {z}")
+            _require(z.exp().log() == z, lambda: f"exp-log: {z}")
             n = TSeries(RING_Y, [RING_Y.one] + list(a.coeffs[1:]))
-            _require(n.log().exp() == n, f"log-exp: {n}")
+            _require(n.log().exp() == n, lambda: f"log-exp: {n}")
 
     def exp_additivity():
         for _ in range(50):
             a = TSeries(RING_Y, [RING_Y.zero] + list(_random_series(rng, RING_Y, order).coeffs[1:]))
             b = TSeries(RING_Y, [RING_Y.zero] + list(_random_series(rng, RING_Y, order).coeffs[1:]))
-            _require((a + b).exp() == a.exp() * b.exp(), f"exp-add: {a}; {b}")
+            _require((a + b).exp() == a.exp() * b.exp(), lambda: f"exp-add: {a}; {b}")
 
     def subst_composition():
         for _ in range(50):
             a = _random_series(rng, RING_Y, order)
             j, k = rng.randint(1, 3), rng.randint(1, 3)
-            _require(a.subst(k).subst(j) == a.subst(j * k), f"subst: {a}, j={j}, k={k}")
+            _require(a.subst(k).subst(j) == a.subst(j * k), lambda: f"subst: {a}, j={j}, k={k}")
 
     def euler_roundtrips():
         for _ in range(100):
             b = EulerExponents(RING_Y, tuple(_random_lpoly(rng, VS_Y) for _ in range(order)))
-            _require(euler_log(euler_exp(b)) == b, f"log(exp): {[str(x) for x in b.exps]}")
+            _require(euler_log(euler_exp(b)) == b,
+                     lambda: f"log(exp): {[str(x) for x in b.exps]}")
             a = _random_series(rng, RING_Y, order, normalized=True)
-            _require(euler_exp(euler_log(a, require_integral=False)) == a, f"exp(log): {a}")
+            _require(euler_exp(euler_log(a, require_integral=False)) == a,
+                     lambda: f"exp(log): {a}")
 
-    def power_axioms():
+    def power_structure_axioms():
         n = min(order, 6)
         for _ in range(100):
             a = _random_series(rng, RING_Y, n, normalized=True)
@@ -129,24 +136,25 @@ def suite_lambda(order: int, seed: int) -> list[dict]:
             m = _random_lpoly(rng, VS_Y, max_deg=2, terms=2)
             mm = _random_lpoly(rng, VS_Y, max_deg=2, terms=2)
             pw = lambda s, e: power(s, e, require_integral=False)
-            _require(pw(a, RING_Y.zero) == TSeries.one(RING_Y, n), f"(i): {a}")
-            _require(pw(a, RING_Y.one) == a, f"(ii): {a}")
-            _require(pw(a * b, m) == pw(a, m) * pw(b, m), f"(iii): {a}; {b}; {m}")
-            _require(pw(a, m + mm) == pw(a, m) * pw(a, mm), f"(iv): {a}; {m}; {mm}")
-            _require(pw(a, m * mm) == pw(pw(a, mm), m), f"(v): {a}; {m}; {mm}")
+            _require(pw(a, RING_Y.zero) == TSeries.one(RING_Y, n), lambda: f"(i): {a}")
+            _require(pw(a, RING_Y.one) == a, lambda: f"(ii): {a}")
+            _require(pw(a * b, m) == pw(a, m) * pw(b, m), lambda: f"(iii): {a}; {b}; {m}")
+            _require(pw(a, m + mm) == pw(a, m) * pw(a, mm), lambda: f"(iv): {a}; {m}; {mm}")
+            _require(pw(a, m * mm) == pw(pw(a, mm), m), lambda: f"(v): {a}; {m}; {mm}")
             k = rng.randint(1, 3)
-            _require(pw(a.subst(k), m) == pw(a, m).subst(k), f"(vii): {a}; {m}; k={k}")
+            _require(pw(a.subst(k), m) == pw(a, m).subst(k), lambda: f"(vii): {a}; {m}; k={k}")
         one_plus = TSeries.from_terms(RING_Y, max(n, 1), {0: 1, 1: 1})
         m = _random_lpoly(rng, VS_Y, max_deg=2, terms=2)
         s = power(one_plus, m, require_integral=False)
-        _require(s.coeffs[1] == m, f"(vi): linear term of (1+t)^({m}) is {s.coeffs[1]}")
+        _require(s.coeffs[1] == m,
+                 lambda: f"(vi): linear term of (1+t)^({m}) is {s.coeffs[1]}")
 
-    def polyring_consistency():
+    def polyring_lambda_consistency():
         for _ in range(50):
             p = _random_lpoly(rng, VS_UV, max_deg=3, terms=3)
             n = rng.randint(1, max(1, min(order, 6)))
             _require(pre_lambda_polyring(p, n) == pre_lambda(RING_UV, p, n),
-                     f"polyring lambda: {p}")
+                     lambda: f"polyring lambda: {p}")
 
     def chi_power_compatibility():
         n = min(order, 6)
@@ -158,26 +166,18 @@ def suite_lambda(order: int, seed: int) -> list[dict]:
             lhs = mo.map_series(power(a, m, require_integral=False), "chi-y")
             rhs = power(mo.map_series(a, "chi-y"), mo.spec_chi_minus_y(m),
                         require_integral=False)
-            _require(lhs == rhs, f"chi_-y power compat: {a}; {m}")
+            _require(lhs == rhs, lambda: f"chi_-y power compat: {a}; {m}")
 
-    _run(results, "lpoly-ring-axioms", ring_axioms)
-    _run(results, "adams-composition", adams_composition)
-    _run(results, "exact-div-roundtrip", exact_div_roundtrip)
-    _run(results, "exp-log-roundtrip", exp_log_roundtrip)
-    _run(results, "exp-additivity", exp_additivity)
-    _run(results, "subst-composition", subst_composition)
-    _run(results, "euler-roundtrips", euler_roundtrips)
-    _run(results, "power-structure-axioms", power_axioms)
-    _run(results, "polyring-lambda-consistency", polyring_consistency)
-    _run(results, "chi-power-compatibility", chi_power_compatibility)
-    return results
+    return _run_all(lpoly_ring_axioms, adams_composition, exact_div_roundtrip,
+                    exp_log_roundtrip, exp_additivity, subst_composition, euler_roundtrips,
+                    power_structure_axioms, polyring_lambda_consistency,
+                    chi_power_compatibility)
 
 
 # -- motives suite -----------------------------------------------------------
 
 def suite_motives(order: int, seed: int) -> list[dict]:
     rng = random.Random(seed)
-    results: list[dict] = []
 
     def eq9_closed_forms():
         for d in (1, 2, 3, 4):
@@ -193,7 +193,7 @@ def suite_motives(order: int, seed: int) -> list[dict]:
 
     def chi_alpha_threefold():
         for k, a in enumerate(mo.punctual_exponents_small(3).exps, start=1):
-            _require(mo.spec_chi(a) == k, f"chi(alpha_{k}) = {mo.spec_chi(a)} != {k}")
+            _require(mo.spec_chi(a) == k, lambda: f"chi(alpha_{k}) = {mo.spec_chi(a)} != {k}")
 
     def curve_collapse():
         n = min(order, 6)
@@ -201,47 +201,41 @@ def suite_motives(order: int, seed: int) -> list[dict]:
             x = _random_lpoly(rng, VS_L, max_deg=2, terms=3)
             lhs = mo.map_series(mo.hilb_motive_series(x, 1, n), "e")
             rhs = mo.kapranov_zeta(mo.spec_e(x), n)
-            _require(lhs == rhs, f"curve collapse at [X]={x}")
+            _require(lhs == rhs, lambda: f"curve collapse at [X]={x}")
 
     def config_chi_binomial():
         for d in range(4):
             x = mo.proj_space_class(d)
             s = mo.map_series(mo.config_space_series(x, min(order, 6)), "chi")
             for n, c in enumerate(s.coeffs):
-                _require(c == comb(d + 1, n), f"config chi: d={d}, n={n}, got {c}")
+                _require(c == comb(d + 1, n), lambda: f"config chi: d={d}, n={n}, got {c}")
 
     def specialization_homs():
         for _ in range(50):
             a = _random_lpoly(rng, VS_L, laurent=True, halves=True)
             b = _random_lpoly(rng, VS_L, laurent=True, halves=True)
-            _require(mo.spec_chi_minus_y(a * b) ==
-                     mo.spec_chi_minus_y(a) * mo.spec_chi_minus_y(b), f"chi_-y hom: {a}; {b}")
+            _require(mo.spec_chi_minus_y(a * b) == mo.spec_chi_minus_y(a) * mo.spec_chi_minus_y(b),
+                     lambda: f"chi_-y hom: {a}; {b}")
             _require(mo.spec_chi(a * b) == mo.spec_chi(a) * mo.spec_chi(b),
-                     f"chi hom: {a}; {b}")
+                     lambda: f"chi hom: {a}; {b}")
             ai = _random_lpoly(rng, VS_L)
             bi = _random_lpoly(rng, VS_L)
             _require(mo.spec_e(ai * bi) == mo.spec_e(ai) * mo.spec_e(bi),
-                     f"e hom: {ai}; {bi}")
+                     lambda: f"e hom: {ai}; {bi}")
 
     def virtual_alpha_chi():
         for k in range(1, 7):
             got = mo.spec_chi(mo.virtual_alpha(k))
-            _require(got == k, f"chi(virtual alpha_{k}) = {got} != {k}")
+            _require(got == k, lambda: f"chi(virtual alpha_{k}) = {got} != {k}")
 
     def macmahon_fixture():
         m = mo.macmahon_series(max(order, 8))
         _require(tuple(m.coeffs[:5]) == tuple(Fraction(c) for c in (1, 1, 3, 6, 13)),
-                 f"MacMahon prefix: {m.coeffs[:5]}")
+                 lambda: f"MacMahon prefix: {m.coeffs[:5]}")
 
-    _run(results, "eq9-closed-forms", eq9_closed_forms)
-    _run(results, "surface-two-route", surface_two_route)
-    _run(results, "chi-alpha-threefold", chi_alpha_threefold)
-    _run(results, "curve-collapse", curve_collapse)
-    _run(results, "config-chi-binomial", config_chi_binomial)
-    _run(results, "specialization-homs", specialization_homs)
-    _run(results, "virtual-alpha-chi", virtual_alpha_chi)
-    _run(results, "macmahon-fixture", macmahon_fixture)
-    return results
+    return _run_all(eq9_closed_forms, surface_two_route, chi_alpha_threefold, curve_collapse,
+                    config_chi_binomial, specialization_homs, virtual_alpha_chi,
+                    macmahon_fixture)
 
 
 # -- hirzebruch suite ---------------------------------------------------------
@@ -263,7 +257,6 @@ def _eval_y(s: TSeries, c: Fraction) -> TSeries:
 
 
 def suite_hirzebruch(order: int, seed: int) -> list[dict]:
-    results: list[dict] = []
     n = max(order, 8)
 
     def qy_specializations():
@@ -274,7 +267,7 @@ def suite_hirzebruch(order: int, seed: int) -> list[dict]:
         _require(_eval_y(q, Fraction(-1)) == TSeries.from_terms(QQ, n, {1: 1}),
                  "Q_y at y=-1 should be the bare Chern root")
 
-    def qyhat_relation():
+    def qyhat_defining_relation():
         q = hz.qy_series(n)
         qh = hz.qyhat_series(n)
         opy = RING_Y.one + mo.Y
@@ -282,24 +275,21 @@ def suite_hirzebruch(order: int, seed: int) -> list[dict]:
         rhs = TSeries(RING_Y, [q.coeffs[j] * opy ** j for j in range(n + 1)])
         _require(lhs == rhs, "(1+y) Qhat_y(a) vs Q_y(a(1+y))")
 
-    def degree_is_chi_y():
+    def degree_chi_y():
         for d in range(5):
             m = hz.proj_space_model(d)
             _require(m.degree_of(m.ty) == mo.hodge_spec(m.e_poly, "chi-y"),
-                     f"degree vs chi_-y for P{d}")
+                     lambda: f"degree vs chi_-y for P{d}")
 
-    def chern_limits():
+    def chern_limit_r_independence():
         models = [hz.proj_space_model(d) for d in (1, 2, 3)]
         models.append(hz.product_model(hz.proj_space_model(1), hz.proj_space_model(1)))
         for m in models:
             for r in (1, 2, 3, 4):
                 hz.chern_limit_check(m, r)
 
-    _run(results, "qy-specializations", qy_specializations)
-    _run(results, "qyhat-defining-relation", qyhat_relation)
-    _run(results, "degree-chi-y", degree_is_chi_y)
-    _run(results, "chern-limit-r-independence", chern_limits)
-    return results
+    return _run_all(qy_specializations, qyhat_defining_relation, degree_chi_y,
+                    chern_limit_r_independence)
 
 
 # -- pontrjagin suite ---------------------------------------------------------
@@ -327,13 +317,12 @@ def _random_pont(rng, model, order):
 
 def suite_pontrjagin(order: int, seed: int) -> list[dict]:
     rng = random.Random(seed)
-    results: list[dict] = []
     p1 = hz.proj_space_model(1)
     p2 = hz.proj_space_model(2)
     p3 = hz.proj_space_model(3)
     point = hz.point_model()
 
-    def ring_laws():
+    def pont_ring_laws():
         for _ in range(100):
             a = _random_pont(rng, p1, 5)
             b = _random_pont(rng, p1, 5)
@@ -355,7 +344,7 @@ def suite_pontrjagin(order: int, seed: int) -> list[dict]:
                 p1, RING_Y,
                 [dict() if m != r * k else dict(po.d_push(p1, r * k, gamma).terms)
                  for m in range(r * k + 1)])
-            _require(lhs == rhs, f"P_k d^r = d^rk at r={r}, k={k}")
+            _require(lhs == rhs, lambda: f"P_k d^r = d^rk at r={r}, k={k}")
             a = _random_pont(rng, p1, 2)
             _require(po.power_op(2, po.power_op(3, a, order=12), order=12) ==
                      po.power_op(6, a, order=12), "P_2 P_3 = P_6")
@@ -372,14 +361,14 @@ def suite_pontrjagin(order: int, seed: int) -> list[dict]:
                      po.hom_exp_inv(p1, g1, k, 5) * po.hom_exp_inv(p1, g2, k, 5),
                      "hom exp additivity in the class")
 
-    def power_op_intertwines():
+    def power_op_intertwines_exp():
         for k in (2, 3):
             gamma = _random_hclass(rng, p1)
             _require(po.power_op(k, po.hom_exp_inv(p1, gamma, 1, 4), order=4 * k) ==
                      po.hom_exp_inv(p1, gamma, k, 4 * k),
-                     f"P_{k} of one-factor exponential")
+                     lambda: f"P_{k} of one-factor exponential")
 
-    def degree_intertwines():
+    def degree_intertwines_pre_lambda():
         for _ in range(100):
             gamma = _random_hclass(rng, p2)
             k = rng.randint(1, 3)
@@ -387,7 +376,7 @@ def suite_pontrjagin(order: int, seed: int) -> list[dict]:
             rhs = pre_lambda(RING_Y, p2.degree_of(gamma), 6).subst(k)
             _require(lhs == rhs, "degree of exponential vs pre-lambda")
 
-    def mt2_hilb_config():
+    def mt2_hilb_config_coherence():
         _require(po.mt2_series(p2, mo.punctual_series(2, 3), 3) ==
                  po.hilb_class_series(p2, 2, 3), "mt2 vs surface hilb series")
         one_plus = TSeries.from_terms(RING_L, 4, {0: 1, 1: 1})
@@ -395,11 +384,11 @@ def suite_pontrjagin(order: int, seed: int) -> list[dict]:
             _require(po.config_class_series(model, 4) ==
                      po.mt2_series(model, one_plus, 4), "config vs mt2(1+t)")
 
-    def chern_normalization():
+    def chern_normalization_limit():
         for model, d in ((p1, 1), (p2, 2), (p3, 3)):
             _require(po.normalized_y1_limit(po.hilb_class_series(model, d, 3)) ==
                      po.chern_class_series(model, d, 3),
-                     f"y->1 normalization limit on {model.name}")
+                     lambda: f"y->1 normalization limit on {model.name}")
 
     def virtual_two_route():
         # the reference route: hom_exp_inv factors over the Euler-log scalars
@@ -409,29 +398,22 @@ def suite_pontrjagin(order: int, seed: int) -> list[dict]:
             ref = ref * po.hom_exp_inv(p3, {b: c * s for b, c in p3.ty.items()}, k, 3)
         _require(po.virtual_class_series(p3, 3) == ref.subst_neg_t(), "virtual class two routes")
 
-    def eq220_sign():
+    def eq220_sign_relation():
         # the Chern-class MNOP statement: y -> 1 of the virtual classes is the Aluffi series
         n = min(order, 3)
         for model in (point, p1, p3, hz.product_model(p1, p1)):
             _require(po.normalized_y1_limit(po.virtual_class_series(model, n)) ==
-                     po.aluffi_series(model, n), f"Chern-MNOP on {model.name} at t^{n}")
+                     po.aluffi_series(model, n), lambda: f"Chern-MNOP on {model.name} at t^{n}")
 
-    def aluffi_macmahon():
+    def aluffi_macmahon_degree():
         deg = po.pont_degree(point, po.aluffi_series(point, max(order, 8)))
         _require(deg.subst(1, -1) == mo.macmahon_series(max(order, 8)),
                  "point-level Aluffi degree vs MacMahon")
 
-    _run(results, "pont-ring-laws", ring_laws)
-    _run(results, "power-op-laws", power_op_laws)
-    _run(results, "hom-exp-additivity", hom_exp_additivity)
-    _run(results, "power-op-intertwines-exp", power_op_intertwines)
-    _run(results, "degree-intertwines-pre-lambda", degree_intertwines)
-    _run(results, "mt2-hilb-config-coherence", mt2_hilb_config)
-    _run(results, "chern-normalization-limit", chern_normalization)
-    _run(results, "virtual-two-route", virtual_two_route)
-    _run(results, "eq220-sign-relation", eq220_sign)
-    _run(results, "aluffi-macmahon-degree", aluffi_macmahon)
-    return results
+    return _run_all(pont_ring_laws, power_op_laws, hom_exp_additivity, power_op_intertwines_exp,
+                    degree_intertwines_pre_lambda, mt2_hilb_config_coherence,
+                    chern_normalization_limit, virtual_two_route, eq220_sign_relation,
+                    aluffi_macmahon_degree)
 
 
 SUITES = {

@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .lpoly import LPoly, VS_UV, VS_Y
+from .lpoly import ExponentLimitError, LPoly, VS_UV, VS_Y
 from .series import QQ, RING_L, RING_UV, RING_Y, IntegralityError, TSeries
 from .lambda_power import EulerExponents, euler_exp, euler_log
 from . import motives as mo
@@ -275,8 +275,11 @@ def print_report(doc: dict, pretty: bool) -> None:
         print(f"check {chk['name']}: {chk['status']}{detail}")
 
 
-def checks_failed(checks: list[dict]) -> bool:
-    return any(c["status"] == "fail" for c in checks)
+def emit(args, command: str, params: dict, order: int, coefficients: list,
+         checks: list[dict]) -> int:
+    """Print the report; the exit code is 1 when a check failed."""
+    print_report(report(command, params, order, coefficients, checks), args.pretty)
+    return EXIT_CHECK_FAILED if any(c["status"] == "fail" for c in checks) else EXIT_OK
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -294,10 +297,8 @@ def cmd_zeta(args) -> int:
         checks.append({"name": "symmetric-product-route", "status": "ok" if ok else "fail"})
     else:
         checks.append({"name": "symmetric-product-route", "status": "skipped"})
-    doc = report("zeta", {"model": model.name, "spec": args.spec}, order,
-                 series_coefficients(series), checks)
-    print_report(doc, args.pretty)
-    return EXIT_CHECK_FAILED if checks_failed(checks) else EXIT_OK
+    return emit(args, "zeta", {"model": model.name, "spec": args.spec}, order,
+                series_coefficients(series), checks)
 
 
 def cmd_exponents(args) -> int:
@@ -330,9 +331,7 @@ def cmd_exponents(args) -> int:
                            "status": "ok" if b == closed else "fail"})
         source = f"dim-{d}"
     coeffs = [{"k": k, "alpha": coeff_str(b.exponent(k))} for k in range(1, b.order + 1)]
-    doc = report("exponents", {"source": source}, order, coeffs, checks)
-    print_report(doc, args.pretty)
-    return EXIT_CHECK_FAILED if checks_failed(checks) else EXIT_OK
+    return emit(args, "exponents", {"source": source}, order, coeffs, checks)
 
 
 def cmd_classes(args) -> int:
@@ -407,19 +406,15 @@ def cmd_classes(args) -> int:
     else:
         raise SchemaError(f"unknown kind {kind!r}")
 
-    doc = report("classes", params, order, pont_coefficients(series), checks)
-    print_report(doc, args.pretty)
-    return EXIT_CHECK_FAILED if checks_failed(checks) else EXIT_OK
+    return emit(args, "classes", params, order, pont_coefficients(series), checks)
 
 
 def cmd_verify(args) -> int:
     from .checks import run_suite  # imported here: no other command pays for it
     order = check_order(args.order)
     results = run_suite(args.suite, order, args.seed)
-    doc = report("verify", {"suite": args.suite, "order": order, "seed": args.seed},
-                 order, [], results)
-    print_report(doc, args.pretty)
-    return EXIT_CHECK_FAILED if checks_failed(results) else EXIT_OK
+    return emit(args, "verify", {"suite": args.suite, "order": order, "seed": args.seed},
+                order, [], results)
 
 
 def cmd_model(args) -> int:
@@ -487,15 +482,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the Python docs recipe: devnull keeps the flush at exit quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except SchemaError as exc:
+    except (SchemaError, UnsupportedRangeError, ExponentLimitError, TwoRouteMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except UnsupportedRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
-    except TwoRouteMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return (EXIT_SCHEMA if isinstance(exc, SchemaError) else
+                EXIT_CHECK_FAILED if isinstance(exc, TwoRouteMismatchError) else EXIT_RANGE)
 
 
 if __name__ == "__main__":

@@ -131,8 +131,8 @@ def pre_lambda_polyring(p: LPoly, order: int) -> TSeries:
     if not p.is_integral():
         raise IntegralityError(f"polynomial-ring lambda needs integer coefficients: {p}")
     result = TSeries.one(ring, order)
-    for exps, a in sorted(p.num.items()):
-        w = LPoly(p.vars, {exps: 1})
+    for key, a in sorted(p.num.items()):
+        w = LPoly._reduce(p.vars, {key: 1}, 1)  # the monomial of the packed key
         geom = TSeries(ring, [w ** n for n in range(order + 1)])
         result = result * geom.pow_int(a)
     return result

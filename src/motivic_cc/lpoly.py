@@ -1,17 +1,22 @@
 """Sparse Laurent polynomials with half-integer exponents over exact rationals.
 
-A polynomial stores integer numerators ``num`` (exponent vector -> nonzero
+A polynomial stores integer numerators ``num`` (packed monomial key -> nonzero
 ``int``) over one ``int`` denominator ``den`` in canonical form: ``den > 0``,
 ``gcd(den, *num.values()) == 1``, and zero has ``den == 1``; ``terms`` reads
 the coefficients back as ``Fraction``s.  One kernel, :meth:`LPoly.dot`, makes
 every product and every sum of products over integer numerators, reducing
-once.  Substitution and the Adams operations are monomial maps, one loop that
-relabels exponents.  Over ``VS_NONE`` a polynomial is an exact rational.
+once.  Over ``VS_NONE`` a polynomial is an exact rational.
 Exponents are counted in units of 1/2 and stored doubled, so the tuple entry
 ``3`` means the variable appears with exponent 3/2 and ``-2`` means exponent
 -1.  Odd (genuinely half-integral) exponents are only legal for the variables
 declared half-admissible (``L`` and ``y``); ``u``, ``v`` and every other
-symbol stay integral.
+symbol stay integral.  A key packs the exponent vector into one ``int``
+(:meth:`VarSet.pack`): ``0`` for no variables, the exponent for one, ``u*2^64
++ v`` for ``(u,v)``.  Packing is linear, so a monomial product adds keys and
+the Adams map multiplies them, and sorted keys are sorted exponent vectors.
+Exponents after the first must stay below 2^61 in absolute value
+(:class:`ExponentLimitError`).  Only the constructor, ``terms`` and ``str``
+see exponent tuples.
 
 All values are immutable after construction and all operations are pure, so
 instances can be shared freely between threads.  Structural equality equals
@@ -20,10 +25,9 @@ mathematical equality because the form is canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -38,6 +42,12 @@ HALF_ADMISSIBLE = frozenset({"L", "y"})
 #: Psi_r(-L^(1/2)) = (-L^(1/2))^r.  The genus variable y uses +y^(1/2).
 NEGATIVE_ROOT = frozenset({"L"})
 
+#: the packed field of each exponent after the first, and the bound on those
+#: exponents (doubled) that keeps the sum of two inside its balanced field
+FIELD_BITS = 64
+EXP_LIMIT = 1 << (FIELD_BITS - 2)
+_HALF = 1 << (FIELD_BITS - 1)
+
 
 class VariableMismatchError(ValueError):
     """Operands live over different variable sets."""
@@ -51,18 +61,68 @@ class SubstitutionError(ValueError):
     """Substitution request is incomplete or needs an undeclared root."""
 
 
+class ExponentLimitError(ArithmeticError):
+    """An exponent after the first variable would leave its packed field."""
+
+
 @dataclass(frozen=True)
 class VarSet:
-    """Ordered set of variable names fixing the monomial layout."""
+    """Ordered variable names fixing the monomial layout: ``key + low_half`` has nonnegative
+    fields, and ``neg_root`` picks the parity bit of each :data:`NEGATIVE_ROOT` field there."""
 
     names: tuple[str, ...]
+    low_half: int = field(init=False, repr=False, compare=False)
+    neg_root: int = field(init=False, repr=False, compare=False)
+    _text: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate variable names: {self.names}")
+        object.__setattr__(self, "low_half", sum(_HALF << FIELD_BITS * i
+                                                 for i in range(len(self.names) - 1)))
+        object.__setattr__(self, "neg_root", sum(1 << FIELD_BITS * i for i, name
+                                                 in enumerate(reversed(self.names))
+                                                 if name in NEGATIVE_ROOT))
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
+    def __reduce__(self):  # the layout follows from the names; the memo stays behind
+        return VarSet, (self.names,)
+
+    def pack(self, exps: Expvec) -> int:
+        """The key of a doubled exponent vector; a later exponent past the limit raises."""
+        key = 0
+        for i, e in enumerate(exps):
+            if i and not -EXP_LIMIT < e < EXP_LIMIT:
+                raise self.limit_error()
+            key = (key << FIELD_BITS) + e
+        return key
+
+    def unpack(self, key: int) -> Expvec:
+        """The doubled exponent vector of a key, the inverse of :meth:`pack`."""
+        low = []
+        for _ in self.names[1:]:  # peel the balanced fields off from the bottom
+            low.append(((key + _HALF) & (2 * _HALF - 1)) - _HALF)
+            key = (key - low[-1]) >> FIELD_BITS
+        return (key, *reversed(low)) if self.names else ()
+
+    def span(self, keys) -> int:
+        """The largest doubled ``|exponent|`` of a variable after the first over ``keys``."""
+        return max((abs(e) for k in keys for e in self.unpack(k)[1:]), default=0)
+
+    def limit_error(self) -> "ExponentLimitError":
+        return ExponentLimitError(
+            f"exponent limit: every exponent of {','.join(self.names[1:])} must stay "
+            f"below 2^{FIELD_BITS - 3} in absolute value")
+
+    def monomial(self, key: int) -> str:
+        """The text of the monomial of ``key``, ``""`` for 1; memoized."""
+        text = self._text.get(key)
+        if text is None:
+            text = "".join(name if e == 2 else f"{name}^({e}/2)" if e % 2 else
+                           f"{name}^{e // 2}" if e > 0 else f"{name}^({e // 2})"
+                           for name, e in zip(self.names, self.unpack(key)) if e)
+            if len(self._text) < 1 << 16:  # a bounded memo
+                self._text[key] = text
+        return text
 
     def __contains__(self, name: str) -> bool:
         return name in self.names
@@ -86,9 +146,8 @@ class LPoly:
     __slots__ = ("vars", "num", "den")
 
     def __init__(self, vars: VarSet, terms: Mapping[Expvec, Coeff]):
-        n = len(vars)
         for exps, c in terms.items():
-            if len(exps) != n:
+            if len(exps) != len(vars):
                 raise VariableMismatchError(
                     f"exponent vector {exps} does not match variables {vars}")
             if not isinstance(c, (int, Fraction)):
@@ -100,7 +159,7 @@ class LPoly:
         # over the lcm of the reduced denominators the numerators share no factor with it
         den = lcm(*(c.denominator for c in terms.values() if c))
         _set_vars(self, vars)
-        _set_num(self, {tuple(e): c.numerator * (den // c.denominator)
+        _set_num(self, {vars.pack(e): c.numerator * (den // c.denominator)
                         for e, c in terms.items() if c})
         _set_den(self, den)
 
@@ -111,7 +170,7 @@ class LPoly:
         return LPoly._reduce, (self.vars, self.num, self.den)
 
     @classmethod
-    def _reduce(cls, vars: VarSet, num: dict[Expvec, int], den: int) -> "LPoly":
+    def _reduce(cls, vars: VarSet, num: dict[int, int], den: int) -> "LPoly":
         """``num/den`` in canonical form; operands were valid, so exponents are not checked."""
         if not den:
             raise ZeroDivisionError("polynomial with denominator 0")
@@ -138,35 +197,29 @@ class LPoly:
     def var(cls, vars: VarSet, name: str, half_steps: int = 2) -> "LPoly":
         """The monomial ``name`` raised to ``half_steps/2``."""
         exps = [0] * len(vars)
-        exps[vars.index(name)] = half_steps
+        exps[vars.names.index(name)] = half_steps
         return cls(vars, {tuple(exps): 1})
 
     @property
     def terms(self) -> Mapping[Expvec, Fraction]:
         """The coefficients as ``Fraction``s, a read-only mapping built on each access."""
-        den = self.den
-        return MappingProxyType({e: Fraction(c, den) for e, c in self.num.items()})
+        den, unpack = self.den, self.vars.unpack
+        return MappingProxyType({unpack(k): Fraction(c, den) for k, c in self.num.items()})
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_constant(self) -> bool:
-        return not any(any(exps) for exps in self.num)
-
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
         return self.den == 1
 
-    def constant_term(self) -> Fraction:
-        return Fraction(self.num.get((0,) * len(self.vars), 0), self.den)
-
     def as_fraction(self) -> Fraction:
         """The value of a constant polynomial."""
-        if not self.is_constant():
+        if any(self.num):  # only the key 0 is constant
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.constant_term()
+        return Fraction(self.num.get(0, 0), self.den)
 
     # -- ring operations -----------------------------------------------
 
@@ -192,8 +245,6 @@ class LPoly:
         return LPoly._reduce(self.vars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "LPoly":
-        if not isinstance(other, LPoly):
-            other = LPoly.const(self.vars, other)
         return self + (-other)
 
     def __rsub__(self, other) -> "LPoly":
@@ -210,9 +261,10 @@ class LPoly:
     def dot(cls, vars: VarSet, terms, n: int = 1) -> "LPoly":
         """``sum w*a*b / n`` over triples ``(int w, LPoly a, LPoly b)``, reduced once.
 
-        The one product loop: numerators accumulate over the lcm of the ``a.den*b.den``.
+        The one product loop: numerators accumulate over the lcm of the ``a.den*b.den``,
+        and the key of a product of monomials is the sum of their keys.
         """
-        out: dict[Expvec, int] = {}
+        out: dict[int, int] = {}
         get = out.get
         den = 1
         for w, a, b in terms:
@@ -231,8 +283,13 @@ class LPoly:
             for e1, c1 in a.num.items():
                 c1 *= f
                 for e2, c2 in bn:
-                    e = tuple(map(add, e1, e2))
+                    e = e1 + e2
                     out[e] = get(e, 0) + c1 * c2
+        # operands are inside the limit, so every field of every sum is exact, and it
+        # stays inside when neither limit + field nor limit - field sets its top bit
+        half, lim = vars.low_half, vars.low_half >> 1
+        if half and any(((lim + e) | (lim - e)) & half for e, c in out.items() if c):
+            raise vars.limit_error()
         return cls._reduce(vars, out, den * n)
 
     def div_int(self, n: int) -> "LPoly":
@@ -253,8 +310,8 @@ class LPoly:
             if len(self.num) != 1:
                 raise ExactDivisionError(
                     f"negative power of a non-monomial: ({self})^{n}")
-            ((exps, c),) = self.num.items()
-            inv = LPoly._reduce(self.vars, {tuple(-e for e in exps): self.den}, c)
+            ((key, c),) = self.num.items()
+            inv = LPoly._reduce(self.vars, {-key: self.den}, c)  # the limit is symmetric
             return inv ** (-n)
         result = LPoly.const(self.vars, 1)
         base = self
@@ -288,70 +345,24 @@ class LPoly:
             raise ExactDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
-        n = len(self.vars)
-        shift_a = tuple(min(e[i] for e in self.num) for i in range(n))
-        shift_b = tuple(min(e[i] for e in other.num) for i in range(n))
-        num = {tuple(a - s for a, s in zip(e, shift_a)): c for e, c in self.terms.items()}
-        den = {tuple(a - s for a, s in zip(e, shift_b)): c for e, c in other.terms.items()}
-        lead_b = max(den)
-        cb = den[lead_b]
-        quot: dict[Expvec, Fraction] = {}
-        rem = dict(num)
-        while rem:
-            lead_r = max(rem)
-            m = tuple(a - b for a, b in zip(lead_r, lead_b))
-            if any(e < 0 for e in m):
+        vs = self.vars
+        # each variable's lowest degree adds under products: it bounds the quotient's from
+        # below, and the leading exponents fall in lex order, so the loop ends
+        low = [min(x) - min(y) for x, y in
+               zip(zip(*map(vs.unpack, self.num)), zip(*map(vs.unpack, other.num)))]
+        lead_b = max(other.num)
+        exps_b, cb = vs.unpack(lead_b), other.num[lead_b]
+        quot, rem = LPoly.const(vs, 0), self
+        while rem.num:  # cancel the leading term of the remainder
+            lead = max(rem.num)
+            exps = [x - y for x, y in zip(vs.unpack(lead), exps_b)]
+            if any(x < lo for x, lo in zip(exps, low)):
                 raise ExactDivisionError(f"({self}) is not divisible by ({other})")
-            c = rem[lead_r] / cb
-            quot[m] = c
-            for e2, c2 in den.items():
-                e = tuple(a + b for a, b in zip(m, e2))
-                nc = rem.get(e, Fraction(0)) - c * c2
-                if nc == 0:
-                    rem.pop(e, None)
-                else:
-                    rem[e] = nc
-        shift_q = tuple(a - b for a, b in zip(shift_a, shift_b))
-        return LPoly(self.vars, {tuple(a + s for a, s in zip(e, shift_q)): c
-                                 for e, c in quot.items()})
+            term = LPoly._reduce(vs, {vs.pack(exps): rem.num[lead] * other.den}, rem.den * cb)
+            quot, rem = quot + term, rem - term * other
+        return quot
 
     # -- monomial maps ----------------------------------------------------
-
-    def _relabel(self, target: VarSet, images) -> "LPoly":
-        """Map each variable's root (``step`` 1) or whole (``step`` 2) to ``p/q`` times a monomial.
-
-        ``images[i] = (name, step, p, q, mono)``, where ``mono`` lists ``(target
-        index, doubled exponent)`` pairs; the relabelled sum is reduced once.
-        """
-        out: dict[Expvec, int] = {}
-        get = out.get
-        den = 1
-        for exps, c in self.num.items():
-            mono, d = [0] * len(target), 1
-            for e, (name, step, p, q, img) in zip(exps, images):
-                if not e:
-                    continue
-                k, odd = (e, 0) if step == 1 else divmod(e, step)
-                if odd:
-                    raise SubstitutionError(f"{name}^({e}/2) needs a value for {name}^(1/2)")
-                for j, x in img:
-                    mono[j] += x * k
-                if q == 1 and p * p == 1:  # a signed monomial: at most a sign flip
-                    c = -c if p < 0 and k & 1 else c
-                    continue
-                if k < 0:
-                    if not p:
-                        raise ExactDivisionError(f"negative power of zero at {name}")
-                    p, q, k = (q, p, -k) if p > 0 else (-q, -p, -k)
-                c, d = c * p ** k, d * q ** k
-            if den % d:  # widen the common denominator to lcm(den, d)
-                g = d // gcd(den, d)
-                for e in out:
-                    out[e] *= g
-                den *= g
-            mono = tuple(mono)
-            out[mono] = get(mono, 0) + c * (den // d)
-        return LPoly._reduce(target, out, den * self.den)
 
     def adams(self, r: int) -> "LPoly":
         """The monomial map ``m -> m^r`` of the pre-lambda product formula, a ring endomorphism.
@@ -365,10 +376,16 @@ class LPoly:
             raise ValueError(f"Adams index must be >= 1, got {r}")
         if r == 1:
             return self
-        sign = 1 if r % 2 else -1
-        return self._relabel(self.vars, [
-            (name, 1, sign if name in NEGATIVE_ROOT else 1, 1, ((i, r),))
-            for i, name in enumerate(self.vars.names)])
+        vs = self.vars
+        if vs.low_half and r * vs.span(self.num) >= EXP_LIMIT:
+            raise vs.limit_error()
+        half, root = vs.low_half, vs.neg_root
+        if r % 2 or not root:
+            num = {k * r: c for k, c in self.num.items()}
+        else:  # an odd total exponent of the negative roots flips the sign
+            num = {k * r: -c if ((k + half) & root).bit_count() & 1 else c
+                   for k, c in self.num.items()}
+        return LPoly._reduce(vs, num, self.den)
 
     def substitute(self, target: VarSet,
                    whole: Mapping[str, "LPoly | Coeff"] | None = None,
@@ -380,63 +397,77 @@ class LPoly:
         ``name**(1/2)`` and covers all exponents.  A value is a rational times
         at most one monomial over ``target``.  No root is ever taken
         implicitly: the paper's sign conventions for them are deliberate.
-        Variables in neither mapping must be in ``target`` and are kept.
+        Variables in neither mapping must be in ``target`` and are kept.  A
+        term's key is the sum of its exponents times the image keys.
         """
         whole, half = whole or {}, half or {}
 
-        def image(name: str) -> tuple:
+        def image(name: str) -> tuple:  # name, step (1 root, 2 whole), p/q, image key
             if name not in half and name not in whole:
                 if name not in target:
                     raise SubstitutionError(f"variable {name} neither assigned nor kept")
-                return name, 1, 1, 1, ((target.index(name), 1),)
+                return name, 1, 1, 1, target.pack([int(t == name) for t in target.names])
             step, v = (1, half[name]) if name in half else (2, whole[name])
             if isinstance(v, (int, Fraction)):
-                return name, step, v.numerator, v.denominator, ()
+                return name, step, v.numerator, v.denominator, 0
             if not isinstance(v, LPoly):
                 raise TypeError(f"bad substitution value for {name}: {v!r}")
             if v.vars != target:
                 raise VariableMismatchError(f"value for {name} is over {v.vars}, not {target}")
             if len(v.num) > 1:
                 raise SubstitutionError(f"value for {name} is not a monomial: {v}")
-            ((exps, c),) = v.num.items() or [((), 0)]
-            return name, step, c, v.den, tuple((j, x) for j, x in enumerate(exps) if x)
+            ((key, c),) = v.num.items() or [(0, 0)]
+            return name, step, c, v.den, key
 
-        return self._relabel(target, [image(name) for name in self.vars.names])
+        images = [image(name) for name in self.vars.names]
+        spans = [target.span([img[4]]) for img in images]
+        if any(spans):  # bound the target exponents before their keys are summed
+            extent = [max(map(abs, col)) for col in zip(*map(self.vars.unpack, self.num))]
+            if sum(x // img[1] * s for x, img, s in zip(extent, images, spans)) >= EXP_LIMIT:
+                raise target.limit_error()
+        out: dict[int, int] = {}
+        get = out.get
+        den = 1
+        for key, c in self.num.items():
+            mono, d = 0, 1
+            for e, (name, step, p, q, img) in zip(self.vars.unpack(key), images):
+                if not e:
+                    continue
+                k, odd = (e, 0) if step == 1 else divmod(e, step)
+                if odd:
+                    raise SubstitutionError(f"{name}^({e}/2) needs a value for {name}^(1/2)")
+                mono += img * k
+                if q == 1 and p * p == 1:  # a signed monomial: at most a sign flip
+                    c = -c if p < 0 and k & 1 else c
+                    continue
+                if k < 0:
+                    if not p:
+                        raise ExactDivisionError(f"negative power of zero at {name}")
+                    p, q, k = (q, p, -k) if p > 0 else (-q, -p, -k)
+                c, d = c * p ** k, d * q ** k
+            if den % d:  # widen the common denominator to lcm(den, d)
+                g = d // gcd(den, d)
+                for e in out:
+                    out[e] *= g
+                den *= g
+            out[mono] = get(mono, 0) + c * (den // d)
+        return LPoly._reduce(target, out, den * self.den)
+
 
     # -- printing --------------------------------------------------------
 
     def __str__(self) -> str:
         if not self.num:
             return "0"
-        den = self.den
+        den, monomial = self.den, self.vars.monomial
         parts: list[str] = []
-        for exps in sorted(self.num):
-            c = self.num[exps]
-            mono = ""
-            for name, e in zip(self.vars.names, exps):
-                if e == 0:
-                    continue
-                if e == 2:
-                    mono += name
-                elif e % 2 == 0:
-                    k = e // 2
-                    mono += f"{name}^{k}" if k > 0 else f"{name}^({k})"
-                else:
-                    mono += f"{name}^({e}/2)"
+        for key, c in sorted(self.num.items()):
+            mono = monomial(key)
             g = gcd(c, den)  # c/den printed like the reduced Fraction
             cs = str(c // g) if g == den else f"{c // g}/{den // g}"
-            if not mono:
-                body = cs
-            elif c == den:
-                body = mono
-            elif c == -den:
-                body = "-" + mono
-            else:
-                body = f"{cs}*{mono}"
-            if parts and not body.startswith("-"):
-                parts.append("+" + body)
-            else:
-                parts.append(body)
+            body = (cs if not mono else mono if c == den else "-" + mono if c == -den
+                    else f"{cs}*{mono}")
+            parts.append("+" + body if parts and not body.startswith("-") else body)
         return "".join(parts)
 
     def __repr__(self) -> str:

@@ -105,9 +105,6 @@ class TSeries:
                 coeffs[n] = ring.coerce(c)
         return cls(ring, coeffs)
 
-    def coefficient(self, n: int):
-        return self.coeffs[n]
-
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "TSeries") -> None:

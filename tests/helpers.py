@@ -56,13 +56,15 @@ def ref_mul(a: dict, b: dict) -> dict:
 
 
 def ref_pow(a: dict, n: int, nvars: int) -> dict:
-    """a^n by repeated multiplication; a negative n needs a monomial."""
+    """a^n by repeated squaring (monomials take huge exponents); a negative n needs a monomial."""
     if n < 0:
         ((e, c),) = a.items()
         a, n = {tuple(-x for x in e): 1 / c}, -n
     out = {(0,) * nvars: Fraction(1)}
-    for _ in range(n):
-        out = ref_mul(out, a)
+    while n:
+        if n & 1:
+            out = ref_mul(out, a)
+        a, n = ref_mul(a, a), n >> 1
     return out
 
 
@@ -92,7 +94,7 @@ def ref_substitute(a: dict, vars: VarSet, target: VarSet, whole=None, half=None)
                 term = ref_mul(term, ref_pow(value(whole[name]), x // 2, len(target)))
             elif x:
                 mono = [0] * len(target)
-                mono[target.index(name)] = x
+                mono[target.names.index(name)] = x
                 term = ref_mul(term, {tuple(mono): Fraction(1)})
         out = ref_add(out, term)
     return out

@@ -16,6 +16,7 @@ from motivic_cc.cli import (
     model_from_doc, model_to_doc,
 )
 from motivic_cc import motives as mo, pontrjagin as po
+from motivic_cc.lpoly import LPoly
 from motivic_cc.series import QQ, RING_Y, TSeries
 from helpers import load_bench_cases
 
@@ -409,6 +410,33 @@ def test_computed_number_past_digit_limit(pretty, tmp_path, capsys):
     assert err.startswith("error: ") and "4300-digit limit" in err
 
 
+def test_exponent_limit_exits_three(tmp_path, capsys):
+    # Z(t) = sum_n v^(n*e) t^n: through t^4 the exponent of v reaches 4e, and every
+    # exponent of v must stay below 2^61
+    def zeta(e):
+        doc = {"name": "V", "dim": 1, "proper": False, "basis": [{"id": "a", "deg": 0}],
+               "zeroDegreeBasisId": None, "ty_class": {"a": [{"yNum": 0, "c": "1"}]},
+               "e_poly": [{"u": 1, "v": e, "c": 1}]}
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(doc))
+        code = main(["zeta", "--model", str(path), "--order", "4"])
+        return code, capsys.readouterr()
+
+    def v(k):
+        return f"v^{k}" if k > 0 else f"v^({k})"
+
+    for e in (2 ** 61, -2 ** 61, 2 ** 59, -2 ** 59):  # at load, or at t^4
+        code, (out, err) = zeta(e)
+        assert code == EXIT_RANGE and out == ""
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert err.startswith("error: exponent limit") and "2^61" in err
+    for e in (2 ** 59 - 1, 1 - 2 ** 59):  # one step inside
+        code, (out, _) = zeta(e)
+        assert code == EXIT_OK
+        assert [c["c"] for c in json.loads(out)["coefficients"]] == \
+            ["1", "u" + v(e)] + [f"u^{n}" + v(n * e) for n in range(2, 5)]
+
+
 def test_inconsistent_model_rejected(tmp_path, capsys):
     model = builtin_model("P1")
     doc = model_to_doc(model)
@@ -471,6 +499,16 @@ def test_verify_failure_names_its_reproduction(capsys, monkeypatch):
         assert all("detail" not in c for c in doc["checks"] if c["status"] == "ok")
 
 
+def test_passing_verify_formats_no_polynomial(capsys, monkeypatch):
+    """Failure details are formatted only when a check fails."""
+    calls = []
+    to_str = LPoly.__str__
+    monkeypatch.setattr(LPoly, "__str__", lambda p: calls.append(1) or to_str(p))
+    code, doc = run_json(capsys, "verify", "--suite", "lambda", "--order", "4")
+    assert code == EXIT_OK and all(c["status"] == "ok" for c in doc["checks"])
+    assert calls == []
+
+
 def test_verify_suite_passes(capsys):
     code, doc = run_json(capsys, "verify", "--suite", "lambda", "--order", "6", "--seed", "3")
     assert code == EXIT_OK
@@ -526,6 +564,19 @@ def test_verify_passes_at_lowest_orders(capsys, order):
     code, doc = run_json(capsys, "verify", "--suite", "all", "--order", str(order))
     assert code == EXIT_OK
     assert doc["checks"] and all(c["status"] == "ok" for c in doc["checks"])
+
+
+def test_stdout_independent_of_hash_seed():
+    # sets and dicts iterate by hash; no report may depend on that order
+    cases = (["classes", "--builtin", "P1xP1", "--dim", "2", "--kind", "hilb", "--order", "5"],
+             ["verify", "--suite", "all", "--order", "5", "--seed", "3"])
+    for argv in cases:
+        outs = {seed: subprocess.run([sys.executable, "-m", "motivic_cc.cli", *argv],
+                                     capture_output=True, env=dict(package_env(),
+                                                                   PYTHONHASHSEED=seed),
+                                     check=True).stdout
+                for seed in ("0", "1")}
+        assert outs["0"] == outs["1"] and outs["0"].startswith(b"{")
 
 
 def test_cli_import_leaves_checks_unloaded():

@@ -3,10 +3,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from motivic_cc.lpoly import (
-    LPoly, VarSet, VS_L, VS_NONE, VS_UV, VS_Y,
-    ExactDivisionError, SubstitutionError, VariableMismatchError,
+    EXP_LIMIT, HALF_ADMISSIBLE, LPoly, VarSet, VS_L, VS_NONE, VS_UV, VS_Y,
+    ExactDivisionError, ExponentLimitError, SubstitutionError, VariableMismatchError,
 )
 from motivic_cc.series import LaurentRing
 from motivic_cc.motives import chi_of_y, hodge_spec, spec_chi_minus_y, spec_e
@@ -282,12 +283,31 @@ def test_dot_matches_reference(name):
         assert_canonical(got)
         assert dict(got.terms) == expect
         assert LPoly.dot(vars, iter(triples), div) == got
+    if len(vars) > 1:  # products reach one step inside the packed field, from both sides
+        a, b = near_limit_operands(vars)
+        triples = [(1, a, b), (-3, b, a), (2, a, LPoly.const(vars, Fraction(1, 7)))]
+        expect = ref_add(ref_scale(ref_mul(dict(a.terms), dict(b.terms)), -2),
+                         ref_scale(dict(a.terms), Fraction(2, 7)))
+        got = LPoly.dot(vars, triples)
+        assert_canonical(got)
+        assert dict(got.terms) == expect
+        assert {e[1] for e in expect} >= {EXP_LIMIT - 2, 2 - EXP_LIMIT}
+        with pytest.raises(ExponentLimitError):
+            LPoly.dot(vars, [(1, a, a)])
     other = VS_Y if vars != VS_Y else VS_L
     zero_elsewhere = LPoly.const(other, 0)
     with pytest.raises(VariableMismatchError):
         LPoly.dot(vars, [(1, LPoly.const(vars, 1), zero_elsewhere)])
     with pytest.raises(VariableMismatchError):
         LPoly.dot(vars, [(0, zero_elsewhere, LPoly.const(vars, 1))])
+
+
+def near_limit_operands(vars):
+    """Two operands over ``(u,v)`` whose product reaches ``v^(+-(EXP_LIMIT - 2)/2)``."""
+    top = EXP_LIMIT // 2
+    a = LPoly(vars, {(2, top): Fraction(1, 3), (-4, -top): 2, (0, 0): -1})
+    b = LPoly(vars, {(0, top - 2): 5, (2, 2 - top): Fraction(-1, 2), (-2, 0): 1})
+    return a, b
 
 
 def test_canonical_form():
@@ -321,6 +341,9 @@ PRODUCTION_MAPS = {
                          {"u": Y, "v": 1}, {}),
     "proj_space_y_sign": (lambda p: p.substitute(VS_Y, whole={"y": -Y}), VS_Y, False, VS_Y,
                           {"y": -Y}, {}),
+    # Psi_r relabels the root -L^(1/2) to its r-th power: L^(1/2) -> (-1)^(r+1) L^(r/2)
+    **{f"adams_{r}": (lambda p, r=r: p.adams(r), VS_L, True, VS_L, {},
+                      {"L": (-1) ** (r + 1) * LHALF ** r}) for r in range(1, 7)},
 }
 
 
@@ -328,8 +351,12 @@ PRODUCTION_MAPS = {
 def test_production_maps_match_reference(name):
     fn, vars, halves, target, whole, half = PRODUCTION_MAPS[name]
     rng = random.Random(name)
-    for _ in range(40):
+    # the last inputs add terms one step inside the packed field of v, at either sign
+    near = {(s * (EXP_LIMIT - 2),) * len(vars): Fraction(s, 3) for s in (1, -1)}
+    for i in range(42):
         a = rational_lpoly(rng, vars, halves)
+        if i >= 40:
+            a = a + LPoly(vars, near) * (i - 39)
         got = fn(a)
         if not isinstance(got, LPoly):
             got = LPoly.const(VS_NONE, got)
@@ -344,3 +371,74 @@ def test_proj_space_classes_flip_the_sign_of_y():
             coeff = q.coeffs[j].exact_div(1 + Y)
             expect = ref_substitute(dict(coeff.terms), VS_Y, VS_Y, {"y": -Y}, {})
             assert dict(proj_space_model(d).ty[f"P{d - j}"].terms) == expect
+
+
+# -- packed monomial keys -------------------------------------------------------------
+
+def exponent_vectors(vars):
+    """Doubled exponent vectors: the first exponent unbounded, the rest inside the limit."""
+    def entry(i, name):
+        k = st.integers(-2 ** 70, 2 ** 70) if i == 0 else \
+            st.integers(1 - EXP_LIMIT // 2, EXP_LIMIT // 2 - 1)
+        odd = st.booleans() if name in HALF_ADMISSIBLE else st.just(False)
+        return st.tuples(k, odd).map(lambda x: 2 * x[0] + x[1])
+    return st.tuples(*(entry(i, name) for i, name in enumerate(vars.names)))
+
+
+COEFFS = st.fractions(max_denominator=50).filter(bool)
+
+
+@st.composite
+def term_maps(draw):
+    vars = draw(st.sampled_from([VS_NONE, VS_L, VS_Y, VS_UV]))
+    return vars, draw(st.dictionaries(exponent_vectors(vars), COEFFS, max_size=6))
+
+
+@given(term_maps())
+def test_packed_terms_round_trip(case):
+    vars, terms = case
+    p = LPoly(vars, terms)
+    assert p.terms == terms
+    assert all(type(k) is int for k in p.num)
+    assert LPoly(vars, p.terms) == p
+
+
+@given(term_maps())
+def test_str_orders_terms_as_sorted_exponent_tuples(case):
+    vars, terms = case
+    parts = [str(LPoly(vars, {e: terms[e]})) for e in sorted(terms)]
+    expect = "".join(t if not i or t.startswith("-") else "+" + t for i, t in enumerate(parts))
+    assert str(LPoly(vars, terms)) == (expect or "0")
+
+
+def test_exponent_limit_guards():
+    # every way into a packed field of v: construction, products, Adams, substitution,
+    # negative powers and exact division
+    with pytest.raises(ExponentLimitError, match="2\\^61"):
+        LPoly(VS_UV, {(0, EXP_LIMIT): 1})
+    with pytest.raises(ExponentLimitError):
+        LPoly(VS_UV, {(0, -EXP_LIMIT): 1})
+    assert LPoly(VS_UV, {(0, EXP_LIMIT): 0}).is_zero()
+    inside = LPoly(VS_UV, {(0, EXP_LIMIT - 2): 1})
+    assert str(inside) == f"v^{(EXP_LIMIT - 2) // 2}"
+    far = LPoly(VS_UV, {(2 ** 80, 2 - EXP_LIMIT): 1})  # the first exponent is unbounded
+    assert str(far) == f"u^{2 ** 79}v^({1 - EXP_LIMIT // 2})"
+    with pytest.raises(ExponentLimitError):
+        inside * V
+    assert inside * V ** -1 == LPoly(VS_UV, {(0, EXP_LIMIT - 4): 1})
+    half_way = LPoly(VS_UV, {(0, EXP_LIMIT // 2): 1, (2, 0): 3})
+    assert half_way.adams(1) is half_way
+    with pytest.raises(ExponentLimitError):
+        half_way.adams(2)
+    assert LPoly(VS_UV, {(0, EXP_LIMIT // 2 - 2): 1, (2, 0): 3}).adams(2) == \
+        LPoly(VS_UV, {(0, EXP_LIMIT - 4): 1, (4, 0): 3})
+    with pytest.raises(ExponentLimitError):
+        LPoly(VS_L, {(EXP_LIMIT,): 1}).substitute(VS_UV, whole={"L": U * V})
+    assert LPoly(VS_L, {(EXP_LIMIT - 2,): 1}).substitute(VS_UV, whole={"L": U * V}) == \
+        LPoly(VS_UV, {(EXP_LIMIT - 2, EXP_LIMIT - 2): 1})
+    with pytest.raises(ExponentLimitError):
+        (inside * V ** -2) ** -2
+    low = LPoly(VS_UV, {(0, 2 - EXP_LIMIT): 1})
+    assert (low * (1 + U)).exact_div(1 + U) == low
+    with pytest.raises(ExponentLimitError):
+        low.exact_div(V)
