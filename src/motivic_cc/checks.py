@@ -136,13 +136,14 @@ def suite_lambda(order: int, seed: int) -> list[dict]:
             m = _random_lpoly(rng, VS_Y, max_deg=2, terms=2)
             mm = _random_lpoly(rng, VS_Y, max_deg=2, terms=2)
             pw = lambda s, e: power(s, e, require_integral=False)
+            a_m, a_mm = pw(a, m), pw(a, mm)
             _require(pw(a, RING_Y.zero) == TSeries.one(RING_Y, n), lambda: f"(i): {a}")
             _require(pw(a, RING_Y.one) == a, lambda: f"(ii): {a}")
-            _require(pw(a * b, m) == pw(a, m) * pw(b, m), lambda: f"(iii): {a}; {b}; {m}")
-            _require(pw(a, m + mm) == pw(a, m) * pw(a, mm), lambda: f"(iv): {a}; {m}; {mm}")
-            _require(pw(a, m * mm) == pw(pw(a, mm), m), lambda: f"(v): {a}; {m}; {mm}")
+            _require(pw(a * b, m) == a_m * pw(b, m), lambda: f"(iii): {a}; {b}; {m}")
+            _require(pw(a, m + mm) == a_m * a_mm, lambda: f"(iv): {a}; {m}; {mm}")
+            _require(pw(a, m * mm) == pw(a_mm, m), lambda: f"(v): {a}; {m}; {mm}")
             k = rng.randint(1, 3)
-            _require(pw(a.subst(k), m) == pw(a, m).subst(k), lambda: f"(vii): {a}; {m}; k={k}")
+            _require(pw(a.subst(k), m) == a_m.subst(k), lambda: f"(vii): {a}; {m}; k={k}")
         one_plus = TSeries.from_terms(RING_Y, max(n, 1), {0: 1, 1: 1})
         m = _random_lpoly(rng, VS_Y, max_deg=2, terms=2)
         s = power(one_plus, m, require_integral=False)

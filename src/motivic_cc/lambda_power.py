@@ -56,6 +56,14 @@ class EulerExponents:
     def __post_init__(self):
         object.__setattr__(self, "exps", tuple(self.ring.coerce(b) for b in self.exps))
 
+    @classmethod
+    def _of(cls, ring: LaurentRing, exps: tuple) -> "EulerExponents":
+        """Exponents already in ``ring``: nothing is coerced."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ring", ring)
+        object.__setattr__(obj, "exps", exps)
+        return obj
+
     @property
     def order(self) -> int:
         return len(self.exps)
@@ -66,7 +74,7 @@ class EulerExponents:
 
     def scale(self, m) -> "EulerExponents":
         m = self.ring.coerce(m)
-        return EulerExponents(self.ring, tuple(b * m for b in self.exps))
+        return EulerExponents._of(self.ring, tuple(b * m for b in self.exps))
 
 
 def pre_lambda(ring: LaurentRing, m, order: int) -> TSeries:
@@ -91,7 +99,7 @@ def euler_exp(b: EulerExponents, order: int | None = None) -> TSeries:
         LPoly.dot(ring.vars, [(k, exps[k - 1].adams(m // k), ring.one)
                               for k in divisors(m) if k <= b.order and exps[k - 1].num], m)
         for m in range(1, n + 1)]
-    return TSeries(ring, arg).exp()
+    return TSeries._of(ring, arg).exp()
 
 
 def euler_log(a: TSeries, require_integral: bool = True) -> EulerExponents:
@@ -111,7 +119,7 @@ def euler_log(a: TSeries, require_integral: bool = True) -> EulerExponents:
         if require_integral and not bk.is_integral():
             raise IntegralityError(f"Euler exponent b_{k} = {bk} is not integral")
         out.append(bk)
-    return EulerExponents(ring, tuple(out))
+    return EulerExponents._of(ring, tuple(out))
 
 
 def power(a: TSeries, m, require_integral: bool = True) -> TSeries:

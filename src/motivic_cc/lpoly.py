@@ -145,7 +145,7 @@ class LPoly:
 
     __slots__ = ("vars", "num", "den")
 
-    def __init__(self, vars: VarSet, terms: Mapping[Expvec, Coeff]):
+    def __new__(cls, vars: VarSet, terms: Mapping[Expvec, Coeff]):
         for exps, c in terms.items():
             if len(exps) != len(vars):
                 raise VariableMismatchError(
@@ -158,10 +158,8 @@ class LPoly:
                         f"half-integer exponent {Fraction(e, 2)} on integral variable {name}")
         # over the lcm of the reduced denominators the numerators share no factor with it
         den = lcm(*(c.denominator for c in terms.values() if c))
-        _set_vars(self, vars)
-        _set_num(self, {vars.pack(e): c.numerator * (den // c.denominator)
-                        for e, c in terms.items() if c})
-        _set_den(self, den)
+        return cls._of(vars, {vars.pack(e): c.numerator * (den // c.denominator)
+                              for e, c in terms.items() if c}, den)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("LPoly is immutable")
@@ -181,6 +179,11 @@ class LPoly:
             if g != 1:
                 num = {e: c // g for e, c in num.items()}
                 den //= g
+        return cls._of(vars, num, den)
+
+    @classmethod
+    def _of(cls, vars: VarSet, num: dict[int, int], den: int) -> "LPoly":
+        """``num/den`` already in canonical form: the fields are set and nothing is checked."""
         obj = object.__new__(cls)
         _set_vars(obj, vars)
         _set_num(obj, num)
@@ -242,7 +245,7 @@ class LPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LPoly":
-        return LPoly._reduce(self.vars, {e: -c for e, c in self.num.items()}, self.den)
+        return LPoly._of(self.vars, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "LPoly":
         return self + (-other)
@@ -385,7 +388,7 @@ class LPoly:
         else:  # an odd total exponent of the negative roots flips the sign
             num = {k * r: -c if ((k + half) & root).bit_count() & 1 else c
                    for k, c in self.num.items()}
-        return LPoly._reduce(vs, num, self.den)
+        return LPoly._of(vs, num, self.den)  # k -> k*r is injective: still canonical
 
     def substitute(self, target: VarSet,
                    whole: Mapping[str, "LPoly | Coeff"] | None = None,

@@ -37,7 +37,7 @@ class PontElement:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[Multiset, LPoly]):
+    def __new__(cls, n: int, terms: dict[Multiset, LPoly]):
         clean = {}
         for ms, c in terms.items():
             if sum(k for k, _ in ms) != n:
@@ -46,8 +46,15 @@ class PontElement:
                 raise ValueError(f"atom index must be >= 1 in {ms}")
             if c.num:
                 clean[tuple(sorted(ms))] = c
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        return cls._of(n, clean)
+
+    @classmethod
+    def _of(cls, n: int, terms: dict[Multiset, LPoly]) -> "PontElement":
+        """Sorted multisets of total index ``n`` taken as they are; zero coefficients drop."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "n", n)
+        object.__setattr__(obj, "terms", {ms: c for ms, c in terms.items() if c.num})
+        return obj
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("PontElement is immutable")
@@ -90,10 +97,18 @@ class PontSeries:
                    tuple(PontElement(n, d) for n, d in enumerate(dicts)))
 
     @classmethod
+    def _of(cls, model, ring, dicts) -> "PontSeries":
+        """:meth:`from_dicts` of dicts fit for :meth:`PontElement._of`; nothing is checked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "model", model)
+        object.__setattr__(obj, "ring", ring)
+        object.__setattr__(obj, "components",
+                           tuple(PontElement._of(n, d) for n, d in enumerate(dicts)))
+        return obj
+
+    @classmethod
     def unit(cls, model, ring, order: int) -> "PontSeries":
-        dicts = [{} for _ in range(order + 1)]
-        dicts[0][()] = ring.one
-        return cls.from_dicts(model, ring, dicts)
+        return cls._of(model, ring, [{(): ring.one}] + [{}] * order)
 
     def term(self, n: int, ms: Multiset):
         return self.components[n].terms.get(tuple(sorted(ms)), self.ring.zero)
@@ -112,11 +127,11 @@ class PontSeries:
             for ms, c in b.terms.items():
                 d[ms] = d.get(ms, self.ring.zero) + c
             out.append(d)
-        return PontSeries.from_dicts(self.model, self.ring, out)
+        return PontSeries._of(self.model, self.ring, out)
 
     def scale(self, c) -> "PontSeries":
         c = self.ring.coerce(c)
-        return PontSeries.from_dicts(
+        return PontSeries._of(
             self.model, self.ring,
             [{ms: cc * c for ms, cc in el.terms.items()} for el in self.components])
 
@@ -131,14 +146,14 @@ class PontSeries:
                 for ms1, c1 in a.terms.items():
                     for ms2, c2 in other.components[j].terms.items():
                         tgt.setdefault(tuple(sorted(ms1 + ms2)), []).append((1, c1, c2))
-        return PontSeries.from_dicts(self.model, self.ring, [
+        return PontSeries._of(self.model, self.ring, [
             {ms: LPoly.dot(self.ring.vars, t) for ms, t in d.items()} for d in pairs])
 
     __mul__ = mul
 
     def subst_neg_t(self) -> "PontSeries":
         """t -> -t: flip the sign of every odd component."""
-        return PontSeries.from_dicts(
+        return PontSeries._of(
             self.model, self.ring,
             [{ms: (-c if n % 2 else c) for ms, c in el.terms.items()}
              for n, el in enumerate(self.components)])
@@ -181,7 +196,7 @@ def power_op(k: int, s: PontSeries, order: int | None = None) -> PontSeries:
             break
         for ms, c in el.terms.items():
             out[m * k][tuple((j * k, b) for j, b in ms)] = c
-    return PontSeries.from_dicts(s.model, s.ring, out)
+    return PontSeries._of(s.model, s.ring, out)
 
 
 def pont_exp(arg: PontSeries) -> PontSeries:
@@ -248,7 +263,7 @@ def exp_series(model: HomologyModel, gamma: HClass, scalars, order: int,
             for ms, c in dicts[n].items():
                 for m in range(1, (order - n) // j + 1):
                     dicts[n + m * j][ms + (atom,) * m] = c * powers[m]
-    return PontSeries.from_dicts(model, ring, dicts)
+    return PontSeries._of(model, ring, dicts)
 
 
 def hom_exponentiation(model: HomologyModel, a: TSeries, gamma: HClass,
@@ -385,4 +400,4 @@ def normalized_y1_limit(s: PontSeries) -> PontSeries:
                     f"pole at y=1 for multiset {ms}") from exc
             d[ms] = QQ.coerce(chi_of_y(reduced))
         out.append(d)
-    return PontSeries.from_dicts(s.model, QQ, out)
+    return PontSeries._of(s.model, QQ, out)

@@ -73,11 +73,18 @@ class TSeries:
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: LaurentRing, coeffs: Sequence):
+    def __new__(cls, ring: LaurentRing, coeffs: Sequence):
         if not coeffs:
             raise ValueError("a series needs at least the t^0 coefficient")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", tuple(ring.coerce(c) for c in coeffs))
+        return cls._of(ring, [ring.coerce(c) for c in coeffs])
+
+    @classmethod
+    def _of(cls, ring: LaurentRing, coeffs: Sequence[LPoly]) -> "TSeries":
+        """A series of coefficients already in ``ring``: nothing is coerced or checked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "ring", ring)
+        object.__setattr__(obj, "coeffs", tuple(coeffs))
+        return obj
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("TSeries is immutable")
@@ -95,7 +102,7 @@ class TSeries:
 
     @classmethod
     def one(cls, ring: LaurentRing, order: int) -> "TSeries":
-        return cls(ring, [ring.one] + [ring.zero] * order)
+        return cls._of(ring, [ring.one] + [ring.zero] * order)
 
     @classmethod
     def from_terms(cls, ring: LaurentRing, order: int, terms: dict[int, object]) -> "TSeries":
@@ -117,23 +124,23 @@ class TSeries:
 
     def __add__(self, other: "TSeries") -> "TSeries":
         self._check(other)
-        return TSeries(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return TSeries._of(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "TSeries") -> "TSeries":
         self._check(other)
-        return TSeries(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return TSeries._of(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "TSeries":
-        return TSeries(self.ring, [-a for a in self.coeffs])
+        return TSeries._of(self.ring, [-a for a in self.coeffs])
 
     def __mul__(self, other) -> "TSeries":
         if not isinstance(other, TSeries):
             c = self.ring.coerce(other)
-            return TSeries(self.ring, [a * c for a in self.coeffs])
+            return TSeries._of(self.ring, [a * c for a in self.coeffs])
         self._check(other)
         a, b, vars = self.coeffs, other.coeffs, self.ring.vars
-        return TSeries(self.ring, [LPoly.dot(vars, [(1, a[i], b[m - i]) for i in range(m + 1)])
-                                   for m in range(self.order + 1)])
+        return TSeries._of(self.ring, [LPoly.dot(vars, [(1, a[i], b[m - i]) for i in range(m + 1)])
+                                       for m in range(self.order + 1)])
 
     __rmul__ = __mul__
 
@@ -165,7 +172,7 @@ class TSeries:
         out = [self.ring.one]
         for m in range(1, self.order + 1):
             out.append(LPoly.dot(vars, [(-1, c[k], out[m - k]) for k in range(1, m + 1)]))
-        return TSeries(self.ring, out)
+        return TSeries._of(self.ring, out)
 
     def exp(self) -> "TSeries":
         """exp of a series with zero constant term."""
@@ -175,7 +182,7 @@ class TSeries:
         out = [self.ring.one]
         for m in range(1, self.order + 1):
             out.append(LPoly.dot(vars, [(k, c[k], out[m - k]) for k in range(1, m + 1)], m))
-        return TSeries(self.ring, out)
+        return TSeries._of(self.ring, out)
 
     def log(self) -> "TSeries":
         """log of a series with constant term 1."""
@@ -186,7 +193,7 @@ class TSeries:
         for m in range(1, self.order + 1):
             out.append(LPoly.dot(vars, [(m, c[m], one)]
                                  + [(-k, out[k], c[m - k]) for k in range(1, m)], m))
-        return TSeries(self.ring, out)
+        return TSeries._of(self.ring, out)
 
     def subst(self, k: int = 1, sign: int = 1) -> "TSeries":
         """The substitution t -> sign * t^k, truncated at the same order."""
@@ -197,7 +204,7 @@ class TSeries:
             if n * k > self.order:
                 break
             out[n * k] = c if (sign == 1 or n % 2 == 0) else -c
-        return TSeries(self.ring, out)
+        return TSeries._of(self.ring, out)
 
     def map_coeffs(self, target: LaurentRing, f: Callable) -> "TSeries":
         """Apply a coefficient-ring homomorphism f to every coefficient."""

@@ -220,6 +220,8 @@ def assert_canonical(p: LPoly):
     assert gcd(p.den, *p.num.values()) == 1
     if p.is_zero():
         assert p.den == 1
+    reduced = LPoly._reduce(p.vars, dict(p.num), p.den)  # negation and adams skip the reduction
+    assert (reduced.num, reduced.den) == (p.num, p.den)
 
 
 @pytest.mark.parametrize("name", VARSETS)
@@ -316,8 +318,8 @@ def test_canonical_form():
         for _ in range(40):
             a, b = rational_lpoly(rng, vars, halves), rational_lpoly(rng, vars, halves)
             c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-            results = [a, b, a + b, a - b, a * b, -a, a.scale(c), a.scale(0), a - a,
-                       a ** 2, a.adams(2), a.div_int(6), a.div_int(-6),
+            results = [a, b, a + b, a - b, a * b, -a, -(a - a), a.scale(c), a.scale(0), a - a,
+                       a ** 2, a.adams(2), a.adams(3), a.div_int(6), a.div_int(-6),
                        LPoly(vars, {(0,) * len(vars): True})]
             if not b.is_zero():
                 results.append((a * b).exact_div(b))

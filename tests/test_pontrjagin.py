@@ -309,7 +309,7 @@ CASES = {
     "virtual-route2": virtual_route_case(2),
     "hom-exponentiation": hom_exponentiation_case,
 }
-MODELS = {"point": POINT, "P1": P1, "P2": P2, "gen5": GEN}
+MODELS = {"point": POINT, "P1": P1, "P2": P2, "P1xP1": product_model(P1, P1), "gen5": GEN}
 
 
 @pytest.mark.parametrize("model_name,kind",
@@ -330,6 +330,58 @@ def test_exp_series_degenerate_inputs_give_unit(model):
     assert exp_series(model, model.ty, [], 3) == unit
     assert exp_series(model, rational_class(model), [0, 0], 3, QQ, adams=False) == \
         PontSeries.unit(model, QQ, 3)
+
+
+def assert_rebuilds(s: PontSeries):
+    """A result built without the checks: the checking constructor rebuilds it exactly."""
+    assert PontSeries.from_dicts(s.model, s.ring, [el.terms for el in s.components]) == s
+    for el in s.components:
+        assert all(ms == tuple(sorted(ms)) and c.num and c.vars == s.ring.vars
+                   for ms, c in el.terms.items())
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS)
+def test_unchecked_results_pass_the_checks(model):
+    """Products, sums, scalings, t -> -t, power operations, the closed-form exponential and the
+    y = 1 limit build their elements unchecked; every result still passes the public checks."""
+    rng = random.Random(model.name)
+    s = hilb_class_series(model, 2, N)
+    t = random_pont(rng, model, N)
+    unit = PontSeries.unit(model, RING_Y, N)
+    x = embed(model, d_push(model, 1, model.ty), N)
+    cancelled_product, cancelled_sum = (unit + x) * (unit + x.scale(-1)), s + s.scale(-1)
+    assert not cancelled_product.components[1].terms and cancelled_product.components[2].terms
+    assert not any(el.terms for el in cancelled_sum.components)
+    results = [s, t, unit, s * t, cancelled_product, s + t, cancelled_sum, s.scale(Y),
+               s.scale(0), s.subst_neg_t(), power_op(2, s), power_op(3, t, 2 * N), pont_exp(x),
+               exp_series(model, rational_class(model), [1, 2], N, QQ, adams=False)]
+    if model.proper:
+        results.append(normalized_y1_limit(virtual_class_series(model, 3)))
+    for r in results:
+        assert_rebuilds(r)
+
+
+def test_public_constructors_check_their_input():
+    """PontElement, from_dicts, d_push and PontSeries reject bad multisets and gradings,
+    sort multisets and drop zero coefficients."""
+    c = RING_Y.one + Y
+    for bad in ({((1, "P0"),): c}, {((0, "P0"), (2, "P1")): c}, {((-1, "P0"), (3, "P1")): c}):
+        with pytest.raises(ValueError):
+            PontElement(2, bad)
+        with pytest.raises(ValueError):
+            PontSeries.from_dicts(P1, RING_Y, [{}, {}, bad])
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            d_push(P1, k, {"P0": c})
+    with pytest.raises(ValueError):
+        PontSeries(P1, RING_Y, (PontElement(0, {}), PontElement(2, {})))
+    el = PontElement(3, {((2, "P1"), (1, "P0")): c, ((3, "P0"),): RING_Y.zero})
+    assert el.terms == {((1, "P0"), (2, "P1")): c}
+    s = PontSeries.from_dicts(P1, RING_Y, [{(): RING_Y.one}, {((1, "P0"),): RING_Y.zero},
+                                           {((1, "P1"), (1, "P0")): c}])
+    assert [el.terms for el in s.components] == [{(): RING_Y.one}, {},
+                                                 {((1, "P0"), (1, "P1")): c}]
+    assert d_push(P1, 2, {"P0": RING_Y.zero, "P1": c}).terms == {((2, "P1"),): c}
 
 
 def test_hilb_degree_matches_cheah_route_p2():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from motivic_cc.lpoly import LPoly, VS_Y
+from motivic_cc.lpoly import LPoly, VS_L, VS_Y
 from motivic_cc.series import (
     QQ, RING_L, RING_UV, RING_Y, TSeries, NonUnitError, OrderMismatchError, IntegralityError,
 )
@@ -156,6 +156,63 @@ def test_sums_of_products_match_accumulate_route(name):
             random_lpoly(rng, ring.vars, max_deg=2, terms=3, denom_bound=5, **kw)
             for _ in range(rng.randint(0, order))))
         assert euler_exp(exps, order) == ref_euler_exp(exps, order)
+
+
+def assert_rebuilds(s: TSeries):
+    """A series built without coercion: the coercing constructor rebuilds it, and every
+    coefficient is a canonical LPoly over the ring's variables."""
+    assert TSeries(s.ring, s.coeffs) == s
+    for c in s.coeffs:
+        assert type(c) is LPoly and c.vars == s.ring.vars
+        canonical = LPoly._reduce(c.vars, dict(c.num), c.den)
+        assert (canonical.num, canonical.den) == (c.num, c.den)
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_unchecked_results_pass_the_checks(name):
+    """Series arithmetic, the Euler log and the scaling of exponents build their results
+    without coercing; every result still passes the coercing constructors."""
+    ring, kw = RINGS[name]
+    rng = random.Random(f"unchecked-{name}")
+    for _ in range(10):
+        order = rng.randint(0, 5)
+        a = random_series(rng, ring, order, denom_bound=5, **kw)
+        b = random_series(rng, ring, order, denom_bound=5, **kw)
+        unit = random_series(rng, ring, order, normalized=True, denom_bound=5, **kw)
+        nil = random_series(rng, ring, order, zero_constant=True, denom_bound=5, **kw)
+        m = random_lpoly(rng, ring.vars, max_deg=2, terms=3, denom_bound=5, **kw)
+        k = rng.randint(1, 3)
+        exps = euler_log(unit, require_integral=False)
+        for s in (a + b, a - b, a - a, -a, a * b, a * m, a * 0, unit.invert(), nil.exp(),
+                  unit.log(), a.subst(k), a.subst(1, -1), TSeries.zero(ring, order),
+                  TSeries.one(ring, order), euler_exp(exps.scale(m), order), unit.pow_int(-2)):
+            assert_rebuilds(s)
+        for e in (exps, exps.scale(m), exps.scale(0)):
+            assert EulerExponents(e.ring, e.exps) == e
+            assert all(type(c) is LPoly and c.vars == ring.vars for c in e.exps)
+
+
+def test_public_constructors_coerce_and_reject():
+    """TSeries, from_terms, map_coeffs, the scalar product and EulerExponents coerce ints
+    and Fractions and reject coefficients of another ring."""
+    s = TSeries(RING_Y, [1, Fraction(-1, 2), Y])
+    assert s.coeffs == (RING_Y.one, RING_Y.one.scale(Fraction(-1, 2)), Y)
+    assert all(type(c) is LPoly and c.vars == VS_Y for c in s.coeffs)
+    assert TSeries.from_terms(RING_Y, 2, {0: 1, 2: Fraction(1, 3)}) == \
+        TSeries(RING_Y, [RING_Y.one, RING_Y.zero, RING_Y.one.scale(Fraction(1, 3))])
+    assert (s * Fraction(2)).coeffs[1] == -RING_Y.one
+    assert EulerExponents(RING_Y, (1, Fraction(1, 2))).exps == \
+        (RING_Y.one, RING_Y.one.scale(Fraction(1, 2)))
+    el = LPoly.var(VS_L, "L")
+    exps = EulerExponents(RING_Y, (Y,))
+    for build in (lambda: TSeries(RING_Y, [RING_Y.one, el]), lambda: TSeries(RING_Y, [0.5]),
+                  lambda: TSeries.from_terms(RING_Y, 2, {1: el}), lambda: s * el,
+                  lambda: s.map_coeffs(RING_L, lambda c: c),
+                  lambda: EulerExponents(RING_Y, (el,)), lambda: exps.scale(el)):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(ValueError):
+        TSeries(RING_Y, [])
 
 
 @pytest.mark.parametrize("ring", [QQ, RING_Y], ids=["QQ", "y"])
