@@ -19,7 +19,7 @@ from .motives import (
     alpha_closed_small, config_space_series, hilb_motive_series, kapranov_zeta,
     l_binomial, l_factorial, macmahon_series, map_series, proj_space_class,
     punctual_exponents, punctual_exponents_small, punctual_hilb_small, punctual_series,
-    spec_chi, spec_chi_minus_y, spec_e, surface_punctual_series,
+    spec_chi, spec_chi_minus_y, spec_e,
     virtual_alpha, virtual_exponents, virtual_hilb_series,
     virtual_punctual_series,
 )

@@ -98,11 +98,6 @@ def punctual_exponents_small(d: int) -> EulerExponents:
     return b
 
 
-def surface_punctual_series(order: int) -> TSeries:
-    """prod_k (1 - t^k)^(-L^(k-1)), the punctual series of a surface."""
-    return euler_exp(punctual_exponents(2, order))
-
-
 def punctual_exponents(d: int, order: int) -> EulerExponents:
     """alpha_1 .. alpha_order, the Euler exponents of the punctual Hilbert series.
 

@@ -6,7 +6,9 @@ with total index n, stored as a sorted tuple of (k, basis id) pairs.  The
 grading variable t keeps track of n, the product is multiset union with
 coefficients multiplying.  Coefficients are :class:`LPoly` values over
 ``RING_Y`` = Q[y^(1/2)] (Hirzebruch level) or over ``QQ``, the ring with no
-variables (Chern level); the series records which.
+variables (Chern level); the series records which, and the ring decides
+whether homological exponentiation carries the Adams twist: ``RING_Y`` does,
+and ``QQ``, the y -> 1 limit, does not.
 
 The free model deliberately ignores any relations holding in the honest
 homology of symmetric products: every identity proved by the calculus is
@@ -38,14 +40,15 @@ class PontElement:
     __slots__ = ("n", "terms")
 
     def __new__(cls, n: int, terms: dict[Multiset, LPoly]):
+        """Multisets are sorted; two spellings of one multiset add their coefficients."""
         clean = {}
         for ms, c in terms.items():
             if sum(k for k, _ in ms) != n:
                 raise ValueError(f"multiset {ms} does not have total index {n}")
             if any(k < 1 for k, _ in ms):
                 raise ValueError(f"atom index must be >= 1 in {ms}")
-            if c.num:
-                clean[tuple(sorted(ms))] = c
+            ms = tuple(sorted(ms))
+            clean[ms] = clean[ms] + c if ms in clean else c
         return cls._of(n, clean)
 
     @classmethod
@@ -68,37 +71,30 @@ class PontElement:
 
 
 class PontSeries:
-    """t-graded element of the free Pontrjagin ring, truncated at a fixed order."""
+    """t-graded element of the free Pontrjagin ring, truncated at a fixed order.
+
+    ``PontSeries(model, ring, dicts)`` takes one multiset -> coefficient dict
+    per grading n = 0..N and checks each as :class:`PontElement` does.
+    """
 
     __slots__ = ("model", "ring", "components")
 
-    def __init__(self, model: HomologyModel, ring: LaurentRing,
-                 components: tuple[PontElement, ...]):
-        for n, el in enumerate(components):
-            if el.n != n:
-                raise ValueError(f"component {n} carries grading {el.n}")
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "components", tuple(components))
+    def __new__(cls, model: HomologyModel, ring: LaurentRing, dicts):
+        return cls._of(model, ring, [PontElement(n, d).terms for n, d in enumerate(dicts)])
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("PontSeries is immutable")
 
     def __reduce__(self):
-        return PontSeries, (self.model, self.ring, self.components)
+        return PontSeries, (self.model, self.ring, [el.terms for el in self.components])
 
     @property
     def order(self) -> int:
         return len(self.components) - 1
 
     @classmethod
-    def from_dicts(cls, model, ring, dicts) -> "PontSeries":
-        return cls(model, ring,
-                   tuple(PontElement(n, d) for n, d in enumerate(dicts)))
-
-    @classmethod
     def _of(cls, model, ring, dicts) -> "PontSeries":
-        """:meth:`from_dicts` of dicts fit for :meth:`PontElement._of`; nothing is checked."""
+        """``PontSeries(...)`` of dicts fit for :meth:`PontElement._of`; nothing is checked."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "model", model)
         object.__setattr__(obj, "ring", ring)
@@ -214,28 +210,28 @@ def pont_exp(arg: PontSeries) -> PontSeries:
 
 
 def hom_exp_inv(model: HomologyModel, gamma: HClass, k: int, order: int,
-                ring: LaurentRing = RING_Y, adams: bool = True) -> PontSeries:
+                ring: LaurentRing = RING_Y) -> PontSeries:
     """(1 - t^k d^k_*)^(-gamma) = exp(sum_r d^{rk}_*(Psi_r gamma) t^{rk} / r).
 
-    With ``adams=False`` the Adams twist is dropped (the Chern-level
-    exponential of the MacPherson class series).
+    Over ``QQ`` Psi_r is the identity (the Chern-level exponential of the
+    MacPherson class series).
     """
     gamma = {b: ring.coerce(c) for b, c in gamma.items()}
     dicts = [dict() for _ in range(order + 1)]
     for r in range(1, order // k + 1):
-        g = adams_h(model, r, gamma) if adams else gamma
+        g = gamma if ring == QQ else adams_h(model, r, gamma)
         inv_r = Fraction(1, r)
         for b, c in g.items():
             dicts[r * k][((r * k, b),)] = c * inv_r
-    return pont_exp(PontSeries.from_dicts(model, ring, dicts))
+    return pont_exp(PontSeries(model, ring, dicts))
 
 
 def exp_series(model: HomologyModel, gamma: HClass, scalars, order: int,
-               ring: LaurentRing = RING_Y, adams: bool = True) -> PontSeries:
+               ring: LaurentRing = RING_Y) -> PontSeries:
     """prod_k (1 - t^k d^k_*)^(-s_k gamma) for scalars s_1, s_2, ... through t^order.
 
     The log of the product is linear in atoms: atom (rk, b) collects
-    Psi_r(s_k gamma)_b / r (the Adams twist is dropped with ``adams=False``).
+    Psi_r(s_k gamma)_b / r, where Psi_r is the identity over ``QQ``.
     Atoms generate the free Pontrjagin ring, so the exponential factors atom
     by atom: a multiset with multiplicities m_x gets prod_x a_x^(m_x) / m_x!.
     The product of :func:`hom_exp_inv` factors is the reference route.
@@ -248,7 +244,7 @@ def exp_series(model: HomologyModel, gamma: HClass, scalars, order: int,
             continue
         g = {b: c * s for b, c in gamma.items()}
         for r in range(1, order // k + 1):
-            for b, c in (adams_h(model, r, g) if adams else g).items():
+            for b, c in (g if ring == QQ else adams_h(model, r, g)).items():
                 log[r * k, b] = log.get((r * k, b), ring.zero) + c.div_int(r)
     dicts = [dict() for _ in range(order + 1)]
     dicts[0][()] = ring.one
@@ -266,14 +262,13 @@ def exp_series(model: HomologyModel, gamma: HClass, scalars, order: int,
     return PontSeries._of(model, ring, dicts)
 
 
-def hom_exponentiation(model: HomologyModel, a: TSeries, gamma: HClass,
-                       require_integral: bool = True) -> PontSeries:
+def hom_exponentiation(model: HomologyModel, a: TSeries, gamma: HClass) -> PontSeries:
     """(1 + sum a_n t^n d^n_*)^gamma via the Euler decomposition of a.
 
     The scalar series a is decomposed as prod_k (1 - t^k)^(-b_k) in its own
     coefficient ring, and the result is the product with exponents b_k * gamma.
     """
-    b = euler_log(a, require_integral=require_integral)
+    b = euler_log(a)
     return exp_series(model, gamma, b.exps, a.order, a.ring)
 
 
@@ -333,7 +328,7 @@ def chern_class_series(model: HomologyModel, d: int, order: int) -> PontSeries:
     """Pushed-forward MacPherson Chern classes of Hilbert schemes:
     prod_k (1 - t^k d^k_*)^(-chi(alpha_k) c_*(X)), with no Adams twist."""
     return exp_series(model, chern_class_of(model), chi_alpha_scalars(d, order),
-                      order, ring=QQ, adams=False)
+                      order, ring=QQ)
 
 
 def virtual_scalars(order: int) -> list[LPoly]:

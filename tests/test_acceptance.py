@@ -12,7 +12,7 @@ from motivic_cc.lambda_power import EulerExponents, euler_exp, euler_log
 from motivic_cc.motives import (
     L, U, V, Y, alpha_closed_small, kapranov_zeta, l_binomial, macmahon_series,
     map_series, proj_space_class, punctual_hilb_small, spec_chi,
-    surface_punctual_series, virtual_alpha, hilb_motive_series,
+    virtual_alpha, hilb_motive_series,
     config_space_series,
 )
 from motivic_cc.hirzebruch import (

@@ -17,7 +17,8 @@ from motivic_cc.cli import (
 )
 from motivic_cc import motives as mo, pontrjagin as po
 from motivic_cc.lpoly import LPoly
-from motivic_cc.series import QQ, RING_Y, TSeries
+from motivic_cc.lambda_power import EulerExponents
+from motivic_cc.series import QQ, RING_L, RING_Y, TSeries
 from helpers import load_bench_cases
 
 
@@ -79,6 +80,25 @@ def test_exponents_range_errors(capsys):
         code, err = run_err(capsys, "exponents", "--dim", dim, "--order", "3")
         assert code == EXIT_SCHEMA
         assert err == "error: dimension must be >= 1\n"
+
+
+def test_exponents_checks_the_table_it_prints(capsys, monkeypatch):
+    """The printed exponents are the table; each check compares it with a route that does not
+    start from it, so a wrong surface table fails instead of agreeing with its round trip."""
+    right = mo.punctual_exponents
+    monkeypatch.setattr(mo, "punctual_exponents", lambda d, order: EulerExponents(
+        RING_L, tuple(mo.L ** k for k in range(1, order + 1))) if d == 2 else right(d, order))
+    code, doc = run_json(capsys, "exponents", "--dim", "2", "--order", "4")
+    assert code == EXIT_CHECK_FAILED
+    assert [rec["alpha"] for rec in doc["coefficients"]] == ["L", "L^2", "L^3", "L^4"]
+    assert doc["checks"] == [{"name": f"closed-form-alpha-{k}", "status": "fail"}
+                             for k in (1, 2, 3)]
+    code, doc = run_json(capsys, "exponents", "--dim", "3", "--order", "3")
+    assert (code, doc["checks"]) == (EXIT_OK, [{"name": "closed-form-match", "status": "ok"}])
+    monkeypatch.setattr(mo, "punctual_exponents", lambda d, order: right(d, order).scale(2))
+    code, doc = run_json(capsys, "exponents", "--dim", "3", "--order", "3")
+    assert (code, doc["checks"]) == (EXIT_CHECK_FAILED,
+                                     [{"name": "closed-form-match", "status": "fail"}])
 
 
 def test_exponents_series_file(tmp_path, capsys):
@@ -585,3 +605,27 @@ def test_cli_import_leaves_checks_unloaded():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=package_env(), check=True).stdout
     assert out == "False\n"
+
+
+def test_tracer_runs_and_counts_both_product_layers(tmp_path):
+    """perfbench/tracer.py reads ``LPoly.terms`` and ``PontSeries.components[i].terms`` by
+    name: a traced run must print the untraced report and count the products of both layers.
+    ``classes`` builds its series with ``exp_series``, which makes no Pontrjagin product."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    cases = {"verify": ["verify", "--suite", "pontrjagin", "--order", "3", "--seed", "0"],
+             "classes": ["classes", "--builtin", "P1", "--dim", "2", "--kind", "hilb",
+                         "--order", "3"]}
+    for name, argv in cases.items():
+        plain = subprocess.run([sys.executable, "-m", "motivic_cc.cli", *argv],
+                               capture_output=True, env=package_env(), check=True).stdout
+        summary = tmp_path / f"{name}.json"
+        traced = subprocess.run([sys.executable, str(tracer), str(summary),
+                                 str(tmp_path / f"{name}.spans.jsonl"), name, "--", *argv],
+                                capture_output=True, env=package_env())
+        assert traced.returncode == 0, traced.stderr.decode()
+        assert traced.stdout == plain
+        assert all(c["status"] != "fail" for c in json.loads(plain)["checks"])
+        extra = json.loads(summary.read_text())["extra"]
+        assert extra["lpoly.mul.term_pairs"] > 0
+        if name == "verify":
+            assert extra["pontrjagin.mul.multiset_pairs"] > 0

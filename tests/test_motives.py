@@ -12,7 +12,7 @@ from motivic_cc.motives import (
     kapranov_zeta, l_binomial, l_factorial, macmahon_series, map_series,
     proj_space_class, punctual_exponents_small, punctual_hilb_small,
     punctual_series, spec_chi, spec_chi_minus_y, spec_e,
-    surface_punctual_series, virtual_alpha, virtual_exponents,
+    virtual_alpha, virtual_exponents,
     virtual_hilb_series, virtual_punctual_series,
 )
 from helpers import binomial, random_lpoly
@@ -66,7 +66,7 @@ def test_chi_of_punctual_exponents_is_k_for_threefolds():
 
 
 def test_surface_two_route():
-    s = surface_punctual_series(3)
+    s = punctual_series(2, 3)
     assert s == punctual_hilb_small(2, 3)
     assert s.coeffs[2] == 1 + L
     assert s.coeffs[3] == 1 + L + L ** 2

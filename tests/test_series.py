@@ -132,7 +132,7 @@ def random_pont(rng, model, ring, order) -> PontSeries:
             d[tuple(sorted(parts))] = random_lpoly(rng, ring.vars, max_deg=2, terms=3,
                                                   halves=bool(ring.vars.names), denom_bound=4)
         dicts.append(d)
-    return PontSeries.from_dicts(model, ring, dicts)
+    return PontSeries(model, ring, dicts)
 
 
 @pytest.mark.parametrize("name", RINGS)
