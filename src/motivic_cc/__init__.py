@@ -2,14 +2,10 @@
 symmetric products, and their characteristic classes."""
 
 from .lpoly import (
-    LPoly, VarSet, VS_L, VS_NONE, VS_UV, VS_Y, HALF_ADMISSIBLE, NEGATIVE_ROOT,
+    LPoly, VarSet, QQ, RING_L, RING_UV, RING_Y, HALF_ADMISSIBLE, NEGATIVE_ROOT,
     ExactDivisionError, ExponentLimitError, SubstitutionError, VariableMismatchError,
 )
-from .series import (
-    LaurentRing, TSeries,
-    QQ, RING_L, RING_UV, RING_Y,
-    IntegralityError, NonUnitError, OrderMismatchError,
-)
+from .series import TSeries, IntegralityError, NonUnitError, OrderMismatchError
 from .lambda_power import (
     EulerExponents, divisors, euler_exp, euler_log, mobius,
     power, pre_lambda, pre_lambda_polyring,

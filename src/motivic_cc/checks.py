@@ -12,8 +12,8 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from .lpoly import LPoly, VarSet, VS_L, VS_NONE, VS_UV, VS_Y
-from .series import QQ, RING_L, RING_UV, RING_Y, TSeries
+from .lpoly import LPoly, VarSet, QQ, RING_L, RING_UV, RING_Y
+from .series import TSeries
 from .lambda_power import EulerExponents, euler_exp, euler_log, power, pre_lambda, pre_lambda_polyring
 from . import motives as mo
 from . import hirzebruch as hz
@@ -35,7 +35,7 @@ def _random_lpoly(rng, vars: VarSet, max_deg=3, terms=3, laurent=False, halves=F
 
 
 def _random_series(rng, ring, order, normalized=False):
-    coeffs = [_random_lpoly(rng, ring.vars, max_deg=2, terms=3) for _ in range(order + 1)]
+    coeffs = [_random_lpoly(rng, ring, max_deg=2, terms=3) for _ in range(order + 1)]
     if normalized:
         coeffs[0] = ring.one
     return TSeries(ring, coeffs)
@@ -45,7 +45,7 @@ def _random_hclass(rng, model):
     out = {}
     for b, _ in model.basis:
         if rng.random() < 0.75:
-            p = _random_lpoly(rng, VS_Y, max_deg=2, terms=2)
+            p = _random_lpoly(rng, RING_Y, max_deg=2, terms=2)
             if not p.is_zero():
                 out[b] = p
     return out
@@ -77,24 +77,24 @@ def suite_lambda(order: int, seed: int) -> list[dict]:
 
     def lpoly_ring_axioms():
         for _ in range(200):
-            a = _random_lpoly(rng, VS_UV, max_deg=6, terms=4)
-            b = _random_lpoly(rng, VS_UV, max_deg=6, terms=4)
-            c = _random_lpoly(rng, VS_UV, max_deg=6, terms=4)
+            a = _random_lpoly(rng, RING_UV, max_deg=6, terms=4)
+            b = _random_lpoly(rng, RING_UV, max_deg=6, terms=4)
+            c = _random_lpoly(rng, RING_UV, max_deg=6, terms=4)
             _require((a * b) * c == a * (b * c), lambda: f"assoc: {a}; {b}; {c}")
             _require(a * (b + c) == a * b + a * c, lambda: f"distrib: {a}; {b}; {c}")
             _require(a * b == b * a, lambda: f"comm: {a}; {b}")
 
     def adams_composition():
         for _ in range(100):
-            p = _random_lpoly(rng, VS_L, laurent=True, halves=True)
+            p = _random_lpoly(rng, RING_L, laurent=True, halves=True)
             r, s = rng.randint(1, 5), rng.randint(1, 5)
             _require(p.adams(r).adams(s) == p.adams(r * s),
                      lambda: f"adams compose: {p}, r={r}, s={s}")
 
     def exact_div_roundtrip():
         for _ in range(100):
-            a = _random_lpoly(rng, VS_UV)
-            b = _random_lpoly(rng, VS_UV)
+            a = _random_lpoly(rng, RING_UV)
+            b = _random_lpoly(rng, RING_UV)
             if b.is_zero():
                 continue
             _require((a * b).exact_div(b) == a, lambda: f"divide: {a}; {b}")
@@ -121,7 +121,7 @@ def suite_lambda(order: int, seed: int) -> list[dict]:
 
     def euler_roundtrips():
         for _ in range(100):
-            b = EulerExponents(RING_Y, tuple(_random_lpoly(rng, VS_Y) for _ in range(order)))
+            b = EulerExponents(RING_Y, tuple(_random_lpoly(rng, RING_Y) for _ in range(order)))
             _require(euler_log(euler_exp(b)) == b,
                      lambda: f"log(exp): {[str(x) for x in b.exps]}")
             a = _random_series(rng, RING_Y, order, normalized=True)
@@ -133,8 +133,8 @@ def suite_lambda(order: int, seed: int) -> list[dict]:
         for _ in range(100):
             a = _random_series(rng, RING_Y, n, normalized=True)
             b = _random_series(rng, RING_Y, n, normalized=True)
-            m = _random_lpoly(rng, VS_Y, max_deg=2, terms=2)
-            mm = _random_lpoly(rng, VS_Y, max_deg=2, terms=2)
+            m = _random_lpoly(rng, RING_Y, max_deg=2, terms=2)
+            mm = _random_lpoly(rng, RING_Y, max_deg=2, terms=2)
             pw = lambda s, e: power(s, e, require_integral=False)
             a_m, a_mm = pw(a, m), pw(a, mm)
             _require(pw(a, RING_Y.zero) == TSeries.one(RING_Y, n), lambda: f"(i): {a}")
@@ -145,14 +145,14 @@ def suite_lambda(order: int, seed: int) -> list[dict]:
             k = rng.randint(1, 3)
             _require(pw(a.subst(k), m) == a_m.subst(k), lambda: f"(vii): {a}; {m}; k={k}")
         one_plus = TSeries.from_terms(RING_Y, max(n, 1), {0: 1, 1: 1})
-        m = _random_lpoly(rng, VS_Y, max_deg=2, terms=2)
+        m = _random_lpoly(rng, RING_Y, max_deg=2, terms=2)
         s = power(one_plus, m, require_integral=False)
         _require(s.coeffs[1] == m,
                  lambda: f"(vi): linear term of (1+t)^({m}) is {s.coeffs[1]}")
 
     def polyring_lambda_consistency():
         for _ in range(50):
-            p = _random_lpoly(rng, VS_UV, max_deg=3, terms=3)
+            p = _random_lpoly(rng, RING_UV, max_deg=3, terms=3)
             n = rng.randint(1, max(1, min(order, 6)))
             _require(pre_lambda_polyring(p, n) == pre_lambda(RING_UV, p, n),
                      lambda: f"polyring lambda: {p}")
@@ -160,10 +160,10 @@ def suite_lambda(order: int, seed: int) -> list[dict]:
     def chi_power_compatibility():
         n = min(order, 6)
         for _ in range(25):
-            coeffs = [RING_L.one] + [_random_lpoly(rng, VS_L, max_deg=2, terms=2)
+            coeffs = [RING_L.one] + [_random_lpoly(rng, RING_L, max_deg=2, terms=2)
                                      for _ in range(n)]
             a = TSeries(RING_L, coeffs)
-            m = _random_lpoly(rng, VS_L, max_deg=2, terms=2)
+            m = _random_lpoly(rng, RING_L, max_deg=2, terms=2)
             lhs = mo.map_series(power(a, m, require_integral=False), "chi-y")
             rhs = power(mo.map_series(a, "chi-y"), mo.spec_chi_minus_y(m),
                         require_integral=False)
@@ -199,7 +199,7 @@ def suite_motives(order: int, seed: int) -> list[dict]:
     def curve_collapse():
         n = min(order, 6)
         for _ in range(10):
-            x = _random_lpoly(rng, VS_L, max_deg=2, terms=3)
+            x = _random_lpoly(rng, RING_L, max_deg=2, terms=3)
             lhs = mo.map_series(mo.hilb_motive_series(x, 1, n), "e")
             rhs = mo.kapranov_zeta(mo.spec_e(x), n)
             _require(lhs == rhs, lambda: f"curve collapse at [X]={x}")
@@ -213,14 +213,14 @@ def suite_motives(order: int, seed: int) -> list[dict]:
 
     def specialization_homs():
         for _ in range(50):
-            a = _random_lpoly(rng, VS_L, laurent=True, halves=True)
-            b = _random_lpoly(rng, VS_L, laurent=True, halves=True)
+            a = _random_lpoly(rng, RING_L, laurent=True, halves=True)
+            b = _random_lpoly(rng, RING_L, laurent=True, halves=True)
             _require(mo.spec_chi_minus_y(a * b) == mo.spec_chi_minus_y(a) * mo.spec_chi_minus_y(b),
                      lambda: f"chi_-y hom: {a}; {b}")
             _require(mo.spec_chi(a * b) == mo.spec_chi(a) * mo.spec_chi(b),
                      lambda: f"chi hom: {a}; {b}")
-            ai = _random_lpoly(rng, VS_L)
-            bi = _random_lpoly(rng, VS_L)
+            ai = _random_lpoly(rng, RING_L)
+            bi = _random_lpoly(rng, RING_L)
             _require(mo.spec_e(ai * bi) == mo.spec_e(ai) * mo.spec_e(bi),
                      lambda: f"e hom: {ai}; {bi}")
 
@@ -254,7 +254,7 @@ def _bernoulli_plus(n: int) -> list[Fraction]:
 
 
 def _eval_y(s: TSeries, c: Fraction) -> TSeries:
-    return s.map_coeffs(QQ, lambda p: p.substitute(VS_NONE, whole={"y": c}).as_fraction())
+    return s.map_coeffs(QQ, lambda p: p.substitute(QQ, whole={"y": c}).as_fraction())
 
 
 def suite_hirzebruch(order: int, seed: int) -> list[dict]:
@@ -309,7 +309,7 @@ def _random_pont(rng, model, order):
                     parts.append((k, rng.choice(model.basis)[0]))
                     left -= k
                 ms = tuple(sorted(parts))
-            c = LPoly(VS_Y, {(2 * rng.randint(0, 2),): rng.randint(-3, 3)})
+            c = LPoly(RING_Y, {(2 * rng.randint(0, 2),): rng.randint(-3, 3)})
             if not c.is_zero():
                 d[ms] = d.get(ms, RING_Y.zero) + c
         dicts.append(d)

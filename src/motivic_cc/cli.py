@@ -15,8 +15,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .lpoly import ExponentLimitError, LPoly, VS_UV, VS_Y
-from .series import QQ, RING_L, RING_UV, RING_Y, IntegralityError, TSeries
+from .lpoly import ExponentLimitError, LPoly, QQ, RING_L, RING_UV, RING_Y
+from .series import IntegralityError, TSeries
 from .lambda_power import EulerExponents, euler_exp, euler_log
 from . import motives as mo
 from . import hirzebruch as hz
@@ -138,14 +138,14 @@ def model_from_doc(doc: dict) -> hz.HomologyModel:
         for t in _array(terms, f"ty_class entry {b!r}"):
             if not isinstance(t, dict) or set(t) != {"yNum", "c"} or not is_int(t["yNum"]):
                 raise SchemaError(f"bad ty_class term {t!r}")
-            poly = poly + LPoly(VS_Y, {(t["yNum"],): parse_rational(t["c"])})
+            poly = poly + LPoly(RING_Y, {(t["yNum"],): parse_rational(t["c"])})
         ty[b] = poly
     e_poly = RING_UV.zero
     for t in _array(doc["e_poly"], "e_poly"):
         if not isinstance(t, dict) or set(t) != {"u", "v", "c"} or \
                 not all(is_int(t[k]) for k in ("u", "v", "c")):
             raise SchemaError(f"bad e_poly term {t!r}")
-        e_poly = e_poly + LPoly(VS_UV, {(2 * t["u"], 2 * t["v"]): t["c"]})
+        e_poly = e_poly + LPoly(RING_UV, {(2 * t["u"], 2 * t["v"]): t["c"]})
     try:
         return hz.HomologyModel(name, dim, proper, tuple(basis),
                                 doc["zeroDegreeBasisId"], ty, e_poly)
@@ -172,7 +172,7 @@ def series_from_doc(doc: dict) -> TSeries:
         for t in _array(terms, f"series file: the t^{n} coefficient"):
             if not isinstance(t, dict) or set(t) != {"lNum", "c"} or not is_int(t["lNum"]):
                 raise SchemaError(f"bad series term {t!r}")
-            poly = poly + LPoly(mo.L.vars, {(t["lNum"],): parse_rational(t["c"])})
+            poly = poly + LPoly(RING_L, {(t["lNum"],): parse_rational(t["c"])})
         out.append(poly)
     s = TSeries(RING_L, out)
     if s.coeffs[0] != RING_L.one:

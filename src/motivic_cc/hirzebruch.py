@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .lpoly import LPoly, VS_UV, VS_Y
-from .series import RING_UV, RING_Y, TSeries
+from .lpoly import LPoly, RING_UV, RING_Y
+from .series import TSeries
 from .motives import TwoRouteMismatchError, Y, chi_of_y, hodge_spec, proj_space_class
 
 
@@ -60,6 +60,8 @@ class HomologyModel:
                  ty: dict[str, LPoly], e_poly: LPoly,
                  chern: dict[str, Fraction] | None = None,
                  l_class: LPoly | None = None):
+        if dim < 0:
+            raise ValueError(f"model {name} has negative dimension {dim}")
         ids = [b for b, _ in basis]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate basis ids in model {name}")
@@ -128,9 +130,9 @@ def proj_space_model(d: int) -> HomologyModel:
     ty: dict[str, LPoly] = {}
     for j in range(d + 1):
         coeff = q.coeffs[j].exact_div(one_plus_y)
-        ty[f"P{d - j}"] = coeff.substitute(VS_Y, whole={"y": -Y})
+        ty[f"P{d - j}"] = coeff.substitute(RING_Y, whole={"y": -Y})
     basis = tuple((f"P{i}", i) for i in range(d, -1, -1))
-    e_poly = LPoly(VS_UV, {(2 * i, 2 * i): 1 for i in range(d + 1)})
+    e_poly = LPoly(RING_UV, {(2 * i, 2 * i): 1 for i in range(d + 1)})
     chern = {f"P{d - j}": Fraction(comb(d + 1, j)) for j in range(d + 1)}
     name = "point" if d == 0 else f"P{d}"
     return HomologyModel(name, d, True, basis, "P0", ty, e_poly,

@@ -21,9 +21,8 @@ before anything else relies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from .lpoly import LPoly
-from .series import IntegralityError, NonUnitError, TSeries, LaurentRing
+from .lpoly import LPoly, VarSet
+from .series import IntegralityError, NonUnitError, TSeries
 
 
 def divisors(n: int) -> list[int]:
@@ -46,23 +45,38 @@ def mobius(n: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
 class EulerExponents:
     """The exponent sequence b_1 .. b_N of prod_k (1 - t^k)^(-b_k)."""
 
-    ring: LaurentRing
-    exps: tuple
+    __slots__ = ("ring", "exps")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exps", tuple(self.ring.coerce(b) for b in self.exps))
+    def __new__(cls, ring: VarSet, exps):
+        return cls._of(ring, tuple(ring.coerce(b) for b in exps))
 
     @classmethod
-    def _of(cls, ring: LaurentRing, exps: tuple) -> "EulerExponents":
+    def _of(cls, ring: VarSet, exps: tuple) -> "EulerExponents":
         """Exponents already in ``ring``: nothing is coerced."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "ring", ring)
         object.__setattr__(obj, "exps", exps)
         return obj
+
+    def __setattr__(self, *a):  # pragma: no cover
+        raise AttributeError("EulerExponents is immutable")
+
+    def __reduce__(self):
+        return EulerExponents, (self.ring, self.exps)
+
+    def __eq__(self, other):
+        if not isinstance(other, EulerExponents):
+            return NotImplemented
+        return self.ring == other.ring and self.exps == other.exps
+
+    def __hash__(self):
+        return hash((self.ring, self.exps))
+
+    def __repr__(self):
+        return f"EulerExponents[{self.ring}]{self.exps}"
 
     @property
     def order(self) -> int:
@@ -77,7 +91,7 @@ class EulerExponents:
         return EulerExponents._of(self.ring, tuple(b * m for b in self.exps))
 
 
-def pre_lambda(ring: LaurentRing, m, order: int) -> TSeries:
+def pre_lambda(ring: VarSet, m, order: int) -> TSeries:
     """lambda_t(m) = exp(sum_r Psi_r(m) t^r / r), a normalized series."""
     m = ring.coerce(m)
     arg = TSeries.from_terms(ring, order,
@@ -96,8 +110,8 @@ def euler_exp(b: EulerExponents, order: int | None = None) -> TSeries:
     ring, exps = b.ring, b.exps
     # [t^m] of the argument is (1/m) sum_{kr=m} k Psi_r(b_k)
     arg = [ring.zero] + [
-        LPoly.dot(ring.vars, [(k, exps[k - 1].adams(m // k), ring.one)
-                              for k in divisors(m) if k <= b.order and exps[k - 1].num], m)
+        LPoly.dot(ring, [(k, exps[k - 1].adams(m // k), ring.one)
+                         for k in divisors(m) if k <= b.order and exps[k - 1].num], m)
         for m in range(1, n + 1)]
     return TSeries._of(ring, arg).exp()
 
@@ -114,8 +128,8 @@ def euler_log(a: TSeries, require_integral: bool = True) -> EulerExponents:
     c = a.log().coeffs
     out = []
     for k in range(1, a.order + 1):
-        bk = LPoly.dot(ring.vars, [(mu * d, c[d].adams(k // d), ring.one)
-                                   for d in divisors(k) if (mu := mobius(k // d))], k)
+        bk = LPoly.dot(ring, [(mu * d, c[d].adams(k // d), ring.one)
+                              for d in divisors(k) if (mu := mobius(k // d))], k)
         if require_integral and not bk.is_integral():
             raise IntegralityError(f"Euler exponent b_{k} = {bk} is not integral")
         out.append(bk)
@@ -135,12 +149,12 @@ def pre_lambda_polyring(p: LPoly, order: int) -> TSeries:
     the pre-lambda structure on a polynomial ring.  It must agree with
     :func:`pre_lambda` over the same ring; the test suite checks that.
     """
-    ring = LaurentRing(p.vars)
+    ring = p.vars
     if not p.is_integral():
         raise IntegralityError(f"polynomial-ring lambda needs integer coefficients: {p}")
     result = TSeries.one(ring, order)
     for key, a in sorted(p.num.items()):
-        w = LPoly._reduce(p.vars, {key: 1}, 1)  # the monomial of the packed key
+        w = LPoly._of(ring, {key: 1}, 1)  # the monomial of the packed key
         geom = TSeries(ring, [w ** n for n in range(order + 1)])
         result = result * geom.pow_int(a)
     return result

@@ -5,7 +5,7 @@ A polynomial stores integer numerators ``num`` (packed monomial key -> nonzero
 ``gcd(den, *num.values()) == 1``, and zero has ``den == 1``; ``terms`` reads
 the coefficients back as ``Fraction``s.  One kernel, :meth:`LPoly.dot`, makes
 every product and every sum of products over integer numerators, reducing
-once.  Over ``VS_NONE`` a polynomial is an exact rational.
+once.  Over ``QQ``, the ring with no variables, a polynomial is an exact rational.
 Exponents are counted in units of 1/2 and stored doubled, so the tuple entry
 ``3`` means the variable appears with exponent 3/2 and ``-2`` means exponent
 -1.  Odd (genuinely half-integral) exponents are only legal for the variables
@@ -25,7 +25,6 @@ mathematical equality because the form is canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -65,27 +64,52 @@ class ExponentLimitError(ArithmeticError):
     """An exponent after the first variable would leave its packed field."""
 
 
-@dataclass(frozen=True)
 class VarSet:
-    """Ordered variable names fixing the monomial layout: ``key + low_half`` has nonnegative
-    fields, and ``neg_root`` picks the parity bit of each :data:`NEGATIVE_ROOT` field there."""
+    """A coefficient ring: Laurent polynomials over Q in ordered variables, ``QQ`` has none.
 
-    names: tuple[str, ...]
-    low_half: int = field(init=False, repr=False, compare=False)
-    neg_root: int = field(init=False, repr=False, compare=False)
-    _text: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    The names fix the monomial layout: ``key + low_half`` has nonnegative fields, and
+    ``neg_root`` picks the parity bit of each :data:`NEGATIVE_ROOT` field there.  The ring
+    supplies zero, one and the coercion of ``int``/``Fraction`` values.
+    """
 
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate variable names: {self.names}")
-        object.__setattr__(self, "low_half", sum(_HALF << FIELD_BITS * i
-                                                 for i in range(len(self.names) - 1)))
-        object.__setattr__(self, "neg_root", sum(1 << FIELD_BITS * i for i, name
-                                                 in enumerate(reversed(self.names))
-                                                 if name in NEGATIVE_ROOT))
+    __slots__ = ("names", "name", "low_half", "neg_root", "zero", "one", "_text")
+
+    def __init__(self, names: tuple[str, ...]):
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names: {names}")
+        for attr, val in (
+                ("names", names), ("name", f"Q[{','.join(names)}]" if names else "Q"),
+                ("low_half", sum(_HALF << FIELD_BITS * i for i in range(len(names) - 1))),
+                ("neg_root", sum(1 << FIELD_BITS * i for i, name in enumerate(reversed(names))
+                                 if name in NEGATIVE_ROOT)),
+                ("zero", LPoly._of(self, {}, 1)), ("one", LPoly._of(self, {0: 1}, 1)),
+                ("_text", {})):
+            object.__setattr__(self, attr, val)
+
+    def __setattr__(self, *a):  # pragma: no cover
+        raise AttributeError("VarSet is immutable")
 
     def __reduce__(self):  # the layout follows from the names; the memo stays behind
         return VarSet, (self.names,)
+
+    def __eq__(self, other):
+        return isinstance(other, VarSet) and other.names == self.names
+
+    def __hash__(self):
+        return hash(self.names)
+
+    def __repr__(self) -> str:
+        return self.name
+
+    def coerce(self, x) -> "LPoly":
+        """``x`` as an element of this ring: an ``LPoly`` over it, an ``int`` or a ``Fraction``."""
+        if isinstance(x, LPoly):
+            if x.vars != self:
+                raise TypeError(f"{x!r} lives over {x.vars}, not {self}")
+            return x
+        if isinstance(x, (int, Fraction)):
+            return LPoly._of(self, {0: x.numerator}, x.denominator) if x else self.zero
+        raise TypeError(f"cannot coerce {x!r} into {self}")
 
     def pack(self, exps: Expvec) -> int:
         """The key of a doubled exponent vector; a later exponent past the limit raises."""
@@ -129,15 +153,6 @@ class VarSet:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(self.names) + ")"
-
-
-VS_NONE = VarSet(())
-VS_L = VarSet(("L",))
-VS_Y = VarSet(("y",))
-VS_UV = VarSet(("u", "v"))
 
 
 class LPoly:
@@ -193,10 +208,6 @@ class LPoly:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def const(cls, vars: VarSet, c: Coeff) -> "LPoly":
-        return cls(vars, {(0,) * len(vars): c})
-
-    @classmethod
     def var(cls, vars: VarSet, name: str, half_steps: int = 2) -> "LPoly":
         """The monomial ``name`` raised to ``half_steps/2``."""
         exps = [0] * len(vars)
@@ -232,7 +243,7 @@ class LPoly:
 
     def __add__(self, other) -> "LPoly":
         if not isinstance(other, LPoly):
-            other = LPoly.const(self.vars, other)
+            other = self.vars.coerce(other)
         self._check(other)
         g = gcd(self.den, other.den)
         m1, m2 = other.den // g, self.den // g
@@ -316,7 +327,7 @@ class LPoly:
             ((key, c),) = self.num.items()
             inv = LPoly._reduce(self.vars, {-key: self.den}, c)  # the limit is symmetric
             return inv ** (-n)
-        result = LPoly.const(self.vars, 1)
+        result = self.vars.one
         base = self
         while n:
             if n & 1:
@@ -327,7 +338,7 @@ class LPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = LPoly.const(self.vars, other)
+            other = self.vars.coerce(other)
         if not isinstance(other, LPoly):
             return NotImplemented
         return self.vars == other.vars and self.den == other.den and self.num == other.num
@@ -355,7 +366,7 @@ class LPoly:
                zip(zip(*map(vs.unpack, self.num)), zip(*map(vs.unpack, other.num)))]
         lead_b = max(other.num)
         exps_b, cb = vs.unpack(lead_b), other.num[lead_b]
-        quot, rem = LPoly.const(vs, 0), self
+        quot, rem = vs.zero, self
         while rem.num:  # cancel the leading term of the remainder
             lead = max(rem.num)
             exps = [x - y for x, y in zip(vs.unpack(lead), exps_b)]
@@ -479,3 +490,8 @@ class LPoly:
 
 # slot setters that get past the immutability guard of LPoly.__setattr__
 _set_vars, _set_num, _set_den = LPoly.vars.__set__, LPoly.num.__set__, LPoly.den.__set__
+
+QQ = VarSet(())
+RING_L = VarSet(("L",))
+RING_Y = VarSet(("y",))
+RING_UV = VarSet(("u", "v"))

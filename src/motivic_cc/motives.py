@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lpoly import LPoly, VS_L, VS_NONE, VS_UV, VS_Y
-from .series import QQ, RING_L, RING_UV, RING_Y, TSeries
+from .lpoly import LPoly, QQ, RING_L, RING_UV, RING_Y
+from .series import TSeries
 from .lambda_power import EulerExponents, euler_exp, euler_log, power, pre_lambda_polyring
 
 
@@ -26,12 +26,12 @@ class TwoRouteMismatchError(ArithmeticError):
     """Two independent computation routes disagree; signals a bug."""
 
 
-L = LPoly.var(VS_L, "L")
-L_HALF = LPoly.var(VS_L, "L", 1)
-Y = LPoly.var(VS_Y, "y")
-Y_HALF = LPoly.var(VS_Y, "y", 1)
-U = LPoly.var(VS_UV, "u")
-V = LPoly.var(VS_UV, "v")
+L = LPoly.var(RING_L, "L")
+L_HALF = LPoly.var(RING_L, "L", 1)
+Y = LPoly.var(RING_Y, "y")
+Y_HALF = LPoly.var(RING_Y, "y", 1)
+U = LPoly.var(RING_UV, "u")
+V = LPoly.var(RING_UV, "v")
 
 
 # -- lambda-factorials and binomials -------------------------------------
@@ -55,7 +55,7 @@ def l_binomial(n: int, k: int) -> LPoly:
 
 def proj_space_class(d: int) -> LPoly:
     """[P^d] = 1 + L + ... + L^d."""
-    return LPoly(VS_L, {(2 * i,): 1 for i in range(d + 1)})
+    return LPoly(RING_L, {(2 * i,): 1 for i in range(d + 1)})
 
 
 # -- punctual Hilbert series ----------------------------------------------
@@ -127,17 +127,17 @@ def punctual_series(d: int, order: int) -> TSeries:
 
 def spec_e(m: LPoly) -> LPoly:
     """Hodge-polynomial specialization: L -> uv (integer powers of L only)."""
-    return m.substitute(VS_UV, whole={"L": U * V})
+    return m.substitute(RING_UV, whole={"L": U * V})
 
 
 def spec_chi_minus_y(m: LPoly) -> LPoly:
     """chi_{-y} specialization, with the square-root convention -L^(1/2) -> y^(1/2)."""
-    return m.substitute(VS_Y, half={"L": -Y_HALF})
+    return m.substitute(RING_Y, half={"L": -Y_HALF})
 
 
 def chi_of_y(p: LPoly) -> Fraction:
     """Evaluate a y-polynomial at y = 1 (and y^(1/2) = 1)."""
-    return p.substitute(VS_NONE, half={"y": Fraction(1)}).as_fraction()
+    return p.substitute(QQ, half={"y": Fraction(1)}).as_fraction()
 
 
 def spec_chi(m: LPoly) -> Fraction:
@@ -148,8 +148,8 @@ def spec_chi(m: LPoly) -> Fraction:
 def hodge_spec(e: LPoly, which: str) -> LPoly | Fraction:
     """chi_{-y} (u -> y, v -> 1) or chi (u, v -> 1) of a Hodge polynomial e(u,v)."""
     if which == "chi":
-        return e.substitute(VS_NONE, whole={"u": 1, "v": 1}).as_fraction()
-    return e.substitute(VS_Y, whole={"u": Y, "v": 1})
+        return e.substitute(QQ, whole={"u": 1, "v": 1}).as_fraction()
+    return e.substitute(RING_Y, whole={"u": Y, "v": 1})
 
 
 def map_series(a: TSeries, which: str) -> TSeries:
@@ -172,7 +172,7 @@ def hilb_motive_series(x: LPoly, d: int, order: int) -> TSeries:
     punctual series is pushed through the Hodge specialization first.
     """
     a = punctual_series(d, order)
-    if x.vars == VS_UV:
+    if x.vars == RING_UV:
         return power(map_series(a, "e"), x)
     return power(a, RING_L.coerce(x))
 
@@ -184,7 +184,7 @@ def kapranov_zeta(e: LPoly, order: int) -> TSeries:
 
 def config_space_series(x: LPoly, order: int) -> TSeries:
     """(1 + t)^[X]: classes of configuration spaces of unlabeled points."""
-    ring = RING_UV if x.vars == VS_UV else RING_L
+    ring = RING_UV if x.vars == RING_UV else RING_L
     one_plus = TSeries.from_terms(ring, order, {0: 1, 1: 1})
     return power(one_plus, ring.coerce(x))
 
@@ -201,7 +201,7 @@ def virtual_alpha(k: int) -> LPoly:
         raise ValueError("exponent index must be >= 1")
     s = -L_HALF
     q = (s ** (-k) - s ** k).exact_div(L * (1 - L))
-    closed = LPoly(VS_L, {(2 * j - k - 2,): (-1) ** k for j in range(k)})
+    closed = LPoly(RING_L, {(2 * j - k - 2,): (-1) ** k for j in range(k)})
     if q != closed:
         raise TwoRouteMismatchError(
             f"virtual alpha_{k}: division gave {q}, closed product form {closed}")

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lpoly import LPoly
-from .series import LaurentRing, QQ, RING_L, RING_Y, TSeries
+from .lpoly import LPoly, VarSet, QQ, RING_L, RING_Y
+from .series import TSeries
 from .lambda_power import euler_log
 from .motives import (
     TwoRouteMismatchError, UnsupportedRangeError, Y,
@@ -74,13 +74,16 @@ class PontSeries:
     """t-graded element of the free Pontrjagin ring, truncated at a fixed order.
 
     ``PontSeries(model, ring, dicts)`` takes one multiset -> coefficient dict
-    per grading n = 0..N and checks each as :class:`PontElement` does.
+    per grading n = 0..N, coerces each coefficient into ``ring`` and checks
+    each dict as :class:`PontElement` does.
     """
 
     __slots__ = ("model", "ring", "components")
 
-    def __new__(cls, model: HomologyModel, ring: LaurentRing, dicts):
-        return cls._of(model, ring, [PontElement(n, d).terms for n, d in enumerate(dicts)])
+    def __new__(cls, model: HomologyModel, ring: VarSet, dicts):
+        return cls._of(model, ring, [
+            PontElement(n, {ms: ring.coerce(c) for ms, c in d.items()}).terms
+            for n, d in enumerate(dicts)])
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("PontSeries is immutable")
@@ -143,7 +146,7 @@ class PontSeries:
                     for ms2, c2 in other.components[j].terms.items():
                         tgt.setdefault(tuple(sorted(ms1 + ms2)), []).append((1, c1, c2))
         return PontSeries._of(self.model, self.ring, [
-            {ms: LPoly.dot(self.ring.vars, t) for ms, t in d.items()} for d in pairs])
+            {ms: LPoly.dot(self.ring, t) for ms, t in d.items()} for d in pairs])
 
     __mul__ = mul
 
@@ -210,7 +213,7 @@ def pont_exp(arg: PontSeries) -> PontSeries:
 
 
 def hom_exp_inv(model: HomologyModel, gamma: HClass, k: int, order: int,
-                ring: LaurentRing = RING_Y) -> PontSeries:
+                ring: VarSet = RING_Y) -> PontSeries:
     """(1 - t^k d^k_*)^(-gamma) = exp(sum_r d^{rk}_*(Psi_r gamma) t^{rk} / r).
 
     Over ``QQ`` Psi_r is the identity (the Chern-level exponential of the
@@ -227,7 +230,7 @@ def hom_exp_inv(model: HomologyModel, gamma: HClass, k: int, order: int,
 
 
 def exp_series(model: HomologyModel, gamma: HClass, scalars, order: int,
-               ring: LaurentRing = RING_Y) -> PontSeries:
+               ring: VarSet = RING_Y) -> PontSeries:
     """prod_k (1 - t^k d^k_*)^(-s_k gamma) for scalars s_1, s_2, ... through t^order.
 
     The log of the product is linear in atoms: atom (rk, b) collects
@@ -367,8 +370,8 @@ def pont_degree(model: HomologyModel, s: PontSeries) -> TSeries:
         raise ValueError(f"model {model.name} is not proper; no degree map")
     degs = model.degs()
     return TSeries(s.ring, [
-        LPoly.dot(s.ring.vars, [(1, c, s.ring.one) for ms, c in el.terms.items()
-                                if all(degs[b] == 0 for _, b in ms)])
+        LPoly.dot(s.ring, [(1, c, s.ring.one) for ms, c in el.terms.items()
+                           if all(degs[b] == 0 for _, b in ms)])
         for el in s.components])
 
 

@@ -3,18 +3,17 @@
 A :class:`TSeries` stores coefficients for t^0 .. t^N; every operation
 truncates at N and mixing different truncation orders (or different
 coefficient rings) is an error rather than a silent re-truncation.  Every
-coefficient is an :class:`LPoly`; a :class:`LaurentRing` names the variable
-set, so the same series code serves Q (the ring ``QQ`` with no variables), the
+coefficient is an :class:`LPoly` over the series' ring, a :class:`VarSet`, so
+the same series code serves Q (the ring ``QQ`` with no variables), the
 motivic Laurent ring in L, Z[u,v] and Q[y^(1/2)].  Each output coefficient of
 ``*``, ``invert``, ``exp`` and ``log`` is one sum of products, one ``LPoly.dot``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from .lpoly import LPoly, VarSet, VS_L, VS_NONE, VS_UV, VS_Y
+from .lpoly import LPoly, VarSet
 
 
 class OrderMismatchError(ValueError):
@@ -29,57 +28,18 @@ class IntegralityError(ArithmeticError):
     """A coefficient left the declared integral subring."""
 
 
-class LaurentRing:
-    """Laurent polynomials over Q in a fixed variable set; ``QQ`` has no variables.
-
-    The ring supplies zero, one and the coercion of ``int``/``Fraction``
-    values; Adams operations, exact division by integers and integrality
-    are methods of the :class:`LPoly` coefficients.
-    """
-
-    def __init__(self, vars: VarSet):
-        self.vars = vars
-        self.name = f"Q[{','.join(vars.names)}]" if vars.names else "Q"
-        self.zero = LPoly.const(vars, 0)
-        self.one = LPoly.const(vars, 1)
-
-    def coerce(self, x) -> LPoly:
-        if isinstance(x, LPoly):
-            if x.vars != self.vars:
-                raise TypeError(f"{x!r} lives over {x.vars}, not {self.vars}")
-            return x
-        if isinstance(x, (int, Fraction)):
-            return LPoly.const(self.vars, x)
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentRing) and other.vars == self.vars
-
-    def __hash__(self):
-        return hash(self.vars)
-
-    def __repr__(self):
-        return self.name
-
-
-QQ = LaurentRing(VS_NONE)
-RING_L = LaurentRing(VS_L)
-RING_Y = LaurentRing(VS_Y)
-RING_UV = LaurentRing(VS_UV)
-
-
 class TSeries:
     """Power series in t truncated at a fixed order."""
 
     __slots__ = ("ring", "coeffs")
 
-    def __new__(cls, ring: LaurentRing, coeffs: Sequence):
+    def __new__(cls, ring: VarSet, coeffs: Sequence):
         if not coeffs:
             raise ValueError("a series needs at least the t^0 coefficient")
         return cls._of(ring, [ring.coerce(c) for c in coeffs])
 
     @classmethod
-    def _of(cls, ring: LaurentRing, coeffs: Sequence[LPoly]) -> "TSeries":
+    def _of(cls, ring: VarSet, coeffs: Sequence[LPoly]) -> "TSeries":
         """A series of coefficients already in ``ring``: nothing is coerced or checked."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "ring", ring)
@@ -97,15 +57,15 @@ class TSeries:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, ring: LaurentRing, order: int) -> "TSeries":
+    def zero(cls, ring: VarSet, order: int) -> "TSeries":
         return cls(ring, [ring.zero] * (order + 1))
 
     @classmethod
-    def one(cls, ring: LaurentRing, order: int) -> "TSeries":
+    def one(cls, ring: VarSet, order: int) -> "TSeries":
         return cls._of(ring, [ring.one] + [ring.zero] * order)
 
     @classmethod
-    def from_terms(cls, ring: LaurentRing, order: int, terms: dict[int, object]) -> "TSeries":
+    def from_terms(cls, ring: VarSet, order: int, terms: dict[int, object]) -> "TSeries":
         coeffs = [ring.zero] * (order + 1)
         for n, c in terms.items():
             if 0 <= n <= order:
@@ -138,9 +98,9 @@ class TSeries:
             c = self.ring.coerce(other)
             return TSeries._of(self.ring, [a * c for a in self.coeffs])
         self._check(other)
-        a, b, vars = self.coeffs, other.coeffs, self.ring.vars
-        return TSeries._of(self.ring, [LPoly.dot(vars, [(1, a[i], b[m - i]) for i in range(m + 1)])
-                                       for m in range(self.order + 1)])
+        a, b, ring = self.coeffs, other.coeffs, self.ring
+        return TSeries._of(ring, [LPoly.dot(ring, [(1, a[i], b[m - i]) for i in range(m + 1)])
+                                  for m in range(self.order + 1)])
 
     __rmul__ = __mul__
 
@@ -168,30 +128,30 @@ class TSeries:
         """Multiplicative inverse of a series with constant term 1."""
         if self.coeffs[0] != self.ring.one:
             raise NonUnitError(f"constant term is {self.coeffs[0]}, not 1")
-        c, vars = self.coeffs, self.ring.vars
-        out = [self.ring.one]
+        c, ring = self.coeffs, self.ring
+        out = [ring.one]
         for m in range(1, self.order + 1):
-            out.append(LPoly.dot(vars, [(-1, c[k], out[m - k]) for k in range(1, m + 1)]))
+            out.append(LPoly.dot(ring, [(-1, c[k], out[m - k]) for k in range(1, m + 1)]))
         return TSeries._of(self.ring, out)
 
     def exp(self) -> "TSeries":
         """exp of a series with zero constant term."""
         if self.coeffs[0] != self.ring.zero:
             raise NonUnitError(f"exp needs zero constant term, got {self.coeffs[0]}")
-        c, vars = self.coeffs, self.ring.vars
-        out = [self.ring.one]
+        c, ring = self.coeffs, self.ring
+        out = [ring.one]
         for m in range(1, self.order + 1):
-            out.append(LPoly.dot(vars, [(k, c[k], out[m - k]) for k in range(1, m + 1)], m))
+            out.append(LPoly.dot(ring, [(k, c[k], out[m - k]) for k in range(1, m + 1)], m))
         return TSeries._of(self.ring, out)
 
     def log(self) -> "TSeries":
         """log of a series with constant term 1."""
         if self.coeffs[0] != self.ring.one:
             raise NonUnitError(f"log needs constant term 1, got {self.coeffs[0]}")
-        c, vars, one = self.coeffs, self.ring.vars, self.ring.one
-        out = [self.ring.zero]
+        c, ring = self.coeffs, self.ring
+        out = [ring.zero]
         for m in range(1, self.order + 1):
-            out.append(LPoly.dot(vars, [(m, c[m], one)]
+            out.append(LPoly.dot(ring, [(m, c[m], ring.one)]
                                  + [(-k, out[k], c[m - k]) for k in range(1, m)], m))
         return TSeries._of(self.ring, out)
 
@@ -206,7 +166,7 @@ class TSeries:
             out[n * k] = c if (sign == 1 or n % 2 == 0) else -c
         return TSeries._of(self.ring, out)
 
-    def map_coeffs(self, target: LaurentRing, f: Callable) -> "TSeries":
+    def map_coeffs(self, target: VarSet, f: Callable) -> "TSeries":
         """Apply a coefficient-ring homomorphism f to every coefficient."""
         return TSeries(target, [f(c) for c in self.coeffs])
 

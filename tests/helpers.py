@@ -8,8 +8,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from motivic_cc.lpoly import LPoly, VarSet
-from motivic_cc.series import LaurentRing, TSeries
+from motivic_cc.lpoly import LPoly, VarSet, RING_Y
+from motivic_cc.series import TSeries
 from motivic_cc.lambda_power import EulerExponents, pre_lambda
 
 
@@ -178,10 +178,10 @@ def ref_pont_mul(s, t) -> list:
     return [{ms: c for ms, c in d.items() if c.num} for d in out]
 
 
-def random_series(rng: random.Random, ring: LaurentRing, order: int,
+def random_series(rng: random.Random, ring: VarSet, order: int,
                   normalized: bool = False, zero_constant: bool = False,
                   **poly_kw) -> TSeries:
-    coeffs = [random_lpoly(rng, ring.vars, max_deg=3, terms=3, **poly_kw)
+    coeffs = [random_lpoly(rng, ring, max_deg=3, terms=3, **poly_kw)
               for _ in range(order + 1)]
     if normalized:
         coeffs[0] = ring.one
@@ -212,12 +212,10 @@ def euler_log_bruteforce(a: TSeries) -> EulerExponents:
 
 def random_hclass(rng: random.Random, model, terms: int = 2,
                   max_deg: int = 2, halves: bool = False) -> dict:
-    from motivic_cc.lpoly import VS_Y
-
     out = {}
     for b, _ in model.basis:
         if rng.random() < 0.75:
-            p = random_lpoly(rng, VS_Y, max_deg=max_deg, terms=terms, halves=halves)
+            p = random_lpoly(rng, RING_Y, max_deg=max_deg, terms=terms, halves=halves)
             if not p.is_zero():
                 out[b] = p
     return out

@@ -6,8 +6,8 @@ Each test prints a PASS line once its assertions hold, so running
 
 from fractions import Fraction
 
-from motivic_cc.lpoly import LPoly, VS_Y
-from motivic_cc.series import QQ, RING_L, RING_Y, TSeries
+from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_Y
+from motivic_cc.series import TSeries
 from motivic_cc.lambda_power import EulerExponents, euler_exp, euler_log
 from motivic_cc.motives import (
     L, U, V, Y, alpha_closed_small, kapranov_zeta, l_binomial, macmahon_series,
@@ -84,7 +84,7 @@ def test_criterion_06_hirzebruch_p1_and_degrees():
     assert p1.ty == {"P1": RING_Y.one - Y, "P0": RING_Y.one + Y}
     for d in range(5):
         m = proj_space_model(d)
-        expected = LPoly(VS_Y, {(2 * i,): 1 for i in range(d + 1)})
+        expected = LPoly(RING_Y, {(2 * i,): 1 for i in range(d + 1)})
         assert m.degree_of(m.ty) == expected
     ok(6, "T_{(-y)*}(P^1) = (1-y)[P^1] + (1+y)[P^0]; degrees are 1 + y + ... + y^d, d <= 4;")
 

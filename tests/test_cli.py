@@ -16,9 +16,9 @@ from motivic_cc.cli import (
     model_from_doc, model_to_doc,
 )
 from motivic_cc import motives as mo, pontrjagin as po
-from motivic_cc.lpoly import LPoly
+from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_Y
 from motivic_cc.lambda_power import EulerExponents
-from motivic_cc.series import QQ, RING_L, RING_Y, TSeries
+from motivic_cc.series import TSeries
 from helpers import load_bench_cases
 
 
@@ -393,6 +393,12 @@ def test_schema_errors(tmp_path, capsys):
     path.write_text("not json")
     code, _ = run(capsys, "zeta", "--model", str(path), "--order", "2")
     assert code == EXIT_SCHEMA
+    path.write_text(json.dumps({"name": "neg", "dim": -1, "proper": False, "basis": [],
+                                "zeroDegreeBasisId": None, "ty_class": {}, "e_poly": []}))
+    code = main(["classes", "--model", str(path), "--kind", "sym", "--order", "3"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_SCHEMA and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "negative dimension" in err
     # numbers are bounded at the boundary: exponent notation and JSON floats are
     # no rationals, and an integer past Python's 4300-digit limit does not load
     for c in ("1e5000", 0.5):
@@ -605,6 +611,15 @@ def test_cli_import_leaves_checks_unloaded():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=package_env(), check=True).stdout
     assert out == "False\n"
+
+
+def test_cli_import_stays_light():
+    # the value classes are plain __slots__ classes: no dataclasses, hence no inspect
+    script = ("import sys, motivic_cc.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=package_env(), check=True).stdout
+    assert out == "[]\n"
 
 
 def test_tracer_runs_and_counts_both_product_layers(tmp_path):

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from motivic_cc.lpoly import LPoly, VS_NONE, VS_UV, VS_Y
-from motivic_cc.series import QQ, RING_Y, TSeries
+from motivic_cc.lpoly import LPoly, QQ, RING_UV, RING_Y
+from motivic_cc.series import TSeries
 from motivic_cc.motives import TwoRouteMismatchError, Y, hodge_spec
 from motivic_cc.hirzebruch import (
     HomologyModel, chern_class_of, chern_limit_check, point_model,
@@ -12,7 +12,7 @@ from motivic_cc.hirzebruch import (
 
 
 def eval_at_y(s: TSeries, c: Fraction) -> TSeries:
-    return s.map_coeffs(QQ, lambda p: p.substitute(VS_NONE, whole={"y": c}).as_fraction())
+    return s.map_coeffs(QQ, lambda p: p.substitute(QQ, whole={"y": c}).as_fraction())
 
 
 def bernoulli_plus(n: int) -> list[Fraction]:
@@ -108,7 +108,7 @@ def test_point_model():
 def test_degree_is_chi_y_genus():
     for d in range(5):
         m = proj_space_model(d)
-        expected = LPoly(VS_Y, {(2 * i,): 1 for i in range(d + 1)})
+        expected = LPoly(RING_Y, {(2 * i,): 1 for i in range(d + 1)})
         assert m.degree_of(m.ty) == expected
         assert m.degree_of(m.ty) == hodge_spec(m.e_poly, "chi-y")
     assert proj_space_model(2).degree_of({}) == RING_Y.zero
@@ -153,7 +153,7 @@ def test_chern_limit_products():
 
 def test_chern_limit_detects_bad_class():
     # a class whose degree-1 coordinate is not divisible by (1-y) has a pole
-    e_p1 = LPoly(VS_UV, {(0, 0): 1, (2, 2): 1})
+    e_p1 = LPoly(RING_UV, {(0, 0): 1, (2, 2): 1})
     bad = HomologyModel("bad", 1, True, (("a", 1), ("b", 0)), "b",
                         {"a": RING_Y.one, "b": RING_Y.one + Y}, e_p1)
     with pytest.raises(TwoRouteMismatchError):
@@ -164,4 +164,4 @@ def test_model_chi_consistency_guard():
     with pytest.raises(ValueError):
         HomologyModel("wrong", 1, True, (("a", 1), ("b", 0)), "b",
                       {"a": RING_Y.one, "b": RING_Y.one},
-                      LPoly(VS_UV, {(0, 0): 1, (2, 2): 1}))
+                      LPoly(RING_UV, {(0, 0): 1, (2, 2): 1}))

@@ -3,18 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from motivic_cc.lpoly import LPoly, VS_L, VS_UV, VS_Y
-from motivic_cc.series import QQ, RING_L, RING_UV, RING_Y, TSeries, IntegralityError
+from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_UV, RING_Y
+from motivic_cc.series import TSeries, IntegralityError
 from motivic_cc.lambda_power import (
     EulerExponents, euler_exp, euler_log, mobius, power,
     pre_lambda, pre_lambda_polyring,
 )
 from helpers import binomial, euler_log_bruteforce, random_lpoly, random_series
 
-L = LPoly.var(VS_L, "L")
-Y = LPoly.var(VS_Y, "y")
-U = LPoly.var(VS_UV, "u")
-V = LPoly.var(VS_UV, "v")
+L = LPoly.var(RING_L, "L")
+Y = LPoly.var(RING_Y, "y")
+U = LPoly.var(RING_UV, "u")
+V = LPoly.var(RING_UV, "v")
 
 
 def test_mobius_values():
@@ -62,7 +62,7 @@ def test_euler_log_matches_bruteforce_oracle():
 def test_euler_roundtrips_random():
     rng = random.Random(43)
     for _ in range(100):
-        b = EulerExponents(RING_Y, tuple(random_lpoly(rng, VS_Y, max_deg=3, terms=3)
+        b = EulerExponents(RING_Y, tuple(random_lpoly(rng, RING_Y, max_deg=3, terms=3)
                                          for _ in range(8)))
         assert euler_log(euler_exp(b)) == b
         a = random_series(rng, RING_Y, 8, normalized=True)
@@ -97,8 +97,8 @@ def test_power_structure_axioms():
     for _ in range(25):
         a = random_series(rng, ring, 6, normalized=True)
         b = random_series(rng, ring, 6, normalized=True)
-        m = random_lpoly(rng, VS_Y, max_deg=2, terms=2)
-        n = random_lpoly(rng, VS_Y, max_deg=2, terms=2)
+        m = random_lpoly(rng, RING_Y, max_deg=2, terms=2)
+        n = random_lpoly(rng, RING_Y, max_deg=2, terms=2)
         pw = lambda s, e: power(s, e, require_integral=False)
         one = TSeries.one(ring, 6)
         assert pw(a, ring.zero) == one                              # (i)
@@ -121,13 +121,13 @@ def test_pre_lambda_polyring_examples():
     geo1 = TSeries(RING_UV, [RING_UV.one] * 5)
     geo2 = TSeries(RING_UV, [(U * V) ** n for n in range(5)])
     assert s == geo1 * geo2
-    assert pre_lambda_polyring(LPoly.const(VS_UV, 0), 4) == TSeries.one(RING_UV, 4)
-    assert pre_lambda_polyring(LPoly.const(VS_UV, 2), 4) == geo1 * geo1
+    assert pre_lambda_polyring(RING_UV.coerce(0), 4) == TSeries.one(RING_UV, 4)
+    assert pre_lambda_polyring(RING_UV.coerce(2), 4) == geo1 * geo1
 
 
 def test_pre_lambda_polyring_matches_adams_route():
     rng = random.Random(45)
     for _ in range(50):
-        p = random_lpoly(rng, VS_UV, max_deg=3, terms=3)
+        p = random_lpoly(rng, RING_UV, max_deg=3, terms=3)
         n = rng.randint(1, 6)
         assert pre_lambda_polyring(p, n) == pre_lambda(RING_UV, p, n)

@@ -6,22 +6,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from motivic_cc.lpoly import (
-    EXP_LIMIT, HALF_ADMISSIBLE, LPoly, VarSet, VS_L, VS_NONE, VS_UV, VS_Y,
+    EXP_LIMIT, HALF_ADMISSIBLE, LPoly, VarSet, RING_L, QQ, RING_UV, RING_Y,
     ExactDivisionError, ExponentLimitError, SubstitutionError, VariableMismatchError,
 )
-from motivic_cc.series import LaurentRing
 from motivic_cc.motives import chi_of_y, hodge_spec, spec_chi_minus_y, spec_e
 from motivic_cc.hirzebruch import proj_space_model, qy_series
 from helpers import (
     random_lpoly, ref_adams, ref_add, ref_mul, ref_pow, ref_scale, ref_substitute,
 )
 
-L = LPoly.var(VS_L, "L")
-LHALF = LPoly.var(VS_L, "L", 1)
-U = LPoly.var(VS_UV, "u")
-V = LPoly.var(VS_UV, "v")
-Y = LPoly.var(VS_Y, "y")
-YHALF = LPoly.var(VS_Y, "y", 1)
+L = LPoly.var(RING_L, "L")
+LHALF = LPoly.var(RING_L, "L", 1)
+U = LPoly.var(RING_UV, "u")
+V = LPoly.var(RING_UV, "v")
+Y = LPoly.var(RING_Y, "y")
+YHALF = LPoly.var(RING_Y, "y", 1)
 
 
 def test_mul_difference_of_squares():
@@ -30,7 +29,7 @@ def test_mul_difference_of_squares():
 
 def test_mul_identity():
     p = 3 * L ** 2 - 7 * L + Fraction(1, 2)
-    assert LPoly.const(VS_L, 1) * p == p
+    assert RING_L.coerce(1) * p == p
 
 
 def test_mul_hand_expansion():
@@ -60,14 +59,14 @@ def test_exact_div_rejects_nonexact():
     with pytest.raises(ExactDivisionError):
         (L ** 2 + 1).exact_div(L - 1)
     with pytest.raises(ExactDivisionError):
-        (1 + L).exact_div(LPoly.const(VS_L, 0))
+        (1 + L).exact_div(RING_L.coerce(0))
 
 
 def test_exact_div_roundtrip_random():
     rng = random.Random(7)
     for _ in range(100):
-        a = random_lpoly(rng, VS_UV, max_deg=3)
-        b = random_lpoly(rng, VS_UV, max_deg=3)
+        a = random_lpoly(rng, RING_UV, max_deg=3)
+        b = random_lpoly(rng, RING_UV, max_deg=3)
         if b.is_zero():
             continue
         assert (a * b).exact_div(b) == a
@@ -75,7 +74,7 @@ def test_exact_div_roundtrip_random():
 
 def test_adams_examples():
     assert (3 + 2 * U * V).adams(2) == 3 + 2 * U ** 2 * V ** 2
-    p = random_lpoly(random.Random(1), VS_UV)
+    p = random_lpoly(random.Random(1), RING_UV)
     assert p.adams(1) == p
     assert YHALF.adams(2) == Y
 
@@ -93,7 +92,7 @@ def test_adams_tracks_negative_root_of_l():
 def test_adams_composition():
     rng = random.Random(2)
     for _ in range(50):
-        p = random_lpoly(rng, VS_Y, halves=True, laurent=True)
+        p = random_lpoly(rng, RING_Y, halves=True, laurent=True)
         r, s = rng.randint(1, 5), rng.randint(1, 5)
         assert p.adams(r).adams(s) == p.adams(r * s)
 
@@ -101,8 +100,8 @@ def test_adams_composition():
 def test_adams_ring_endomorphism():
     rng = random.Random(3)
     for _ in range(50):
-        a = random_lpoly(rng, VS_UV)
-        b = random_lpoly(rng, VS_UV)
+        a = random_lpoly(rng, RING_UV)
+        b = random_lpoly(rng, RING_UV)
         r = rng.randint(1, 4)
         assert (a * b).adams(r) == a.adams(r) * b.adams(r)
         assert (a + b).adams(r) == a.adams(r) + b.adams(r)
@@ -111,9 +110,9 @@ def test_adams_ring_endomorphism():
 def test_ring_axioms_random():
     rng = random.Random(11)
     for _ in range(200):
-        a = random_lpoly(rng, VS_UV, max_deg=6)
-        b = random_lpoly(rng, VS_UV, max_deg=6)
-        c = random_lpoly(rng, VS_UV, max_deg=6)
+        a = random_lpoly(rng, RING_UV, max_deg=6)
+        b = random_lpoly(rng, RING_UV, max_deg=6)
+        c = random_lpoly(rng, RING_UV, max_deg=6)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
@@ -130,61 +129,61 @@ def test_normalization_no_zero_terms():
 
 def test_half_exponent_guard():
     with pytest.raises(ValueError):
-        LPoly.var(VS_UV, "u", 1)
+        LPoly.var(RING_UV, "u", 1)
 
 
 def test_substitute_hodge_to_chi_y():
     # (u,v) -> (-y, 1) realizes chi_y
     p = U * V
-    assert p.substitute(VS_Y, whole={"u": -Y, "v": 1}) == -Y
+    assert p.substitute(RING_Y, whole={"u": -Y, "v": 1}) == -Y
 
 
 def test_substitute_identity():
     p = 1 + 2 * U * V + U ** 3
-    assert p.substitute(VS_UV) == p
+    assert p.substitute(RING_UV) == p
 
 
 def test_substitute_declared_root():
-    assert LHALF.substitute(VS_NONE, half={"L": Fraction(-1)}) == LPoly.const(VS_NONE, -1)
+    assert LHALF.substitute(QQ, half={"L": Fraction(-1)}) == QQ.coerce(-1)
     # L = (L^(1/2))^2 is forced to the square of the declared root
-    assert L.substitute(VS_NONE, half={"L": Fraction(-1)}) == LPoly.const(VS_NONE, 1)
+    assert L.substitute(QQ, half={"L": Fraction(-1)}) == QQ.coerce(1)
 
 
 def test_substitute_requires_root():
     with pytest.raises(SubstitutionError):
-        LHALF.substitute(VS_NONE, whole={"L": Fraction(4)})
+        LHALF.substitute(QQ, whole={"L": Fraction(4)})
 
 
 def test_substitute_uncovered_variable():
     with pytest.raises(SubstitutionError):
-        (U * V).substitute(VS_Y, whole={"u": Y})
+        (U * V).substitute(RING_Y, whole={"u": Y})
 
 
 def test_substitute_negative_power_at_zero():
     with pytest.raises(ExactDivisionError):
-        (L ** (-1)).substitute(VS_NONE, whole={"L": 0})
-    zero = LPoly.const(VS_NONE, 0)
+        (L ** (-1)).substitute(QQ, whole={"L": 0})
+    zero = QQ.coerce(0)
     # the zero image meets the negative exponent first, second, or after a
     # positive power of zero has already cleared the term
     for p, whole in ((U ** -1 * V, {"u": 0, "v": 1}), (U * V ** -1, {"u": 1, "v": zero}),
                      (U * V ** -1, {"u": zero, "v": 0})):
         with pytest.raises(ExactDivisionError):
-            p.substitute(VS_NONE, whole=whole)
+            p.substitute(QQ, whole=whole)
 
 
 def test_substitute_keeps_half_admissible_variable():
     p = LPoly(VarSet(("L", "y")), {(1, 3): 2, (-3, 0): 1})  # 2 L^(1/2) y^(3/2) + L^(-3/2)
-    assert p.substitute(VS_L, half={"y": 1}) == 2 * LHALF + LHALF ** -3
-    assert p.substitute(VS_L, half={"y": -1}) == -2 * LHALF + LHALF ** -3
+    assert p.substitute(RING_L, half={"y": 1}) == 2 * LHALF + LHALF ** -3
+    assert p.substitute(RING_L, half={"y": -1}) == -2 * LHALF + LHALF ** -3
 
 
 def test_substitute_values_are_monomials():
     with pytest.raises(SubstitutionError):
-        (U * V).substitute(VS_UV, whole={"u": 1 + U})
+        (U * V).substitute(RING_UV, whole={"u": 1 + U})
     with pytest.raises(VariableMismatchError):
-        (U * V).substitute(VS_Y, whole={"u": Y, "v": U})
+        (U * V).substitute(RING_Y, whole={"u": Y, "v": U})
     with pytest.raises(TypeError):
-        (U * V).substitute(VS_NONE, whole={"u": 1, "v": 0.5})
+        (U * V).substitute(QQ, whole={"u": 1, "v": 0.5})
 
 
 def test_str_is_canonical_and_exact():
@@ -197,15 +196,15 @@ def test_str_is_canonical_and_exact():
 # -- the integer-numerator representation against a dict-of-Fraction reference ----
 
 # variable set -> whether half exponents are legal on it
-VARSETS = {"none": (VS_NONE, False), "L": (VS_L, True), "y": (VS_Y, True), "uv": (VS_UV, False)}
+VARSETS = {"none": (QQ, False), "L": (RING_L, True), "y": (RING_Y, True), "uv": (RING_UV, False)}
 
 # per variable set: (target, whole, half) substitutions whose values stay
 # invertible, so Laurent exponents are legal
 SUBSTITUTIONS = {
-    "none": [(VS_Y, {}, {})],
-    "L": [(VS_Y, {}, {"L": -YHALF}), (VS_NONE, {}, {"L": Fraction(2, 3)})],
-    "y": [(VS_NONE, {}, {"y": Fraction(-3, 2)}), (VS_L, {}, {"y": -LHALF})],
-    "uv": [(VS_Y, {"u": Y, "v": 1}, {}), (VS_UV, {"u": 2 * V}, {})],
+    "none": [(RING_Y, {}, {})],
+    "L": [(RING_Y, {}, {"L": -YHALF}), (QQ, {}, {"L": Fraction(2, 3)})],
+    "y": [(QQ, {}, {"y": Fraction(-3, 2)}), (RING_L, {}, {"y": -LHALF})],
+    "uv": [(RING_Y, {"u": Y, "v": 1}, {}), (RING_UV, {"u": 2 * V}, {})],
 }
 
 
@@ -259,9 +258,9 @@ def dot_operand(rng, vars, halves):
     """A random operand, a constant (zero and one included), or a very sparse one."""
     pick = rng.random()
     if pick < 0.1:
-        return LPoly.const(vars, rng.choice([0, 1]))
+        return vars.coerce(rng.choice([0, 1]))
     if pick < 0.2:
-        return LPoly.const(vars, Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
+        return vars.coerce(Fraction(rng.randint(-5, 5), rng.randint(1, 7)))
     if pick < 0.25 and vars.names:
         return LPoly(vars, {(2000,) * len(vars): Fraction(1, 3), (0,) * len(vars): 1})
     return rational_lpoly(rng, vars, halves)
@@ -271,8 +270,8 @@ def dot_operand(rng, vars, halves):
 def test_dot_matches_reference(name):
     vars, halves = VARSETS[name]
     rng = random.Random(f"dot-{name}")
-    assert LPoly.dot(vars, []) == LaurentRing(vars).zero
-    assert LPoly.dot(vars, [], 5) == LaurentRing(vars).zero
+    assert LPoly.dot(vars, []) == vars.zero
+    assert LPoly.dot(vars, [], 5) == vars.zero
     for _ in range(60):
         triples = [(rng.randint(-4, 4), dot_operand(rng, vars, halves),
                     dot_operand(rng, vars, halves)) for _ in range(rng.randint(0, 5))]
@@ -287,7 +286,7 @@ def test_dot_matches_reference(name):
         assert LPoly.dot(vars, iter(triples), div) == got
     if len(vars) > 1:  # products reach one step inside the packed field, from both sides
         a, b = near_limit_operands(vars)
-        triples = [(1, a, b), (-3, b, a), (2, a, LPoly.const(vars, Fraction(1, 7)))]
+        triples = [(1, a, b), (-3, b, a), (2, a, vars.coerce(Fraction(1, 7)))]
         expect = ref_add(ref_scale(ref_mul(dict(a.terms), dict(b.terms)), -2),
                          ref_scale(dict(a.terms), Fraction(2, 7)))
         got = LPoly.dot(vars, triples)
@@ -296,12 +295,12 @@ def test_dot_matches_reference(name):
         assert {e[1] for e in expect} >= {EXP_LIMIT - 2, 2 - EXP_LIMIT}
         with pytest.raises(ExponentLimitError):
             LPoly.dot(vars, [(1, a, a)])
-    other = VS_Y if vars != VS_Y else VS_L
-    zero_elsewhere = LPoly.const(other, 0)
+    other = RING_Y if vars != RING_Y else RING_L
+    zero_elsewhere = other.coerce(0)
     with pytest.raises(VariableMismatchError):
-        LPoly.dot(vars, [(1, LPoly.const(vars, 1), zero_elsewhere)])
+        LPoly.dot(vars, [(1, vars.coerce(1), zero_elsewhere)])
     with pytest.raises(VariableMismatchError):
-        LPoly.dot(vars, [(0, zero_elsewhere, LPoly.const(vars, 1))])
+        LPoly.dot(vars, [(0, zero_elsewhere, vars.coerce(1))])
 
 
 def near_limit_operands(vars):
@@ -328,23 +327,23 @@ def test_canonical_form():
             # one value reached by different routes: equal, so equally hashed
             for x, y in ((a + b, b + a), (a * b, b * a), ((a + b) - b, a),
                          (LPoly(vars, a.terms), a), (a.scale(Fraction(1, 3)).scale(3), a),
-                         ((a * 6).div_int(6), a), (a - a, LaurentRing(vars).zero)):
+                         ((a * 6).div_int(6), a), (a - a, vars.zero)):
                 assert x == y and hash(x) == hash(y)
 
 
 # the monomial maps the library uses: (map, source, halves, target, whole, half)
 PRODUCTION_MAPS = {
-    "spec_e": (spec_e, VS_L, False, VS_UV, {"L": U * V}, {}),
-    "spec_chi_minus_y": (spec_chi_minus_y, VS_L, True, VS_Y, {}, {"L": -YHALF}),
-    "chi_of_y": (chi_of_y, VS_Y, True, VS_NONE, {}, {"y": 1}),
-    "hodge_spec_chi": (lambda e: hodge_spec(e, "chi"), VS_UV, False, VS_NONE,
+    "spec_e": (spec_e, RING_L, False, RING_UV, {"L": U * V}, {}),
+    "spec_chi_minus_y": (spec_chi_minus_y, RING_L, True, RING_Y, {}, {"L": -YHALF}),
+    "chi_of_y": (chi_of_y, RING_Y, True, QQ, {}, {"y": 1}),
+    "hodge_spec_chi": (lambda e: hodge_spec(e, "chi"), RING_UV, False, QQ,
                        {"u": 1, "v": 1}, {}),
-    "hodge_spec_chi_y": (lambda e: hodge_spec(e, "chi-y"), VS_UV, False, VS_Y,
+    "hodge_spec_chi_y": (lambda e: hodge_spec(e, "chi-y"), RING_UV, False, RING_Y,
                          {"u": Y, "v": 1}, {}),
-    "proj_space_y_sign": (lambda p: p.substitute(VS_Y, whole={"y": -Y}), VS_Y, False, VS_Y,
+    "proj_space_y_sign": (lambda p: p.substitute(RING_Y, whole={"y": -Y}), RING_Y, False, RING_Y,
                           {"y": -Y}, {}),
     # Psi_r relabels the root -L^(1/2) to its r-th power: L^(1/2) -> (-1)^(r+1) L^(r/2)
-    **{f"adams_{r}": (lambda p, r=r: p.adams(r), VS_L, True, VS_L, {},
+    **{f"adams_{r}": (lambda p, r=r: p.adams(r), RING_L, True, RING_L, {},
                       {"L": (-1) ** (r + 1) * LHALF ** r}) for r in range(1, 7)},
 }
 
@@ -361,7 +360,7 @@ def test_production_maps_match_reference(name):
             a = a + LPoly(vars, near) * (i - 39)
         got = fn(a)
         if not isinstance(got, LPoly):
-            got = LPoly.const(VS_NONE, got)
+            got = QQ.coerce(got)
         assert dict(got.terms) == ref_substitute(dict(a.terms), vars, target, whole, half)
 
 
@@ -371,7 +370,7 @@ def test_proj_space_classes_flip_the_sign_of_y():
         q = qy_series(d).pow_int(d + 1)
         for j in range(d + 1):
             coeff = q.coeffs[j].exact_div(1 + Y)
-            expect = ref_substitute(dict(coeff.terms), VS_Y, VS_Y, {"y": -Y}, {})
+            expect = ref_substitute(dict(coeff.terms), RING_Y, RING_Y, {"y": -Y}, {})
             assert dict(proj_space_model(d).ty[f"P{d - j}"].terms) == expect
 
 
@@ -392,7 +391,7 @@ COEFFS = st.fractions(max_denominator=50).filter(bool)
 
 @st.composite
 def term_maps(draw):
-    vars = draw(st.sampled_from([VS_NONE, VS_L, VS_Y, VS_UV]))
+    vars = draw(st.sampled_from([QQ, RING_L, RING_Y, RING_UV]))
     return vars, draw(st.dictionaries(exponent_vectors(vars), COEFFS, max_size=6))
 
 
@@ -417,30 +416,30 @@ def test_exponent_limit_guards():
     # every way into a packed field of v: construction, products, Adams, substitution,
     # negative powers and exact division
     with pytest.raises(ExponentLimitError, match="2\\^61"):
-        LPoly(VS_UV, {(0, EXP_LIMIT): 1})
+        LPoly(RING_UV, {(0, EXP_LIMIT): 1})
     with pytest.raises(ExponentLimitError):
-        LPoly(VS_UV, {(0, -EXP_LIMIT): 1})
-    assert LPoly(VS_UV, {(0, EXP_LIMIT): 0}).is_zero()
-    inside = LPoly(VS_UV, {(0, EXP_LIMIT - 2): 1})
+        LPoly(RING_UV, {(0, -EXP_LIMIT): 1})
+    assert LPoly(RING_UV, {(0, EXP_LIMIT): 0}).is_zero()
+    inside = LPoly(RING_UV, {(0, EXP_LIMIT - 2): 1})
     assert str(inside) == f"v^{(EXP_LIMIT - 2) // 2}"
-    far = LPoly(VS_UV, {(2 ** 80, 2 - EXP_LIMIT): 1})  # the first exponent is unbounded
+    far = LPoly(RING_UV, {(2 ** 80, 2 - EXP_LIMIT): 1})  # the first exponent is unbounded
     assert str(far) == f"u^{2 ** 79}v^({1 - EXP_LIMIT // 2})"
     with pytest.raises(ExponentLimitError):
         inside * V
-    assert inside * V ** -1 == LPoly(VS_UV, {(0, EXP_LIMIT - 4): 1})
-    half_way = LPoly(VS_UV, {(0, EXP_LIMIT // 2): 1, (2, 0): 3})
+    assert inside * V ** -1 == LPoly(RING_UV, {(0, EXP_LIMIT - 4): 1})
+    half_way = LPoly(RING_UV, {(0, EXP_LIMIT // 2): 1, (2, 0): 3})
     assert half_way.adams(1) is half_way
     with pytest.raises(ExponentLimitError):
         half_way.adams(2)
-    assert LPoly(VS_UV, {(0, EXP_LIMIT // 2 - 2): 1, (2, 0): 3}).adams(2) == \
-        LPoly(VS_UV, {(0, EXP_LIMIT - 4): 1, (4, 0): 3})
+    assert LPoly(RING_UV, {(0, EXP_LIMIT // 2 - 2): 1, (2, 0): 3}).adams(2) == \
+        LPoly(RING_UV, {(0, EXP_LIMIT - 4): 1, (4, 0): 3})
     with pytest.raises(ExponentLimitError):
-        LPoly(VS_L, {(EXP_LIMIT,): 1}).substitute(VS_UV, whole={"L": U * V})
-    assert LPoly(VS_L, {(EXP_LIMIT - 2,): 1}).substitute(VS_UV, whole={"L": U * V}) == \
-        LPoly(VS_UV, {(EXP_LIMIT - 2, EXP_LIMIT - 2): 1})
+        LPoly(RING_L, {(EXP_LIMIT,): 1}).substitute(RING_UV, whole={"L": U * V})
+    assert LPoly(RING_L, {(EXP_LIMIT - 2,): 1}).substitute(RING_UV, whole={"L": U * V}) == \
+        LPoly(RING_UV, {(EXP_LIMIT - 2, EXP_LIMIT - 2): 1})
     with pytest.raises(ExponentLimitError):
         (inside * V ** -2) ** -2
-    low = LPoly(VS_UV, {(0, 2 - EXP_LIMIT): 1})
+    low = LPoly(RING_UV, {(0, 2 - EXP_LIMIT): 1})
     assert (low * (1 + U)).exact_div(1 + U) == low
     with pytest.raises(ExponentLimitError):
         low.exact_div(V)

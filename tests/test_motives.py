@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from motivic_cc.lpoly import LPoly, VS_L, VS_UV
-from motivic_cc.series import RING_L, RING_UV, TSeries
+from motivic_cc.lpoly import RING_L, RING_UV
+from motivic_cc.series import TSeries
 from motivic_cc.lambda_power import EulerExponents, euler_exp, euler_log, power
 from motivic_cc.motives import (
     L, L_HALF, U, V, Y, Y_HALF, UnsupportedRangeError,
@@ -73,7 +73,7 @@ def test_surface_two_route():
 
 
 def test_hilb_series_point_is_punctual():
-    one = LPoly.const(VS_L, 1)
+    one = RING_L.coerce(1)
     for d in (1, 2, 3):
         a = punctual_series(d, 3)
         assert hilb_motive_series(one, d, 3) == a
@@ -94,7 +94,7 @@ def test_hilb_series_curve_is_symmetric_products():
 def test_hilb_series_curve_collapse_vs_kapranov():
     rng = random.Random(9)
     for _ in range(10):
-        x = random_lpoly(rng, VS_L, max_deg=2, terms=3)
+        x = random_lpoly(rng, RING_L, max_deg=2, terms=3)
         s = map_series(hilb_motive_series(x, 1, 6), "e")
         z = kapranov_zeta(spec_e(x), 6)
         assert s == z
@@ -110,8 +110,8 @@ def test_hilb_series_surface_vs_euler_product():
 def test_kapranov_zeta_p1():
     z = kapranov_zeta(1 + U * V, 3)
     assert z.coeffs[2] == 1 + U * V + (U * V) ** 2
-    assert kapranov_zeta(LPoly.const(VS_UV, 1), 4) == TSeries(RING_UV, [RING_UV.one] * 5)
-    assert kapranov_zeta(LPoly.const(VS_UV, 0), 4) == TSeries.one(RING_UV, 4)
+    assert kapranov_zeta(RING_UV.coerce(1), 4) == TSeries(RING_UV, [RING_UV.one] * 5)
+    assert kapranov_zeta(RING_UV.coerce(0), 4) == TSeries.one(RING_UV, 4)
 
 
 def test_config_space_series():
@@ -142,13 +142,13 @@ def test_specializations():
 def test_specializations_are_ring_homs():
     rng = random.Random(10)
     for _ in range(50):
-        a = random_lpoly(rng, VS_L, max_deg=3, laurent=True, halves=True)
-        b = random_lpoly(rng, VS_L, max_deg=3, laurent=True, halves=True)
+        a = random_lpoly(rng, RING_L, max_deg=3, laurent=True, halves=True)
+        b = random_lpoly(rng, RING_L, max_deg=3, laurent=True, halves=True)
         assert spec_chi_minus_y(a * b) == spec_chi_minus_y(a) * spec_chi_minus_y(b)
         assert spec_chi_minus_y(a + b) == spec_chi_minus_y(a) + spec_chi_minus_y(b)
         assert spec_chi(a * b) == spec_chi(a) * spec_chi(b)
-        ai = random_lpoly(rng, VS_L, max_deg=3)
-        bi = random_lpoly(rng, VS_L, max_deg=3)
+        ai = random_lpoly(rng, RING_L, max_deg=3)
+        bi = random_lpoly(rng, RING_L, max_deg=3)
         assert spec_e(ai * bi) == spec_e(ai) * spec_e(bi)
 
 
@@ -156,10 +156,10 @@ def test_specialization_respects_power_structure():
     # pre-lambda ring homomorphisms respect the power structure
     rng = random.Random(12)
     for _ in range(10):
-        coeffs = [RING_L.one] + [random_lpoly(rng, VS_L, max_deg=2, terms=2)
+        coeffs = [RING_L.one] + [random_lpoly(rng, RING_L, max_deg=2, terms=2)
                                  for _ in range(5)]
         a = TSeries(RING_L, coeffs)
-        m = random_lpoly(rng, VS_L, max_deg=2, terms=2)
+        m = random_lpoly(rng, RING_L, max_deg=2, terms=2)
         lhs = map_series(power(a, m, require_integral=False), "chi-y")
         rhs = power(map_series(a, "chi-y"), spec_chi_minus_y(m), require_integral=False)
         assert lhs == rhs
@@ -182,7 +182,7 @@ def test_virtual_punctual_series():
 
 
 def test_virtual_hilb_point():
-    one = LPoly.const(VS_L, 1)
+    one = RING_L.coerce(1)
     assert virtual_hilb_series(one, 4) == virtual_punctual_series(4)
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from motivic_cc.lpoly import LPoly, VS_NONE, VS_Y
-from motivic_cc.series import QQ, RING_L, RING_Y, LaurentRing, TSeries
+from motivic_cc.lpoly import LPoly, VarSet, QQ, RING_L, RING_UV, RING_Y
+from motivic_cc.series import TSeries
 from motivic_cc.lambda_power import EulerExponents, euler_log, pre_lambda
 from motivic_cc.motives import (
     Y, chi_of_y, macmahon_series, map_series, proj_space_class, punctual_series,
@@ -53,7 +53,7 @@ def random_pont(rng, model, order, ring=RING_Y) -> PontSeries:
                     parts.append((k, rng.choice(model.basis)[0]))
                     left -= k
                 ms = tuple(sorted(parts))
-            c = LPoly(VS_Y, {(2 * rng.randint(0, 2),): rng.randint(-3, 3)})
+            c = LPoly(RING_Y, {(2 * rng.randint(0, 2),): rng.randint(-3, 3)})
             if not c.is_zero():
                 d[ms] = d.get(ms, RING_Y.zero) + c
         dicts.append(d)
@@ -224,7 +224,7 @@ def test_sym_prod_series():
     assert s1.term(1, ((1, "P0"),)) == RING_Y.one + Y
     deg = pont_degree(P1, s1)
     for n in range(6):
-        assert deg.coeffs[n] == LPoly(VS_Y, {(2 * i,): 1 for i in range(n + 1)})
+        assert deg.coeffs[n] == LPoly(RING_Y, {(2 * i,): 1 for i in range(n + 1)})
 
 
 def test_hilb_class_series_curve_is_sym():
@@ -337,7 +337,7 @@ def assert_rebuilds(s: PontSeries):
     """A result built without the checks: the checking constructor rebuilds it exactly."""
     assert PontSeries(s.model, s.ring, [el.terms for el in s.components]) == s
     for el in s.components:
-        assert all(ms == tuple(sorted(ms)) and c.num and c.vars == s.ring.vars
+        assert all(ms == tuple(sorted(ms)) and c.num and c.vars == s.ring
                    for ms, c in el.terms.items())
 
 
@@ -364,7 +364,7 @@ def test_unchecked_results_pass_the_checks(model):
 
 def test_public_constructors_check_their_input():
     """PontElement, PontSeries and d_push reject bad multisets, sort multisets and drop
-    zero coefficients."""
+    zero coefficients; PontSeries coerces each coefficient into its ring."""
     c = RING_Y.one + Y
     for bad in ({((1, "P0"),): c}, {((0, "P0"), (2, "P1")): c}, {((-1, "P0"), (3, "P1")): c}):
         with pytest.raises(ValueError):
@@ -381,6 +381,9 @@ def test_public_constructors_check_their_input():
     assert [el.terms for el in s.components] == [{(): RING_Y.one}, {},
                                                  {((1, "P0"), (1, "P1")): c}]
     assert d_push(P1, 2, {"P0": RING_Y.zero, "P1": c}).terms == {((2, "P1"),): c}
+    with pytest.raises(TypeError):
+        PontSeries(P1, RING_Y, [{(): RING_L.one}])
+    assert PontSeries(P1, RING_Y, [{(): 1}]) == PontSeries.unit(P1, RING_Y, 0)
 
 
 def test_two_spellings_of_one_multiset_add():
@@ -496,7 +499,8 @@ def test_aluffi_point_degree_is_macmahon_with_sign():
 
 def test_chern_level_coefficients_are_constant_lpolys():
     """Q is the Laurent ring with no variables, and Chern-level series hold its elements."""
-    assert QQ == LaurentRing(VS_NONE) and str(QQ) == "Q"
+    assert QQ == VarSet(()) and hash(QQ) == hash(VarSet(())) and QQ != RING_Y
+    assert [str(r) for r in (QQ, RING_L, RING_UV, RING_Y)] == ["Q", "Q[L]", "Q[u,v]", "Q[y]"]
     coefficients = []
     for s in (chern_class_series(P2, 2, 4), aluffi_series(P3, 4),
               normalized_y1_limit(hilb_class_series(P2, 2, 3))):
@@ -505,15 +509,17 @@ def test_chern_level_coefficients_are_constant_lpolys():
     chi = map_series(hilb_motive_series(proj_space_class(2), 2, 4), "chi")
     assert chi.ring == QQ
     coefficients += chi.coeffs
-    assert coefficients and all(isinstance(c, LPoly) and c.vars == VS_NONE
+    assert coefficients and all(isinstance(c, LPoly) and c.vars == QQ
                                 for c in coefficients)
 
 
 VALUES = {
-    "LPoly": lambda: Y.scale(Fraction(-2, 3)) + LPoly.var(VS_Y, "y", 1),
+    "LPoly": lambda: Y.scale(Fraction(-2, 3)) + LPoly.var(RING_Y, "y", 1),
     "TSeries": lambda: map_series(punctual_series(2, 3), "chi-y"),
     "PontElement": lambda: d_push(P1, 2, P1.ty),
     "PontSeries": lambda: chern_class_series(P2, 2, 3),
+    "VarSet": lambda: RING_Y,
+    "EulerExponents": lambda: euler_log(map_series(punctual_series(2, 3), "chi-y")),
 }
 
 
@@ -525,3 +531,10 @@ def test_values_copy_and_pickle(kind):
     assert pickle.dumps(value) == before
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value
+        if type(value).__hash__ is not None:
+            assert hash(twin) == hash(value)
+    if kind == "VarSet":  # a ring rebuilt from its names has its own zero and one
+        twin = pickle.loads(before)
+        assert (twin.zero, twin.one, str(twin)) == (value.zero, value.one, str(value))
+    with pytest.raises(AttributeError, match="is immutable"):
+        value.ring = QQ
