@@ -11,7 +11,9 @@ truncation variable of a :class:`TSeries` over Q[y] (order = dimension).
 A :class:`HomologyModel` is a finite graded basis of the even Borel-Moore
 homology with a stored class T_{(-y)*}(X); built-in models (point, P^d,
 binary products) also carry an independently computed MacPherson Chern class
-so the y -> 1 normalization limit can be cross-checked.
+so the y -> 1 normalization limit can be cross-checked.  This module is the
+one home of the homological Adams operation :func:`adams_h` and of the exact
+y -> 1 limit :func:`y1_limit` of the normalization Psi_(1-y).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .lpoly import LPoly, RING_UV, RING_Y
+from .lpoly import ExactDivisionError, LPoly, RING_UV, RING_Y
 from .series import TSeries
 from .motives import TwoRouteMismatchError, Y, chi_of_y, hodge_spec, proj_space_class
 
@@ -80,7 +82,7 @@ class HomologyModel:
         self.proper = proper
         self.basis = tuple(basis)
         self.zero_id = zero_id
-        self.ty = {b: RING_Y.coerce(c) for b, c in ty.items() if not RING_Y.coerce(c).is_zero()}
+        self.ty = {b: c for b, c in zip(ty, map(RING_Y.coerce, ty.values())) if c.num}
         self.e_poly = RING_UV.coerce(e_poly)
         self.chern = dict(chern) if chern is not None else None
         self.l_class = l_class
@@ -162,6 +164,29 @@ def product_model(m1: HomologyModel, m2: HomologyModel) -> HomologyModel:
                          chern=chern, l_class=l_class)
 
 
+def adams_h(model: HomologyModel, r: int, hclass: dict[str, LPoly]) -> dict[str, LPoly]:
+    """Homological Adams operation Psi_r: 1/r^k in degree k, and y -> y^r."""
+    if r < 1:
+        raise ValueError("Adams index must be >= 1")
+    degs = model.degs()
+    return {b: c.adams(r) * Fraction(1, r ** degs[b])
+            for b, c in hclass.items()}
+
+
+def y1_limit(c: LPoly, m: int) -> Fraction:
+    """c / (1-y)^m at y = 1, exactly: the y -> 1 limit of Psi_(1-y) in degree m.
+
+    The power must cancel into c, or ArithmeticError signals a pole.  By
+    Descartes' rule of signs in y^(1/2), a nonzero c with at most m terms
+    vanishes to order below m at y = 1, so that pole is raised without dividing.
+    """
+    if m and c.num:
+        if len(c.num) <= m:
+            raise ExactDivisionError(f"{len(c.num)} terms cannot vanish to order {m} at y=1")
+        c = c.exact_div((RING_Y.one - Y) ** m)
+    return chi_of_y(c)
+
+
 def chern_limit_check(model: HomologyModel, r: int = 1) -> dict[str, Fraction]:
     """The y -> 1 limit of the twisted normalization of the stored class.
 
@@ -171,21 +196,15 @@ def chern_limit_check(model: HomologyModel, r: int = 1) -> dict[str, Fraction]:
     When the model stores an independently computed Chern class the result
     is compared against it.
     """
-    if r < 1:
-        raise ValueError("Adams index must be >= 1")
     degs = model.degs()
-    one_minus_y = RING_Y.one - Y
     out: dict[str, Fraction] = {}
-    for b, tau in model.ty.items():
-        k = degs[b]
-        scaled = tau.adams(r)
+    for b, tau in adams_h(model, r, model.ty).items():
         try:
-            reduced = scaled.exact_div(one_minus_y ** k)
+            val = y1_limit(tau, degs[b])
         except ArithmeticError as exc:
             raise TwoRouteMismatchError(
                 f"model {model.name}, basis {b}: pole at y=1 "
                 f"after (1-y)-cancellation") from exc
-        val = chi_of_y(reduced) / r ** k
         if val != 0:
             out[b] = val
     if model.chern is not None and out != model.chern:

@@ -166,15 +166,8 @@ def map_series(a: TSeries, which: str) -> TSeries:
 # -- the main motivic series -----------------------------------------------
 
 def hilb_motive_series(x: LPoly, d: int, order: int) -> TSeries:
-    """Generating series of Hilbert-scheme classes: (punctual series)^[X].
-
-    ``x`` may live over the L ring or the (u,v) ring; in the latter case the
-    punctual series is pushed through the Hodge specialization first.
-    """
-    a = punctual_series(d, order)
-    if x.vars == RING_UV:
-        return power(map_series(a, "e"), x)
-    return power(a, RING_L.coerce(x))
+    """Generating series of Hilbert-scheme classes: (punctual series)^[X]."""
+    return power(punctual_series(d, order), RING_L.coerce(x))
 
 
 def kapranov_zeta(e: LPoly, order: int) -> TSeries:
@@ -184,9 +177,7 @@ def kapranov_zeta(e: LPoly, order: int) -> TSeries:
 
 def config_space_series(x: LPoly, order: int) -> TSeries:
     """(1 + t)^[X]: classes of configuration spaces of unlabeled points."""
-    ring = RING_UV if x.vars == RING_UV else RING_L
-    one_plus = TSeries.from_terms(ring, order, {0: 1, 1: 1})
-    return power(one_plus, ring.coerce(x))
+    return power(TSeries.from_terms(RING_L, order, {0: 1, 1: 1}), RING_L.coerce(x))
 
 
 # -- virtual motives of threefolds ----------------------------------------

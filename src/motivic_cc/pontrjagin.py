@@ -25,10 +25,10 @@ from .lpoly import LPoly, VarSet, QQ, RING_L, RING_Y
 from .series import TSeries
 from .lambda_power import euler_log
 from .motives import (
-    TwoRouteMismatchError, UnsupportedRangeError, Y,
-    chi_of_y, punctual_exponents, spec_chi, spec_chi_minus_y, virtual_alpha, map_series,
+    TwoRouteMismatchError, UnsupportedRangeError,
+    punctual_exponents, spec_chi, spec_chi_minus_y, virtual_alpha, map_series,
 )
-from .hirzebruch import HomologyModel, chern_class_of
+from .hirzebruch import HomologyModel, adams_h, chern_class_of, y1_limit
 
 Multiset = tuple[tuple[int, str], ...]
 HClass = dict[str, object]
@@ -173,15 +173,6 @@ def d_push(model: HomologyModel, k: int, hclass: HClass) -> PontElement:
     if k < 1:
         raise ValueError("pushforward index must be >= 1")
     return PontElement(k, {((k, b),): c for b, c in hclass.items()})
-
-
-def adams_h(model: HomologyModel, r: int, hclass: HClass) -> HClass:
-    """Homological Adams operation: 1/r^k in degree k, and y -> y^r."""
-    if r < 1:
-        raise ValueError("Adams index must be >= 1")
-    degs = model.degs()
-    return {b: c.adams(r) * Fraction(1, r ** degs[b])
-            for b, c in hclass.items()}
 
 
 def power_op(k: int, s: PontSeries, order: int | None = None) -> PontSeries:
@@ -378,24 +369,22 @@ def pont_degree(model: HomologyModel, s: PontSeries) -> TSeries:
 def normalized_y1_limit(s: PontSeries) -> PontSeries:
     """Apply the normalization Psi_(1-y) and evaluate at y = 1, exactly.
 
-    A term over a multiset of total homological degree m is divided by
-    (1-y)^m; the power must cancel into the coefficient (pole otherwise),
-    after which y = 1 specializes the series to the Chern level over Q.
+    A term over a multiset of total homological degree m goes through
+    :func:`~motivic_cc.hirzebruch.y1_limit` with that m (a pole raises),
+    which specializes the series to the Chern level over Q.
     """
     if s.ring != RING_Y:
         raise ValueError("normalization limit applies to y-level series")
     degs = s.model.degs()
-    one_minus_y = RING_Y.one - Y
     out = []
     for el in s.components:
         d: dict[Multiset, LPoly] = {}
         for ms, c in el.terms.items():
-            m = sum(degs[b] for _, b in ms)
             try:
-                reduced = c.exact_div(one_minus_y ** m)
+                val = y1_limit(c, sum(degs[b] for _, b in ms))
             except ArithmeticError as exc:
                 raise TwoRouteMismatchError(
                     f"pole at y=1 for multiset {ms}") from exc
-            d[ms] = QQ.coerce(chi_of_y(reduced))
+            d[ms] = QQ.coerce(val)
         out.append(d)
     return PontSeries._of(s.model, QQ, out)

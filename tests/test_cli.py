@@ -476,7 +476,7 @@ def test_inconsistent_model_rejected(tmp_path, capsys):
 def test_exit_one_on_failed_internal_check(tmp_path, capsys):
     # consistent degree but a positive-degree coordinate not divisible by
     # (1-y): the Chern normalization limit has a pole, reported as exit 1
-    doc = {
+    pole = {
         "name": "pole", "dim": 1, "proper": True,
         "basis": [{"id": "a", "deg": 1}, {"id": "b", "deg": 0}],
         "zeroDegreeBasisId": "b",
@@ -484,12 +484,24 @@ def test_exit_one_on_failed_internal_check(tmp_path, capsys):
                      "b": [{"yNum": 0, "c": "1"}, {"yNum": 2, "c": "1"}]},
         "e_poly": [{"u": 0, "v": 0, "c": 1}, {"u": 1, "v": 1, "c": 1}],
     }
-    path = tmp_path / "pole.json"
-    path.write_text(json.dumps(doc))
-    code = main(["classes", "--model", str(path), "--dim", "1",
-                 "--kind", "chern", "--order", "2"])
-    capsys.readouterr()
-    assert code == EXIT_CHECK_FAILED
+    # a one-term class in degree 100,000 cannot vanish to that order at y=1;
+    # the pole is found without building (1-y)^100000
+    big = {
+        "name": "big", "dim": 100_000, "proper": False,
+        "basis": [{"id": "a", "deg": 100_000}], "zeroDegreeBasisId": None,
+        "ty_class": {"a": [{"yNum": 0, "c": "1"}]},
+        "e_poly": [{"u": 0, "v": 0, "c": 1}],
+    }
+    for doc, dim, order in ((pole, "1", "2"), (big, "2", "1")):
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        code = main(["classes", "--model", str(path), "--dim", dim,
+                     "--kind", "chern", "--order", order])
+        captured = capsys.readouterr()
+        assert code == EXIT_CHECK_FAILED
+        assert captured.out == ""
+        assert captured.err == (f"error: model {doc['name']}, basis a: "
+                                "pole at y=1 after (1-y)-cancellation\n")
 
 
 def test_order_cap_env(capsys, monkeypatch):
@@ -620,6 +632,14 @@ def test_cli_import_stays_light():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=package_env(), check=True).stdout
     assert out == "[]\n"
+
+
+def test_package_import_loads_no_module():
+    # every name is imported from its module: the package itself re-exports nothing
+    script = "import sys, motivic_cc; print('motivic_cc.lpoly' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=package_env(), check=True).stdout
+    assert out == "False\n"
 
 
 def test_tracer_runs_and_counts_both_product_layers(tmp_path):

@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from motivic_cc.lpoly import LPoly, QQ, RING_UV, RING_Y
 from motivic_cc.series import TSeries
-from motivic_cc.motives import TwoRouteMismatchError, Y, hodge_spec
+from motivic_cc.motives import TwoRouteMismatchError, Y, Y_HALF, chi_of_y, hodge_spec
 from motivic_cc.hirzebruch import (
     HomologyModel, chern_class_of, chern_limit_check, point_model,
-    product_model, proj_space_model, qy_series, qyhat_series,
+    product_model, proj_space_model, qy_series, qyhat_series, y1_limit,
 )
+from helpers import random_lpoly
 
 
 def eval_at_y(s: TSeries, c: Fraction) -> TSeries:
@@ -158,6 +160,35 @@ def test_chern_limit_detects_bad_class():
                         {"a": RING_Y.one, "b": RING_Y.one + Y}, e_p1)
     with pytest.raises(TwoRouteMismatchError):
         chern_limit_check(bad, 1)
+
+
+def test_y1_limit_matches_two_step_reference():
+    """y1_limit(c, m) against exact division by (1-y)^m followed by y = 1."""
+    one_minus_y = RING_Y.one - Y
+
+    def reference(c, m):
+        return chi_of_y(c.exact_div(one_minus_y ** m))
+
+    def outcome(limit, c, m):
+        try:
+            return limit(c, m)
+        except ArithmeticError:
+            return ArithmeticError
+
+    rng = random.Random(14)
+    # 1 - y^(1/2) vanishes at y = 1 but is not divisible by 1 - y: a pole
+    bases = [RING_Y.one - Y_HALF, Y_HALF.scale(Fraction(3, 2))] + [
+        random_lpoly(rng, RING_Y, max_deg=3, terms=5, laurent=rng.random() < 0.5,
+                     halves=True, denom_bound=4) for _ in range(30)]
+    poles = 0
+    for base in bases:
+        for j in range(6):
+            c = base * one_minus_y ** j
+            for m in range(6):
+                got = outcome(y1_limit, c, m)
+                assert got == outcome(reference, c, m), (base, j, m)
+                poles += got is ArithmeticError
+    assert 0 < poles < len(bases) * 36
 
 
 def test_model_chi_consistency_guard():

@@ -13,9 +13,11 @@ from motivic_cc.motives import (
     hilb_motive_series, config_space_series, spec_chi_minus_y, virtual_alpha,
     virtual_hilb_series, virtual_punctual_series,
 )
-from motivic_cc.hirzebruch import chern_class_of, point_model, product_model, proj_space_model
+from motivic_cc.hirzebruch import (
+    adams_h, chern_class_of, point_model, product_model, proj_space_model,
+)
 from motivic_cc.pontrjagin import (
-    PontElement, PontSeries, adams_h, aluffi_series, chern_class_series,
+    PontElement, PontSeries, aluffi_series, chern_class_series,
     chi_alpha_scalars, chi_y_alpha_scalars, config_class_series, d_push,
     exp_series, hilb_class_series, hom_exp_inv, hom_exponentiation, mt2_series,
     normalized_y1_limit, pont_degree, pont_exp, power_op, sym_prod_class_series,
