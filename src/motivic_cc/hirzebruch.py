@@ -176,13 +176,13 @@ def adams_h(model: HomologyModel, r: int, hclass: dict[str, LPoly]) -> dict[str,
 def y1_limit(c: LPoly, m: int) -> Fraction:
     """c / (1-y)^m at y = 1, exactly: the y -> 1 limit of Psi_(1-y) in degree m.
 
-    The power must cancel into c, or ArithmeticError signals a pole.  By
-    Descartes' rule of signs in y^(1/2), a nonzero c with at most m terms
-    vanishes to order below m at y = 1, so that pole is raised without dividing.
+    The power must cancel into c, or ArithmeticError signals a pole.  A pole
+    is raised without dividing when c(1) != 0, or when c has at most m terms:
+    by Descartes' rule of signs in y^(1/2), such a c vanishes to order below m.
     """
     if m and c.num:
-        if len(c.num) <= m:
-            raise ExactDivisionError(f"{len(c.num)} terms cannot vanish to order {m} at y=1")
+        if len(c.num) <= m or chi_of_y(c):
+            raise ExactDivisionError(f"c does not vanish to order {m} at y=1")
         c = c.exact_div((RING_Y.one - Y) ** m)
     return chi_of_y(c)
 

@@ -82,10 +82,6 @@ class EulerExponents:
     def order(self) -> int:
         return len(self.exps)
 
-    def exponent(self, k: int):
-        """b_k (1-indexed)."""
-        return self.exps[k - 1]
-
     def scale(self, m) -> "EulerExponents":
         m = self.ring.coerce(m)
         return EulerExponents._of(self.ring, tuple(b * m for b in self.exps))

@@ -166,8 +166,9 @@ def map_series(a: TSeries, which: str) -> TSeries:
 # -- the main motivic series -----------------------------------------------
 
 def hilb_motive_series(x: LPoly, d: int, order: int) -> TSeries:
-    """Generating series of Hilbert-scheme classes: (punctual series)^[X]."""
-    return power(punctual_series(d, order), RING_L.coerce(x))
+    """Generating series of Hilbert-scheme classes: (punctual series)^[X] = prod_k
+    (1 - t^k)^(-alpha_k [X]), one exponential of the scaled punctual exponents."""
+    return euler_exp(punctual_exponents(d, order).scale(x), order)
 
 
 def kapranov_zeta(e: LPoly, order: int) -> TSeries:
@@ -217,8 +218,7 @@ def virtual_hilb_series(x: LPoly, order: int) -> TSeries:
     ring with nontrivial Adams operations, so the side matters; this is the
     side on which the closed-form exponents live.)
     """
-    e = euler_exp(virtual_exponents(order))
-    return power(e, RING_L.coerce(x)).subst(1, -1)
+    return euler_exp(virtual_exponents(order).scale(x)).subst(1, -1)
 
 
 def macmahon_series(order: int, chi: int = 1) -> TSeries:

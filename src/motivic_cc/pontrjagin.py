@@ -23,10 +23,10 @@ from fractions import Fraction
 
 from .lpoly import LPoly, VarSet, QQ, RING_L, RING_Y
 from .series import TSeries
-from .lambda_power import euler_log
+from .lambda_power import EulerExponents, euler_log
 from .motives import (
     TwoRouteMismatchError, UnsupportedRangeError,
-    punctual_exponents, spec_chi, spec_chi_minus_y, virtual_alpha, map_series,
+    punctual_exponents, spec_chi, spec_chi_minus_y, virtual_exponents, map_series,
 )
 from .hirzebruch import HomologyModel, adams_h, chern_class_of, y1_limit
 
@@ -108,9 +108,6 @@ class PontSeries:
     @classmethod
     def unit(cls, model, ring, order: int) -> "PontSeries":
         return cls._of(model, ring, [{(): ring.one}] + [{}] * order)
-
-    def term(self, n: int, ms: Multiset):
-        return self.components[n].terms.get(tuple(sorted(ms)), self.ring.zero)
 
     def _check(self, other: "PontSeries") -> None:
         if self.model != other.model:
@@ -220,26 +217,26 @@ def hom_exp_inv(model: HomologyModel, gamma: HClass, k: int, order: int,
     return pont_exp(PontSeries(model, ring, dicts))
 
 
-def exp_series(model: HomologyModel, gamma: HClass, scalars, order: int,
-               ring: VarSet = RING_Y) -> PontSeries:
-    """prod_k (1 - t^k d^k_*)^(-s_k gamma) for scalars s_1, s_2, ... through t^order.
+def exp_series(model: HomologyModel, gamma: HClass, b: EulerExponents,
+               order: int) -> PontSeries:
+    """prod_k (1 - t^k d^k_*)^(-b_k gamma) through t^order, over the ring of ``b``.
 
-    The log of the product is linear in atoms: atom (rk, b) collects
-    Psi_r(s_k gamma)_b / r, where Psi_r is the identity over ``QQ``.
+    The log of the product is linear in atoms: atom (rk, x) collects
+    Psi_r(b_k gamma)_x / r, where Psi_r is the identity over ``QQ``.
     Atoms generate the free Pontrjagin ring, so the exponential factors atom
     by atom: a multiset with multiplicities m_x gets prod_x a_x^(m_x) / m_x!.
     The product of :func:`hom_exp_inv` factors is the reference route.
     """
-    gamma = {b: ring.coerce(c) for b, c in gamma.items()}
+    ring = b.ring
+    gamma = {x: ring.coerce(c) for x, c in gamma.items()}
     log: dict[tuple[int, str], object] = {}
-    for k, s in enumerate(scalars[:order], start=1):
-        s = ring.coerce(s)
+    for k, s in enumerate(b.exps[:order], start=1):
         if not s.num:
             continue
-        g = {b: c * s for b, c in gamma.items()}
+        g = {x: c * s for x, c in gamma.items()}
         for r in range(1, order // k + 1):
-            for b, c in (g if ring == QQ else adams_h(model, r, g)).items():
-                log[r * k, b] = log.get((r * k, b), ring.zero) + c.div_int(r)
+            for x, c in (g if ring == QQ else adams_h(model, r, g)).items():
+                log[r * k, x] = log.get((r * k, x), ring.zero) + c.div_int(r)
     dicts = [dict() for _ in range(order + 1)]
     dicts[0][()] = ring.one
     # multiply in one atom at a time; walking n downward never extends a
@@ -262,20 +259,19 @@ def hom_exponentiation(model: HomologyModel, a: TSeries, gamma: HClass) -> PontS
     The scalar series a is decomposed as prod_k (1 - t^k)^(-b_k) in its own
     coefficient ring, and the result is the product with exponents b_k * gamma.
     """
-    b = euler_log(a)
-    return exp_series(model, gamma, b.exps, a.order, a.ring)
+    return exp_series(model, gamma, euler_log(a), a.order)
 
 
 # -- the generating series of the main results -------------------------------
 
 def sym_prod_class_series(model: HomologyModel, order: int) -> PontSeries:
     """Hirzebruch classes of symmetric products: (1 - t d_*)^(-T_{(-y)*}(X))."""
-    return exp_series(model, model.ty, [RING_Y.one], order)
+    return exp_series(model, model.ty, EulerExponents(RING_Y, [1]), order)
 
 
-def chi_y_alpha_scalars(d: int, order: int) -> list[LPoly]:
+def chi_y_alpha_scalars(d: int, order: int) -> EulerExponents:
     """chi_{-y}(alpha_k) for k = 1..order, in the ranges the punctual data allows."""
-    return [spec_chi_minus_y(a) for a in punctual_exponents(d, order).exps]
+    return EulerExponents(RING_Y, map(spec_chi_minus_y, punctual_exponents(d, order).exps))
 
 
 def hilb_class_series(model: HomologyModel, d: int, order: int) -> PontSeries:
@@ -296,9 +292,9 @@ def mt2_series(model: HomologyModel, a_motivic: TSeries, order: int) -> PontSeri
     return hom_exponentiation(model, a_y, model.ty)
 
 
-def config_scalars(order: int) -> list[LPoly]:
+def config_scalars(order: int) -> EulerExponents:
     """The Euler exponents (1, -1, 0, ...) of chi_{-y}(1 + t) = (1 - t^2)/(1 - t)."""
-    return ([RING_Y.one, -RING_Y.one] + [RING_Y.zero] * order)[:order]
+    return EulerExponents(RING_Y, ([1, -1] + [0] * order)[:order])
 
 
 def config_class_series(model: HomologyModel, order: int) -> PontSeries:
@@ -307,27 +303,26 @@ def config_class_series(model: HomologyModel, order: int) -> PontSeries:
     return exp_series(model, model.ty, config_scalars(order), order)
 
 
-def chi_alpha_scalars(d: int, order: int) -> list[Fraction]:
+def chi_alpha_scalars(d: int, order: int) -> EulerExponents:
     """chi(alpha_k) for k = 1..order.
 
     Threefolds are known at every order: chi(alpha_k) = k is the MacMahon
     exponent, although alpha_k itself is only known through k = 3.
     """
     if d == 3:
-        return [Fraction(k) for k in range(1, order + 1)]
-    return [spec_chi(a) for a in punctual_exponents(d, order).exps]
+        return EulerExponents(QQ, range(1, order + 1))
+    return EulerExponents(QQ, map(spec_chi, punctual_exponents(d, order).exps))
 
 
 def chern_class_series(model: HomologyModel, d: int, order: int) -> PontSeries:
     """Pushed-forward MacPherson Chern classes of Hilbert schemes:
     prod_k (1 - t^k d^k_*)^(-chi(alpha_k) c_*(X)), with no Adams twist."""
-    return exp_series(model, chern_class_of(model), chi_alpha_scalars(d, order),
-                      order, ring=QQ)
+    return exp_series(model, chern_class_of(model), chi_alpha_scalars(d, order), order)
 
 
-def virtual_scalars(order: int) -> list[LPoly]:
+def virtual_scalars(order: int) -> EulerExponents:
     """chi_{-y} of the closed-form virtual exponents alpha_k, k = 1..order."""
-    return [spec_chi_minus_y(virtual_alpha(k)) for k in range(1, order + 1)]
+    return EulerExponents(RING_Y, map(spec_chi_minus_y, virtual_exponents(order).exps))
 
 
 def virtual_class_series(model: HomologyModel, order: int) -> PontSeries:

@@ -57,10 +57,6 @@ class TSeries:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, ring: VarSet, order: int) -> "TSeries":
-        return cls(ring, [ring.zero] * (order + 1))
-
-    @classmethod
     def one(cls, ring: VarSet, order: int) -> "TSeries":
         return cls._of(ring, [ring.one] + [ring.zero] * order)
 

@@ -162,7 +162,7 @@ def ref_euler_exp(b: EulerExponents, order: int) -> TSeries:
     arg = [b.ring.zero] * (order + 1)
     for k in range(1, min(b.order, order) + 1):
         for r in range(1, order // k + 1):
-            arg[k * r] = arg[k * r] + b.exponent(k).adams(r).div_int(r)
+            arg[k * r] = arg[k * r] + b.exps[k - 1].adams(r).div_int(r)
     return ref_exp(TSeries(b.ring, arg))
 
 

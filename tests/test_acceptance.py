@@ -139,7 +139,7 @@ def test_criterion_10_config_coherence():
 def test_criterion_11_virtual_two_route_and_sign():
     p3 = proj_space_model(3)
     scalars = virtual_euler_log_scalars(3)
-    assert EulerExponents(RING_Y, scalars) == EulerExponents(RING_Y, virtual_scalars(3))
+    assert scalars == virtual_scalars(3)
     t_form = virtual_class_series(p3, 3)
     assert t_form.subst_neg_t() == reference_product(p3, p3.ty, scalars, 3)
     assert aluffi_series(p3, 4).subst_neg_t() == aluffi_reference(p3, 4)

@@ -172,17 +172,17 @@ def test_classes_virtual_and_config(capsys):
 def test_config_check_catches_wrong_scalars(capsys, monkeypatch):
     """config-vs-exponentiation fails once the scalars of the series are perturbed."""
     right = po.config_scalars
-    monkeypatch.setattr(po, "config_scalars",
-                        lambda order: right(order)[:2] + [RING_Y.one] + right(order)[3:])
+    monkeypatch.setattr(po, "config_scalars", lambda order: EulerExponents(
+        RING_Y, right(order).exps[:2] + (RING_Y.one,) + right(order).exps[3:]))
     code, doc = run_json(capsys, "classes", "--builtin", "P1", "--kind", "config",
                          "--order", "4")
     assert code == EXIT_CHECK_FAILED
     assert {"name": "config-vs-exponentiation", "status": "fail"} in doc["checks"]
 
 
-def bump_second(values: list) -> list:
-    """The list with its second entry raised by one."""
-    return values[:1] + [values[1] + 1] + values[2:]
+def bump_second(b: EulerExponents) -> EulerExponents:
+    """The exponents with the second one raised by one."""
+    return EulerExponents(b.ring, b.exps[:1] + (b.exps[1] + 1,) + b.exps[2:])
 
 
 def test_aluffi_check_catches_wrong_scalars(capsys, monkeypatch):
@@ -365,6 +365,17 @@ def test_classes_report_digest(case, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == digests[case.id]
 
 
+PRETTY_DIGESTS = json.loads((Path(__file__).parent / "pretty_digests.json").read_text())
+
+
+@pytest.mark.parametrize("cmdline", PRETTY_DIGESTS)
+def test_pretty_report_digest(cmdline, capsys):
+    """Each ``--pretty`` report prints the bytes whose digest is committed."""
+    code, out = run(capsys, *cmdline.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PRETTY_DIGESTS[cmdline]
+
+
 def test_model_roundtrip():
     for name in ("point", "P2", "P1xP1"):
         model = builtin_model(name)
@@ -492,7 +503,15 @@ def test_exit_one_on_failed_internal_check(tmp_path, capsys):
         "ty_class": {"a": [{"yNum": 0, "c": "1"}]},
         "e_poly": [{"u": 0, "v": 0, "c": 1}],
     }
-    for doc, dim, order in ((pole, "1", "2"), (big, "2", "1")):
+    # c(1) = 8001 != 0 proves the pole of the 8001-term class 1 + y + ... + y^8000 in
+    # degree 8000 at once; parsing sums the terms into one polynomial
+    wide = {
+        "name": "wide", "dim": 8_000, "proper": False,
+        "basis": [{"id": "a", "deg": 8_000}], "zeroDegreeBasisId": None,
+        "ty_class": {"a": [{"yNum": 2 * i, "c": "1"} for i in range(8_001)]},
+        "e_poly": [{"u": 0, "v": 0, "c": 1}],
+    }
+    for doc, dim, order in ((pole, "1", "2"), (big, "2", "1"), (wide, "2", "1")):
         path = tmp_path / f"{doc['name']}.json"
         path.write_text(json.dumps(doc))
         code = main(["classes", "--model", str(path), "--dim", dim,

@@ -186,6 +186,20 @@ def test_virtual_hilb_point():
     assert virtual_hilb_series(one, 4) == virtual_punctual_series(4)
 
 
+def test_motive_series_match_the_power_structure_route():
+    """One exponential of the scaled exponents against power(), which takes the Euler
+    log of the assembled series again, on random L-classes."""
+    rng = random.Random(15)
+    for n in range(7):
+        for _ in range(4):
+            x = random_lpoly(rng, RING_L, max_deg=2, terms=3, laurent=True, halves=True,
+                             denom_bound=3)
+            for d in (1, 2, 3, 4) if n <= 3 else (1, 2):
+                assert hilb_motive_series(x, d, n) == power(punctual_series(d, n), x), (x, d, n)
+            assert virtual_hilb_series(x, n) == \
+                power(euler_exp(virtual_exponents(n)), x).subst(1, -1), (x, n)
+
+
 def test_virtual_hilb_euler_specialization_is_macmahon():
     # chi of the virtual Hilbert series, read against (-t)^n, is M(t)^chi(X):
     # the degree-zero count in which all the half-power conventions cancel
