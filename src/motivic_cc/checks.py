@@ -1,9 +1,14 @@
-"""Seeded randomized verification suites behind the ``verify`` command.
+"""Seeded randomized verification suites behind the ``verify`` command, and the
+reference routes they check the production routes against.
 
 Each suite returns a list of {name, status, detail} records; a failing check
 carries the counterexample in ``detail``, and :func:`run_suite` appends the
 ``verify`` command line that reruns it.  Identical (suite, order, seed)
-inputs produce identical reports.
+inputs produce identical reports.  The reference routes (pre-lambda series,
+the punctual series, Qhat_y, pushforwards, power operations, one-factor
+homological exponentials, the motivic route and the normalized y -> 1 limit
+of a Pontrjagin series) live here and nowhere else: only ``verify`` and the
+tests call them, so no other command pays for loading them.
 """
 
 from __future__ import annotations
@@ -14,10 +19,123 @@ from math import comb, factorial
 
 from .lpoly import LPoly, VarSet, QQ, RING_L, RING_UV, RING_Y
 from .series import TSeries
-from .lambda_power import EulerExponents, euler_exp, euler_log, power, pre_lambda, pre_lambda_polyring
+from .lambda_power import EulerExponents, euler_exp, euler_log, power, pre_lambda_polyring
 from . import motives as mo
 from . import hirzebruch as hz
 from . import pontrjagin as po
+
+
+# -- reference routes ----------------------------------------------------------
+
+def pre_lambda(ring: VarSet, m, order: int) -> TSeries:
+    """lambda_t(m) = exp(sum_r Psi_r(m) t^r / r), a normalized series."""
+    m = ring.coerce(m)
+    return TSeries.from_terms(ring, order, {r: m.adams(r).div_int(r)
+                                            for r in range(1, order + 1)}).exp()
+
+
+def punctual_series(d: int, order: int) -> TSeries:
+    """The punctual Hilbert series for dimension d through t^order."""
+    return euler_exp(mo.punctual_exponents(d, order), order)
+
+
+def qyhat_series(order: int) -> TSeries:
+    """Qhat_y(a) = Q_y(a(1+y))/(1+y) = a(1+y)/(1 - e^(-a(1+y))) - a y, the normalized series."""
+    one_plus_y = RING_Y.one + mo.Y
+    den = TSeries(RING_Y, [(one_plus_y ** j).scale(Fraction((-1) ** j, factorial(j + 1)))
+                           for j in range(order + 1)])
+    return den.invert() + TSeries.from_terms(RING_Y, order, {1: -mo.Y})
+
+
+def d_push(model: hz.HomologyModel, k: int, hclass: po.HClass) -> po.PontElement:
+    """d^k_* of a homology class: linear expansion into atoms (k, basis id)."""
+    if k < 1:
+        raise ValueError("pushforward index must be >= 1")
+    return po.PontElement(k, {((k, b),): c for b, c in hclass.items()})
+
+
+def power_op(k: int, s: po.PontSeries, order: int | None = None) -> po.PontSeries:
+    """P_k: atoms (j, b) -> (jk, b), gradings scale by k; a ring map for the product."""
+    if k < 1:
+        raise ValueError("power operation index must be >= 1")
+    n = s.order if order is None else order
+    out = [dict() for _ in range(n + 1)]
+    for m, el in enumerate(s.components[: n // k + 1]):
+        for ms, c in el.terms.items():
+            out[m * k][tuple((j * k, b) for j, b in ms)] = c
+    return po.PontSeries._of(s.model, s.ring, out)
+
+
+def pont_exp(arg: po.PontSeries) -> po.PontSeries:
+    """exp for the Pontrjagin product; needs vanishing 0-th component."""
+    if arg.components[0].terms:
+        raise ValueError("Pontrjagin exp needs zero constant component")
+    result = term = po.PontSeries.unit(arg.model, arg.ring, arg.order)
+    for m in range(1, arg.order + 1):
+        term = (term * arg).scale(Fraction(1, m))
+        if all(not el.terms for el in term.components):
+            break
+        result = result + term
+    return result
+
+
+def hom_exp_inv(model: hz.HomologyModel, gamma: po.HClass, k: int, order: int,
+                ring: VarSet = RING_Y) -> po.PontSeries:
+    """(1 - t^k d^k_*)^(-gamma) = exp(sum_r d^{rk}_*(Psi_r gamma) t^{rk} / r); over ``QQ``,
+    the Chern level, Psi_r is the identity."""
+    gamma = {b: ring.coerce(c) for b, c in gamma.items()}
+    dicts = [dict() for _ in range(order + 1)]
+    for r in range(1, order // k + 1):
+        g = gamma if ring == QQ else hz.adams_h(model, r, gamma)
+        for b, c in g.items():
+            dicts[r * k][((r * k, b),)] = c * Fraction(1, r)
+    return pont_exp(po.PontSeries(model, ring, dicts))
+
+
+def hom_exponentiation(model: hz.HomologyModel, a: TSeries, gamma: po.HClass) -> po.PontSeries:
+    """(1 + sum a_n t^n d^n_*)^gamma: prod_k (1 - t^k d^k_*)^(-b_k gamma) over the Euler
+    exponents b_k of a, taken in its own coefficient ring."""
+    return po.exp_series(model, gamma, euler_log(a), a.order)
+
+
+def mt2_series(model: hz.HomologyModel, a_motivic: TSeries, order: int) -> po.PontSeries:
+    """Hirzebruch transformation of a motivic exponentiation (A(t))^X:
+    apply chi_{-y} to the coefficients of A, then exponentiate homologically."""
+    if a_motivic.ring != RING_L:
+        raise ValueError("mt2_series expects a series over the motivic L ring")
+    if a_motivic.order < order:
+        raise mo.UnsupportedRangeError(f"series stops at t^{a_motivic.order}, need t^{order}")
+    a_y = mo.map_series(TSeries(RING_L, a_motivic.coeffs[: order + 1]), "chi-y")
+    return hom_exponentiation(model, a_y, model.ty)
+
+
+def _y1_limit(c: LPoly, m: int, what: str, key) -> LPoly:
+    """``hirzebruch.y1_limit`` as a Chern-level coefficient; a pole names ``what key``."""
+    try:
+        return QQ.coerce(hz.y1_limit(c, m))
+    except ArithmeticError as exc:
+        raise mo.TwoRouteMismatchError(f"pole at y=1 for {what} {key}") from exc
+
+
+def normalized_y1_limit(s: po.PontSeries) -> po.PontSeries:
+    """The normalization Psi_(1-y) at y = 1, exactly: a term over a multiset of total
+    homological degree m goes through ``hirzebruch.y1_limit`` with that m (a pole raises)."""
+    if s.ring != RING_Y:
+        raise ValueError("normalization limit applies to y-level series")
+    degs = s.model.degs()
+    return po.PontSeries._of(s.model, QQ, [
+        {ms: _y1_limit(c, sum(degs[b] for _, b in ms), "multiset", ms)
+         for ms, c in el.terms.items()} for el in s.components])
+
+
+def y1_limit_atoms(model: hz.HomologyModel, atoms: dict) -> dict:
+    """:func:`normalized_y1_limit` on ``pontrjagin.log_atoms``, atom (j, x) in degree deg x.
+
+    The limit is a ring map where finite, so it commutes with the atomwise exponential of
+    ``exp_series``, which is injective on atoms: the limited atoms are the limit's atoms."""
+    degs = model.degs()
+    lim = {(j, x): _y1_limit(c, degs[x], "atom", (j, x)) for (j, x), c in atoms.items()}
+    return {a: c for a, c in lim.items() if c.num}
 
 
 def _random_lpoly(rng, vars: VarSet, max_deg=3, terms=3, laurent=False, halves=False) -> LPoly:
@@ -189,7 +307,7 @@ def suite_motives(order: int, seed: int) -> list[dict]:
                  (RING_L.one, mo.L, mo.L ** 2), "surface exponents")
 
     def surface_two_route():
-        _require(mo.punctual_series(2, 3) == mo.punctual_hilb_small(2, 3),
+        _require(punctual_series(2, 3) == mo.punctual_hilb_small(2, 3),
                  "surface Euler product vs lambda-binomial series")
 
     def chi_alpha_threefold():
@@ -270,7 +388,7 @@ def suite_hirzebruch(order: int, seed: int) -> list[dict]:
 
     def qyhat_defining_relation():
         q = hz.qy_series(n)
-        qh = hz.qyhat_series(n)
+        qh = qyhat_series(n)
         opy = RING_Y.one + mo.Y
         lhs = TSeries(RING_Y, [c * opy for c in qh.coeffs])
         rhs = TSeries(RING_Y, [q.coeffs[j] * opy ** j for j in range(n + 1)])
@@ -316,12 +434,17 @@ def _random_pont(rng, model, order):
     return po.PontSeries(model, RING_Y, dicts)
 
 
+def _limit_atoms_match(model, y_scalars: EulerExponents, q_scalars: EulerExponents,
+                       order: int) -> bool:
+    """y -> 1 of the atoms of the stored class over ``y_scalars`` against the atoms of the
+    Chern class over ``q_scalars``: the two series agree through t^order."""
+    return (y1_limit_atoms(model, po.log_atoms(model, model.ty, y_scalars, order)) ==
+            po.log_atoms(model, hz.chern_class_of(model), q_scalars, order))
+
+
 def suite_pontrjagin(order: int, seed: int) -> list[dict]:
     rng = random.Random(seed)
-    p1 = hz.proj_space_model(1)
-    p2 = hz.proj_space_model(2)
-    p3 = hz.proj_space_model(3)
-    point = hz.point_model()
+    point, p1, p2, p3 = map(hz.proj_space_model, range(4))
 
     def pont_ring_laws():
         for _ in range(100):
@@ -337,16 +460,16 @@ def suite_pontrjagin(order: int, seed: int) -> list[dict]:
         for _ in range(100):
             gamma = _random_hclass(rng, p1)
             r, k = rng.randint(1, 3), rng.randint(1, 3)
-            lhs = po.power_op(k, po.PontSeries(p1, RING_Y, [
-                po.d_push(p1, r, gamma).terms if m == r else {}
+            lhs = power_op(k, po.PontSeries(p1, RING_Y, [
+                d_push(p1, r, gamma).terms if m == r else {}
                 for m in range(r + 1)]), order=r * k)
             rhs = po.PontSeries(p1, RING_Y, [
-                po.d_push(p1, r * k, gamma).terms if m == r * k else {}
+                d_push(p1, r * k, gamma).terms if m == r * k else {}
                 for m in range(r * k + 1)])
             _require(lhs == rhs, lambda: f"P_k d^r = d^rk at r={r}, k={k}")
             a = _random_pont(rng, p1, 2)
-            _require(po.power_op(2, po.power_op(3, a, order=12), order=12) ==
-                     po.power_op(6, a, order=12), "P_2 P_3 = P_6")
+            _require(power_op(2, power_op(3, a, order=12), order=12) ==
+                     power_op(6, a, order=12), "P_2 P_3 = P_6")
 
     def hom_exp_additivity():
         for _ in range(100):
@@ -356,53 +479,60 @@ def suite_pontrjagin(order: int, seed: int) -> list[dict]:
             for b, c in g2.items():
                 tot[b] = tot.get(b, RING_Y.zero) + c
             k = rng.randint(1, 2)
-            _require(po.hom_exp_inv(p1, tot, k, 5) ==
-                     po.hom_exp_inv(p1, g1, k, 5) * po.hom_exp_inv(p1, g2, k, 5),
+            _require(hom_exp_inv(p1, tot, k, 5) ==
+                     hom_exp_inv(p1, g1, k, 5) * hom_exp_inv(p1, g2, k, 5),
                      "hom exp additivity in the class")
 
     def power_op_intertwines_exp():
         for k in (2, 3):
             gamma = _random_hclass(rng, p1)
-            _require(po.power_op(k, po.hom_exp_inv(p1, gamma, 1, 4), order=4 * k) ==
-                     po.hom_exp_inv(p1, gamma, k, 4 * k),
+            _require(power_op(k, hom_exp_inv(p1, gamma, 1, 4), order=4 * k) ==
+                     hom_exp_inv(p1, gamma, k, 4 * k),
                      lambda: f"P_{k} of one-factor exponential")
 
     def degree_intertwines_pre_lambda():
         for _ in range(100):
             gamma = _random_hclass(rng, p2)
             k = rng.randint(1, 3)
-            lhs = po.pont_degree(p2, po.hom_exp_inv(p2, gamma, k, 6))
+            lhs = po.pont_degree(p2, hom_exp_inv(p2, gamma, k, 6))
             rhs = pre_lambda(RING_Y, p2.degree_of(gamma), 6).subst(k)
             _require(lhs == rhs, "degree of exponential vs pre-lambda")
 
     def mt2_hilb_config_coherence():
-        _require(po.mt2_series(p2, mo.punctual_series(2, 3), 3) ==
+        _require(mt2_series(p2, punctual_series(2, 3), 3) ==
                  po.hilb_class_series(p2, 2, 3), "mt2 vs surface hilb series")
         one_plus = TSeries.from_terms(RING_L, 4, {0: 1, 1: 1})
         for model in (point, p1):
             _require(po.config_class_series(model, 4) ==
-                     po.mt2_series(model, one_plus, 4), "config vs mt2(1+t)")
+                     mt2_series(model, one_plus, 4), "config vs mt2(1+t)")
 
     def chern_normalization_limit():
         for model, d in ((p1, 1), (p2, 2), (p3, 3)):
-            _require(po.normalized_y1_limit(po.hilb_class_series(model, d, 3)) ==
+            _require(normalized_y1_limit(po.hilb_class_series(model, d, 3)) ==
                      po.chern_class_series(model, d, 3),
                      lambda: f"y->1 normalization limit on {model.name}")
+        for model, d in ((p1, 1), (p2, 2)):
+            _require(_limit_atoms_match(model, po.chi_y_alpha_scalars(d, order),
+                                        po.chi_alpha_scalars(d, order), order),
+                     lambda: f"y->1 limit of the log atoms on {model.name} at t^{order}")
 
     def virtual_two_route():
         # the reference route: hom_exp_inv factors over the Euler-log scalars
         a_y = mo.map_series(mo.virtual_punctual_series(3), "chi-y")
         ref = po.PontSeries.unit(p3, RING_Y, 3)
         for k, s in enumerate(euler_log(a_y.subst(1, -1)).exps, start=1):
-            ref = ref * po.hom_exp_inv(p3, {b: c * s for b, c in p3.ty.items()}, k, 3)
+            ref = ref * hom_exp_inv(p3, {b: c * s for b, c in p3.ty.items()}, k, 3)
         _require(po.virtual_class_series(p3, 3) == ref.subst_neg_t(), "virtual class two routes")
 
     def eq220_sign_relation():
         # the Chern-class MNOP statement: y -> 1 of the virtual classes is the Aluffi series
         n = min(order, 3)
         for model in (point, p1, p3, hz.product_model(p1, p1)):
-            _require(po.normalized_y1_limit(po.virtual_class_series(model, n)) ==
+            _require(normalized_y1_limit(po.virtual_class_series(model, n)) ==
                      po.aluffi_series(model, n), lambda: f"Chern-MNOP on {model.name} at t^{n}")
+            _require(_limit_atoms_match(model, po.virtual_scalars(order),
+                                        po.chi_alpha_scalars(3, order), order),
+                     lambda: f"Chern-MNOP on the log atoms of {model.name} at t^{order}")
 
     def aluffi_macmahon_degree():
         deg = po.pont_degree(point, po.aluffi_series(point, max(order, 8)))

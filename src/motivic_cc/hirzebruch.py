@@ -3,9 +3,8 @@
 The generating power series
 
     Q_y(a) = a (1 + y e^(-a)) / (1 - e^(-a)),      Q_y(0) = 1 + y,
-    Qhat_y(a) = Q_y(a (1+y)) / (1+y) = a(1+y)/(1 - e^(-a(1+y))) - a y,
 
-are expanded exactly over Q[y]; the nilpotent cohomology variable is the
+is expanded exactly over Q[y]; the nilpotent cohomology variable is the
 truncation variable of a :class:`TSeries` over Q[y] (order = dimension).
 
 A :class:`HomologyModel` is a finite graded basis of the even Borel-Moore
@@ -33,15 +32,6 @@ def qy_series(order: int) -> TSeries:
     num = TSeries(RING_Y, [RING_Y.one + Y] +
                   [Y.scale(Fraction((-1) ** j, factorial(j))) for j in range(1, order + 1)])
     return num * den.invert()
-
-
-def qyhat_series(order: int) -> TSeries:
-    """Expansion of a(1+y)/(1 - e^(-a(1+y))) - a y, the normalized series."""
-    one_plus_y = RING_Y.one + Y
-    den = TSeries(RING_Y, [(one_plus_y ** j).scale(Fraction((-1) ** j, factorial(j + 1)))
-                           for j in range(order + 1)])
-    correction = TSeries.from_terms(RING_Y, order, {1: -Y})
-    return den.invert() + correction
 
 
 class HomologyModel:
@@ -139,10 +129,6 @@ def proj_space_model(d: int) -> HomologyModel:
     name = "point" if d == 0 else f"P{d}"
     return HomologyModel(name, d, True, basis, "P0", ty, e_poly,
                          chern=chern, l_class=proj_space_class(d))
-
-
-def point_model() -> HomologyModel:
-    return proj_space_model(0)
 
 
 def product_model(m1: HomologyModel, m2: HomologyModel) -> HomologyModel:

@@ -87,15 +87,6 @@ class EulerExponents:
         return EulerExponents._of(self.ring, tuple(b * m for b in self.exps))
 
 
-def pre_lambda(ring: VarSet, m, order: int) -> TSeries:
-    """lambda_t(m) = exp(sum_r Psi_r(m) t^r / r), a normalized series."""
-    m = ring.coerce(m)
-    arg = TSeries.from_terms(ring, order,
-                             {r: m.adams(r).div_int(r)
-                              for r in range(1, order + 1)})
-    return arg.exp()
-
-
 def euler_exp(b: EulerExponents, order: int | None = None) -> TSeries:
     """Assemble prod_{k<=N} (1 - t^k)^(-b_k).
 
@@ -143,7 +134,7 @@ def pre_lambda_polyring(p: LPoly, order: int) -> TSeries:
 
     For p = sum a_w * w over monomials w this is prod_w (1 - w t)^(-a_w),
     the pre-lambda structure on a polynomial ring.  It must agree with
-    :func:`pre_lambda` over the same ring; the test suite checks that.
+    ``checks.pre_lambda`` over the same ring; ``verify`` and the tests check that.
     """
     ring = p.vars
     if not p.is_integral():

@@ -118,11 +118,6 @@ def punctual_exponents(d: int, order: int) -> EulerExponents:
     return EulerExponents(RING_L, exps[:order])
 
 
-def punctual_series(d: int, order: int) -> TSeries:
-    """The punctual Hilbert series for dimension d through t^order."""
-    return euler_exp(punctual_exponents(d, order), order)
-
-
 # -- specialization homomorphisms ----------------------------------------
 
 def spec_e(m: LPoly) -> LPoly:

@@ -14,21 +14,17 @@ The free model deliberately ignores any relations holding in the honest
 homology of symmetric products: every identity proved by the calculus is
 generated by the same operations on both sides, so equality of free-model
 expressions is the verifiable notion, and degree-level (genus) equalities
-provide the numeric cross-checks for proper models.
+provide the numeric cross-checks for proper models.  This module holds the one
+production route; the reference routes it is checked against live in ``checks``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .lpoly import LPoly, VarSet, QQ, RING_L, RING_Y
+from .lpoly import LPoly, VarSet, QQ, RING_Y
 from .series import TSeries
-from .lambda_power import EulerExponents, euler_log
-from .motives import (
-    TwoRouteMismatchError, UnsupportedRangeError,
-    punctual_exponents, spec_chi, spec_chi_minus_y, virtual_exponents, map_series,
-)
-from .hirzebruch import HomologyModel, adams_h, chern_class_of, y1_limit
+from .lambda_power import EulerExponents
+from .motives import punctual_exponents, spec_chi, spec_chi_minus_y, virtual_exponents
+from .hirzebruch import HomologyModel, adams_h, chern_class_of
 
 Multiset = tuple[tuple[int, str], ...]
 HClass = dict[str, object]
@@ -163,73 +159,18 @@ class PontSeries:
         return f"PontSeries[{self.model.name}; {self.ring}; N={self.order}]"
 
 
-# -- atoms and operations ---------------------------------------------------
+# -- the homological exponential -------------------------------------------
 
-def d_push(model: HomologyModel, k: int, hclass: HClass) -> PontElement:
-    """d^k_* of a homology class: linear expansion into atoms (k, basis id)."""
-    if k < 1:
-        raise ValueError("pushforward index must be >= 1")
-    return PontElement(k, {((k, b),): c for b, c in hclass.items()})
+def log_atoms(model: HomologyModel, gamma: HClass, b: EulerExponents,
+              order: int) -> dict[tuple[int, str], LPoly]:
+    """The log of prod_k (1 - t^k d^k_*)^(-b_k gamma) through t^order, over the ring of ``b``.
 
-
-def power_op(k: int, s: PontSeries, order: int | None = None) -> PontSeries:
-    """P_k: atoms (j, b) -> (jk, b), gradings scale by k; a ring map for the product."""
-    if k < 1:
-        raise ValueError("power operation index must be >= 1")
-    n = s.order if order is None else order
-    out = [dict() for _ in range(n + 1)]
-    for m, el in enumerate(s.components):
-        if m * k > n:
-            break
-        for ms, c in el.terms.items():
-            out[m * k][tuple((j * k, b) for j, b in ms)] = c
-    return PontSeries._of(s.model, s.ring, out)
-
-
-def pont_exp(arg: PontSeries) -> PontSeries:
-    """exp for the Pontrjagin product; needs vanishing 0-th component."""
-    if arg.components[0].terms:
-        raise ValueError("Pontrjagin exp needs zero constant component")
-    result = PontSeries.unit(arg.model, arg.ring, arg.order)
-    term = result
-    for m in range(1, arg.order + 1):
-        term = (term * arg).scale(Fraction(1, m))
-        if all(not el.terms for el in term.components):
-            break
-        result = result + term
-    return result
-
-
-def hom_exp_inv(model: HomologyModel, gamma: HClass, k: int, order: int,
-                ring: VarSet = RING_Y) -> PontSeries:
-    """(1 - t^k d^k_*)^(-gamma) = exp(sum_r d^{rk}_*(Psi_r gamma) t^{rk} / r).
-
-    Over ``QQ`` Psi_r is the identity (the Chern-level exponential of the
-    MacPherson class series).
-    """
-    gamma = {b: ring.coerce(c) for b, c in gamma.items()}
-    dicts = [dict() for _ in range(order + 1)]
-    for r in range(1, order // k + 1):
-        g = gamma if ring == QQ else adams_h(model, r, gamma)
-        inv_r = Fraction(1, r)
-        for b, c in g.items():
-            dicts[r * k][((r * k, b),)] = c * inv_r
-    return pont_exp(PontSeries(model, ring, dicts))
-
-
-def exp_series(model: HomologyModel, gamma: HClass, b: EulerExponents,
-               order: int) -> PontSeries:
-    """prod_k (1 - t^k d^k_*)^(-b_k gamma) through t^order, over the ring of ``b``.
-
-    The log of the product is linear in atoms: atom (rk, x) collects
-    Psi_r(b_k gamma)_x / r, where Psi_r is the identity over ``QQ``.
-    Atoms generate the free Pontrjagin ring, so the exponential factors atom
-    by atom: a multiset with multiplicities m_x gets prod_x a_x^(m_x) / m_x!.
-    The product of :func:`hom_exp_inv` factors is the reference route.
+    The log is linear in atoms: atom (rk, x) collects Psi_r(b_k gamma)_x / r,
+    where Psi_r is the identity over ``QQ``.  Only nonzero atoms are kept.
     """
     ring = b.ring
     gamma = {x: ring.coerce(c) for x, c in gamma.items()}
-    log: dict[tuple[int, str], object] = {}
+    log: dict[tuple[int, str], LPoly] = {}
     for k, s in enumerate(b.exps[:order], start=1):
         if not s.num:
             continue
@@ -237,6 +178,19 @@ def exp_series(model: HomologyModel, gamma: HClass, b: EulerExponents,
         for r in range(1, order // k + 1):
             for x, c in (g if ring == QQ else adams_h(model, r, g)).items():
                 log[r * k, x] = log.get((r * k, x), ring.zero) + c.div_int(r)
+    return {atom: c for atom, c in log.items() if c.num}
+
+
+def exp_series(model: HomologyModel, gamma: HClass, b: EulerExponents,
+               order: int) -> PontSeries:
+    """prod_k (1 - t^k d^k_*)^(-b_k gamma) through t^order: the exponential of :func:`log_atoms`.
+
+    Atoms generate the free Pontrjagin ring, so the exponential factors atom
+    by atom: a multiset with multiplicities m_x gets prod_x a_x^(m_x) / m_x!.
+    The product of ``checks.hom_exp_inv`` factors is the reference route.
+    """
+    ring = b.ring
+    log = log_atoms(model, gamma, b, order)
     dicts = [dict() for _ in range(order + 1)]
     dicts[0][()] = ring.one
     # multiply in one atom at a time; walking n downward never extends a
@@ -251,15 +205,6 @@ def exp_series(model: HomologyModel, gamma: HClass, b: EulerExponents,
                 for m in range(1, (order - n) // j + 1):
                     dicts[n + m * j][ms + (atom,) * m] = c * powers[m]
     return PontSeries._of(model, ring, dicts)
-
-
-def hom_exponentiation(model: HomologyModel, a: TSeries, gamma: HClass) -> PontSeries:
-    """(1 + sum a_n t^n d^n_*)^gamma via the Euler decomposition of a.
-
-    The scalar series a is decomposed as prod_k (1 - t^k)^(-b_k) in its own
-    coefficient ring, and the result is the product with exponents b_k * gamma.
-    """
-    return exp_series(model, gamma, euler_log(a), a.order)
 
 
 # -- the generating series of the main results -------------------------------
@@ -278,18 +223,6 @@ def hilb_class_series(model: HomologyModel, d: int, order: int) -> PontSeries:
     """Pushed-forward Hirzebruch classes of Hilbert schemes of a d-fold:
     prod_k (1 - t^k d^k_*)^(-chi_{-y}(alpha_k) T_{(-y)*}(X))."""
     return exp_series(model, model.ty, chi_y_alpha_scalars(d, order), order)
-
-
-def mt2_series(model: HomologyModel, a_motivic: TSeries, order: int) -> PontSeries:
-    """Hirzebruch transformation of a motivic exponentiation (A(t))^X:
-    apply chi_{-y} to the coefficients of A, then exponentiate homologically."""
-    if a_motivic.ring != RING_L:
-        raise ValueError("mt2_series expects a series over the motivic L ring")
-    if a_motivic.order < order:
-        raise UnsupportedRangeError(
-            f"series stops at t^{a_motivic.order}, need t^{order}")
-    a_y = map_series(TSeries(RING_L, a_motivic.coeffs[: order + 1]), "chi-y")
-    return hom_exponentiation(model, a_y, model.ty)
 
 
 def config_scalars(order: int) -> EulerExponents:
@@ -360,26 +293,3 @@ def pont_degree(model: HomologyModel, s: PontSeries) -> TSeries:
                            if all(degs[b] == 0 for _, b in ms)])
         for el in s.components])
 
-
-def normalized_y1_limit(s: PontSeries) -> PontSeries:
-    """Apply the normalization Psi_(1-y) and evaluate at y = 1, exactly.
-
-    A term over a multiset of total homological degree m goes through
-    :func:`~motivic_cc.hirzebruch.y1_limit` with that m (a pole raises),
-    which specializes the series to the Chern level over Q.
-    """
-    if s.ring != RING_Y:
-        raise ValueError("normalization limit applies to y-level series")
-    degs = s.model.degs()
-    out = []
-    for el in s.components:
-        d: dict[Multiset, LPoly] = {}
-        for ms, c in el.terms.items():
-            try:
-                val = y1_limit(c, sum(degs[b] for _, b in ms))
-            except ArithmeticError as exc:
-                raise TwoRouteMismatchError(
-                    f"pole at y=1 for multiset {ms}") from exc
-            d[ms] = QQ.coerce(val)
-        out.append(d)
-    return PontSeries._of(s.model, QQ, out)

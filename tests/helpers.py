@@ -10,7 +10,8 @@ from pathlib import Path
 
 from motivic_cc.lpoly import LPoly, VarSet, RING_Y
 from motivic_cc.series import TSeries
-from motivic_cc.lambda_power import EulerExponents, pre_lambda
+from motivic_cc.lambda_power import EulerExponents
+from motivic_cc.checks import pre_lambda
 
 
 def random_lpoly(rng: random.Random, vars: VarSet, max_deg: int = 6,

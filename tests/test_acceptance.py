@@ -15,14 +15,12 @@ from motivic_cc.motives import (
     virtual_alpha, hilb_motive_series,
     config_space_series,
 )
-from motivic_cc.hirzebruch import (
-    chern_limit_check, point_model, proj_space_model, qyhat_series,
-)
+from motivic_cc.hirzebruch import chern_limit_check, proj_space_model
 from motivic_cc.pontrjagin import (
     aluffi_series, config_class_series, hilb_class_series,
-    mt2_series, normalized_y1_limit, pont_degree, virtual_class_series, virtual_scalars,
+    pont_degree, virtual_class_series, virtual_scalars,
 )
-from motivic_cc.checks import run_suite
+from motivic_cc.checks import mt2_series, normalized_y1_limit, qyhat_series, run_suite
 from helpers import euler_log_bruteforce
 
 from test_hirzebruch import coth_oracle, eval_at_y, todd_oracle
@@ -67,8 +65,8 @@ def test_criterion_04_macmahon_degree():
     m = macmahon_series(8)
     # independently generated fixture (euler_exp oracle at order 8, audited once)
     assert m.coeffs == tuple(Fraction(c) for c in (1, 1, 3, 6, 13, 24, 48, 86, 160))
-    aluffi = aluffi_series(point_model(), 8)
-    deg = pont_degree(point_model(), aluffi)
+    aluffi = aluffi_series(proj_space_model(0), 8)
+    deg = pont_degree(proj_space_model(0), aluffi)
     assert deg.subst(1, -1) == m
     ok(4, "point-level Aluffi degree series with the (-t)^n convention is M(t) (fixture 1,1,3,6,13);")
 

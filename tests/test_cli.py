@@ -426,6 +426,20 @@ def test_schema_errors(tmp_path, capsys):
     path.write_text(f'{{"order": {huge}, "coeffs": []}}')
     code, err = run_err(capsys, "exponents", "--series", str(path), "--order", "1")
     assert code == EXIT_SCHEMA and "series file is not valid JSON" in err
+    # e_poly terms are summed before any exponent is packed: terms that cancel at
+    # v = 2^61 load, and a malformed term after a term past that limit is a schema error
+    past = {"u": 0, "v": 2 ** 61, "c": 1}
+    doc = model_to_doc(builtin_model("P1"))
+    for extra, want in (([past, dict(past, c=-1)], EXIT_OK),
+                        ([past, dict(past, v="x")], EXIT_SCHEMA)):
+        path.write_text(json.dumps(dict(doc, e_poly=doc["e_poly"] + extra)))
+        code = main(["model", "--model", str(path)])
+        out, err = capsys.readouterr()
+        assert code == want, err
+        if want == EXIT_OK:
+            assert json.loads(out) == doc
+        else:
+            assert out == "" and err.startswith("error: bad e_poly term") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("pretty", [(), ("--pretty",)])
@@ -637,8 +651,14 @@ def test_stdout_independent_of_hash_seed():
 
 
 def test_cli_import_leaves_checks_unloaded():
-    # only ``verify`` needs the suites; every other command skips their import
-    script = "import sys, motivic_cc.cli; print('motivic_cc.checks' in sys.modules)"
+    # only ``verify`` needs the suites and the reference routes; the import and a
+    # ``classes``, a ``zeta`` and an ``exponents`` run all leave them unloaded
+    script = ("import io, sys, contextlib, motivic_cc.cli as cli\n"
+              "for argv in (['classes', '--builtin', 'P1', '--dim', '2', '--kind', 'hilb'],\n"
+              "             ['zeta', '--builtin', 'P1'], ['exponents', '--dim', '2']):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv + ['--order', '3']) == 0, argv\n"
+              "print('motivic_cc.checks' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=package_env(), check=True).stdout
     assert out == "False\n"

@@ -7,9 +7,10 @@ from motivic_cc.lpoly import LPoly, QQ, RING_UV, RING_Y
 from motivic_cc.series import TSeries
 from motivic_cc.motives import TwoRouteMismatchError, Y, Y_HALF, chi_of_y, hodge_spec
 from motivic_cc.hirzebruch import (
-    HomologyModel, chern_class_of, chern_limit_check, point_model,
-    product_model, proj_space_model, qy_series, qyhat_series, y1_limit,
+    HomologyModel, chern_class_of, chern_limit_check,
+    product_model, proj_space_model, qy_series, y1_limit,
 )
+from motivic_cc.checks import qyhat_series
 from helpers import random_lpoly
 
 
@@ -102,7 +103,7 @@ def test_proj_space_p1_class():
 
 
 def test_point_model():
-    m = point_model()
+    m = proj_space_model(0)
     assert m.ty == {"P0": RING_Y.one}
     assert m.degree_of(m.ty) == RING_Y.one
 
@@ -118,7 +119,7 @@ def test_degree_is_chi_y_genus():
 
 def test_product_with_point_is_unit():
     x = proj_space_model(2)
-    p = product_model(point_model(), x)
+    p = product_model(proj_space_model(0), x)
     assert p.dim == x.dim
     assert p.degree_of(p.ty) == x.degree_of(x.ty)
     assert p.e_poly == x.e_poly
@@ -133,7 +134,7 @@ def test_product_p1xp1():
 
 
 def test_chern_limit_small():
-    assert chern_limit_check(point_model(), 1) == {"P0": 1}
+    assert chern_limit_check(proj_space_model(0), 1) == {"P0": 1}
     assert chern_limit_check(proj_space_model(1), 1) == {"P1": 1, "P0": 2}
     for r in (1, 2, 3):
         assert chern_limit_check(proj_space_model(2), r) == {"P2": 1, "P1": 3, "P0": 3}

@@ -6,9 +6,9 @@ import pytest
 from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_UV, RING_Y
 from motivic_cc.series import TSeries, IntegralityError
 from motivic_cc.lambda_power import (
-    EulerExponents, euler_exp, euler_log, mobius, power,
-    pre_lambda, pre_lambda_polyring,
+    EulerExponents, euler_exp, euler_log, mobius, power, pre_lambda_polyring,
 )
+from motivic_cc.checks import pre_lambda
 from helpers import binomial, euler_log_bruteforce, random_lpoly, random_series
 
 L = LPoly.var(RING_L, "L")

@@ -11,10 +11,11 @@ from motivic_cc.motives import (
     alpha_closed_small, config_space_series, chi_of_y, hilb_motive_series,
     kapranov_zeta, l_binomial, l_factorial, macmahon_series, map_series,
     proj_space_class, punctual_exponents_small, punctual_hilb_small,
-    punctual_series, spec_chi, spec_chi_minus_y, spec_e,
+    spec_chi, spec_chi_minus_y, spec_e,
     virtual_alpha, virtual_exponents,
     virtual_hilb_series, virtual_punctual_series,
 )
+from motivic_cc.checks import punctual_series
 from helpers import binomial, random_lpoly
 
 

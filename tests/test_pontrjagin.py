@@ -7,26 +7,29 @@ import pytest
 
 from motivic_cc.lpoly import LPoly, VarSet, QQ, RING_L, RING_UV, RING_Y
 from motivic_cc.series import TSeries
-from motivic_cc.lambda_power import EulerExponents, euler_log, pre_lambda
+from motivic_cc.lambda_power import EulerExponents, euler_log
 from motivic_cc.motives import (
-    Y, chi_of_y, macmahon_series, map_series, proj_space_class, punctual_series,
+    Y, chi_of_y, macmahon_series, map_series, proj_space_class,
     hilb_motive_series, config_space_series, spec_chi_minus_y, virtual_alpha,
     virtual_hilb_series, virtual_punctual_series,
 )
 from motivic_cc.hirzebruch import (
-    adams_h, chern_class_of, point_model, product_model, proj_space_model,
+    adams_h, chern_class_of, product_model, proj_space_model,
 )
 from motivic_cc.pontrjagin import (
     PontElement, PontSeries, aluffi_series, chern_class_series,
-    chi_alpha_scalars, chi_y_alpha_scalars, config_class_series, d_push,
-    exp_series, hilb_class_series, hom_exp_inv, hom_exponentiation, mt2_series,
-    normalized_y1_limit, pont_degree, pont_exp, power_op, sym_prod_class_series,
+    chi_alpha_scalars, chi_y_alpha_scalars, config_class_series,
+    exp_series, hilb_class_series, log_atoms, pont_degree, sym_prod_class_series,
     virtual_class_series, virtual_scalars,
 )
-from motivic_cc.cli import model_from_doc
+from motivic_cc.checks import (
+    d_push, hom_exp_inv, hom_exponentiation, mt2_series, normalized_y1_limit,
+    pont_exp, power_op, pre_lambda, punctual_series, y1_limit_atoms,
+)
+from motivic_cc.cli import builtin_model, model_from_doc
 from helpers import load_bench_cases, random_hclass, random_series
 
-POINT = point_model()
+POINT = proj_space_model(0)
 P1 = proj_space_model(1)
 P2 = proj_space_model(2)
 P3 = proj_space_model(3)
@@ -458,6 +461,52 @@ def test_config_p1():
 def test_chern_point_threefold_degree_is_macmahon():
     s = chern_class_series(POINT, 3, 8)
     assert pont_degree(POINT, s) == macmahon_series(8)
+
+
+def no_pole_model():
+    """A non-proper ModelFile whose class has no pole at y = 1: degree k carries (1-y)^k p_k(y)."""
+    one_minus_y = RING_Y.one - Y
+    classes = {"a": 3 - Y.scale(Fraction(1, 2)), "b": one_minus_y * (2 + Y),
+               "c": one_minus_y ** 2 * (1 + 3 * Y),
+               "d": one_minus_y ** 3 * (Y ** 2 - Fraction(1, 3))}
+    return model_from_doc({
+        "name": "no-pole", "dim": 3, "proper": False, "zeroDegreeBasisId": None, "e_poly": [],
+        "basis": [{"id": b, "deg": k} for k, b in enumerate(classes)],
+        "ty_class": {b: [{"yNum": e[0], "c": str(c)} for e, c in sorted(p.terms.items())]
+                     for b, p in classes.items()}})
+
+
+ATOM_MODELS = {name: builtin_model(name) for name in ("point", "P1", "P2", "P3", "P1xP1")}
+ATOM_MODELS["no-pole"] = no_pole_model()
+
+
+@pytest.mark.parametrize("model", ATOM_MODELS.values(), ids=ATOM_MODELS)
+def test_log_atoms_y1_limit_is_chern_level(model):
+    """At N = 12, y -> 1 of the normalized log atoms of hilb (d = 1, 2) and of virtual is the
+    log atoms of chern with the same d and with d = 3 (the Aluffi series before t -> -t)."""
+    n = 12
+    gamma = chern_class_of(model)
+    for y_scalars, d in ((chi_y_alpha_scalars(1, n), 1), (chi_y_alpha_scalars(2, n), 2),
+                         (virtual_scalars(n), 3)):
+        limited = y1_limit_atoms(model, log_atoms(model, model.ty, y_scalars, n))
+        assert limited and limited == log_atoms(model, gamma, chi_alpha_scalars(d, n), n), d
+    if not model.proper:  # the series route on the model no digest pins
+        for d in (1, 2):
+            assert normalized_y1_limit(hilb_class_series(model, d, 3)) == \
+                chern_class_series(model, d, 3)
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS)
+def test_exp_series_is_the_exponential_of_log_atoms(model):
+    """The one-atom terms of exp_series are its log atoms, and a zero atom is left out."""
+    b = chi_y_alpha_scalars(2, N)
+    atoms = log_atoms(model, model.ty, b, N)
+    s = exp_series(model, model.ty, b, N)
+    assert atoms and all(c.num and c.vars == RING_Y for c in atoms.values())
+    assert atoms == {ms[0]: c for el in s.components for ms, c in el.terms.items() if len(ms) == 1}
+    # over Q, atom (2, x) collects gamma_x / 2 from b_1 = 1 and -gamma_x / 2 from b_2 = -1/2
+    half = EulerExponents(QQ, [1, Fraction(-1, 2)])
+    assert {j for j, _ in log_atoms(model, rational_class(model), half, 2)} == {1}
 
 
 def test_normalization_limit_matches_chern_series():
