@@ -67,16 +67,19 @@ def power_op(k: int, s: po.PontSeries, order: int | None = None) -> po.PontSerie
 
 
 def pont_exp(arg: po.PontSeries) -> po.PontSeries:
-    """exp for the Pontrjagin product; needs vanishing 0-th component."""
+    """exp for the Pontrjagin product, given a vanishing 0-th component: one pass of the graded
+    recurrence n E_n = sum_{k<=n} k A_k E_(n-k), one ``LPoly.dot`` per multiset of E_n."""
     if arg.components[0].terms:
         raise ValueError("Pontrjagin exp needs zero constant component")
-    result = term = po.PontSeries.unit(arg.model, arg.ring, arg.order)
-    for m in range(1, arg.order + 1):
-        term = (term * arg).scale(Fraction(1, m))
-        if all(not el.terms for el in term.components):
-            break
-        result = result + term
-    return result
+    ring, out = arg.ring, [{(): arg.ring.one}]
+    for n in range(1, arg.order + 1):
+        triples = {}  # target multiset -> its (k, c1, c2) triples
+        for k in range(1, n + 1):
+            for ms1, c1 in arg.components[k].terms.items():
+                for ms2, c2 in out[n - k].items():
+                    triples.setdefault(tuple(sorted(ms1 + ms2)), []).append((k, c1, c2))
+        out.append({ms: c for ms, t in triples.items() if (c := LPoly.dot(ring, t, n)).num})
+    return po.PontSeries._of(arg.model, ring, out)
 
 
 def hom_exp_inv(model: hz.HomologyModel, gamma: po.HClass, k: int, order: int,

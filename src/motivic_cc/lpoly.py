@@ -337,11 +337,12 @@ class LPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = self.vars.coerce(other)
         if not isinstance(other, LPoly):
-            return NotImplemented
-        return self.vars == other.vars and self.den == other.den and self.num == other.num
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.vars.coerce(other)
+        return ((self.vars is other.vars or self.vars == other.vars)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
         return hash((self.vars, self.den, frozenset(self.num.items())))

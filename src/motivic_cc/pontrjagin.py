@@ -106,7 +106,7 @@ class PontSeries:
         return cls._of(model, ring, [{(): ring.one}] + [{}] * order)
 
     def _check(self, other: "PontSeries") -> None:
-        if self.model != other.model:
+        if self.model is not other.model and self.model != other.model:
             raise ValueError("Pontrjagin operands live over different models")
         if self.order != other.order or self.ring != other.ring:
             raise ValueError("Pontrjagin operands have different order or ring")

@@ -11,6 +11,7 @@ from pathlib import Path
 from motivic_cc.lpoly import LPoly, VarSet, RING_Y
 from motivic_cc.series import TSeries
 from motivic_cc.lambda_power import EulerExponents
+from motivic_cc.pontrjagin import PontSeries
 from motivic_cc.checks import pre_lambda
 
 
@@ -177,6 +178,20 @@ def ref_pont_mul(s, t) -> list:
                     ms = tuple(sorted(ms1 + ms2))
                     out[i + j][ms] = out[i + j].get(ms, s.ring.zero) + c1 * c2
     return [{ms: c for ms, c in d.items() if c.num} for d in out]
+
+
+def ref_pont_exp(arg):
+    """sum arg^m / m! by repeated Pontrjagin products, stopping at the first power that
+    vanishes: the definition ``checks.pont_exp`` computed before its graded recurrence."""
+    if arg.components[0].terms:
+        raise ValueError("Pontrjagin exp needs zero constant component")
+    result = term = PontSeries.unit(arg.model, arg.ring, arg.order)
+    for m in range(1, arg.order + 1):
+        term = (term * arg).scale(Fraction(1, m))
+        if all(not el.terms for el in term.components):
+            break
+        result = result + term
+    return result
 
 
 def random_series(rng: random.Random, ring: VarSet, order: int,

@@ -684,7 +684,8 @@ def test_package_import_loads_no_module():
 def test_tracer_runs_and_counts_both_product_layers(tmp_path):
     """perfbench/tracer.py reads ``LPoly.terms`` and ``PontSeries.components[i].terms`` by
     name: a traced run must print the untraced report and count the products of both layers.
-    ``classes`` builds its series with ``exp_series``, which makes no Pontrjagin product."""
+    ``classes`` builds its series with ``exp_series``, which makes no Pontrjagin product.  The
+    memoized Euler maps must stay plain functions, which the tracer re-binds and counts."""
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     cases = {"verify": ["verify", "--suite", "pontrjagin", "--order", "3", "--seed", "0"],
              "classes": ["classes", "--builtin", "P1", "--dim", "2", "--kind", "hilb",
@@ -699,7 +700,11 @@ def test_tracer_runs_and_counts_both_product_layers(tmp_path):
         assert traced.returncode == 0, traced.stderr.decode()
         assert traced.stdout == plain
         assert all(c["status"] != "fail" for c in json.loads(plain)["checks"])
-        extra = json.loads(summary.read_text())["extra"]
+        traced_summary = json.loads(summary.read_text())
+        extra = traced_summary["extra"]
         assert extra["lpoly.mul.term_pairs"] > 0
         if name == "verify":
             assert extra["pontrjagin.mul.multiset_pairs"] > 0
+            calls = traced_summary["calls"]
+            assert calls.get("lambda_power.euler_log", 0) > 0
+            assert calls.get("lambda_power.euler_exp", 0) > 0

@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_UV, RING_Y
-from motivic_cc.series import TSeries, IntegralityError
+from motivic_cc.series import TSeries, IntegralityError, NonUnitError
+from motivic_cc import lambda_power as lp
 from motivic_cc.lambda_power import (
-    EulerExponents, euler_exp, euler_log, mobius, power, pre_lambda_polyring,
+    MEMO_SIZE, EulerExponents, euler_exp, euler_log, mobius, power, pre_lambda_polyring,
 )
 from motivic_cc.checks import pre_lambda
-from helpers import binomial, euler_log_bruteforce, random_lpoly, random_series
+from helpers import (
+    binomial, euler_log_bruteforce, random_lpoly, random_series, ref_euler_exp, ref_euler_log,
+)
 
 L = LPoly.var(RING_L, "L")
 Y = LPoly.var(RING_Y, "y")
@@ -74,6 +77,34 @@ def test_euler_log_integrality_guard():
     with pytest.raises(IntegralityError):
         euler_log(a)
     euler_log(a, require_integral=False)
+
+
+def test_euler_maps_memo_reuses_results_and_never_errors():
+    """The memo answers only an equal input, with the value the map computes; an input that
+    raises raises on every call; and past MEMO_SIZE distinct inputs it holds MEMO_SIZE."""
+    bad = TSeries.from_terms(QQ, 3, {0: 1, 1: Fraction(1, 2)})
+    for _ in range(3):
+        with pytest.raises(IntegralityError):
+            euler_log(bad)
+        with pytest.raises(NonUnitError):
+            euler_log(bad * 2)
+    assert euler_log(bad, require_integral=False).exps == ref_euler_log(bad)
+    with pytest.raises(IntegralityError):
+        euler_log(bad)
+    rng = random.Random(46)
+    for _ in range(20):
+        a = random_series(rng, RING_Y, 6, normalized=True, halves=True, denom_bound=3)
+        b = EulerExponents(RING_Y, [random_lpoly(rng, RING_Y, max_deg=3, terms=3, halves=True)
+                                    for _ in range(6)])
+        assert euler_log(a, require_integral=False).exps == ref_euler_log(a)
+        assert euler_log(TSeries(RING_Y, a.coeffs), require_integral=False) is \
+            euler_log(a, require_integral=False)
+        assert euler_exp(b) == ref_euler_exp(b, 6) and euler_exp(b) is euler_exp(b, 6)
+        assert euler_exp(b, 3) == ref_euler_exp(b, 3) and euler_exp(b, 3).order == 3
+    for n in range(MEMO_SIZE + 5):
+        euler_log(TSeries.from_terms(QQ, 2, {0: 1, 1: n}))
+        euler_exp(EulerExponents(QQ, [n]))
+    assert len(lp._log_memo) == len(lp._exp_memo) == MEMO_SIZE
 
 
 def test_power_examples():

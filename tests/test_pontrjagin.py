@@ -27,7 +27,7 @@ from motivic_cc.checks import (
     pont_exp, power_op, pre_lambda, punctual_series, y1_limit_atoms,
 )
 from motivic_cc.cli import builtin_model, model_from_doc
-from helpers import load_bench_cases, random_hclass, random_series
+from helpers import load_bench_cases, random_hclass, random_lpoly, random_series, ref_pont_exp
 
 POINT = proj_space_model(0)
 P1 = proj_space_model(1)
@@ -137,6 +137,35 @@ def test_power_op_is_ring_hom_and_composes():
         assert power_op(2, power_op(3, a, order=12), order=12) == \
             power_op(6, a, order=12)
         assert power_op(1, a) == a
+
+
+@pytest.mark.parametrize("ring", [RING_Y, QQ], ids=str)
+def test_pont_exp_matches_repeated_products(ring):
+    """The one-pass graded recurrence of ``pont_exp`` against sum arg^m / m! built from
+    Pontrjagin products, on arguments with terms in every grading 1..N and rational,
+    half-integer-power coefficients; a nonzero constant component is refused."""
+    rng = random.Random(str(ring))
+    for order in range(7):
+        for _ in range(4):
+            dicts = [{}]
+            for n in range(1, order + 1):
+                d = {}
+                while not d:
+                    for _ in range(rng.randint(1, 3)):
+                        parts, left = [], n
+                        while left > 0:
+                            k = rng.randint(1, left)
+                            parts.append((k, rng.choice(P1.basis)[0]))
+                            left -= k
+                        c = random_lpoly(rng, ring, max_deg=2, terms=2, halves=True,
+                                         denom_bound=3)
+                        if c.num:
+                            d[tuple(sorted(parts))] = c
+                dicts.append(d)
+            arg = PontSeries(P1, ring, dicts)
+            assert pont_exp(arg) == ref_pont_exp(arg)
+            with pytest.raises(ValueError, match="zero constant component"):
+                pont_exp(PontSeries(P1, ring, [{(): ring.one}] + dicts[1:]))
 
 
 def test_hom_exp_inv_zero_class():
