@@ -41,9 +41,12 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: the reader closed stdout early
 def order_cap() -> int:
     raw = os.environ.get(MAX_ORDER_ENV, "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_ORDER
+        cap = int(raw) if raw else DEFAULT_MAX_ORDER
+        if cap >= 0:
+            return cap
     except ValueError:
-        raise SchemaError(f"{MAX_ORDER_ENV} must be an integer, got {raw!r}")
+        pass
+    raise SchemaError(f"{MAX_ORDER_ENV} must be an integer >= 0, got {raw!r}")
 
 
 def check_order(n: int) -> int:
@@ -220,9 +223,11 @@ def read_json(path: str, what: str):
 
 
 def load_model(args) -> hz.HomologyModel:
-    if getattr(args, "builtin", None):
+    if args.builtin is not None and args.model is not None:
+        raise SchemaError("--builtin and --model conflict; give one of them")
+    if args.builtin:
         return builtin_model(args.builtin)
-    if getattr(args, "model", None):
+    if args.model:
         return model_from_doc(read_json(args.model, "model"))
     raise SchemaError("one of --builtin or --model is required")
 
@@ -308,6 +313,8 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_exponents(args) -> int:
+    if args.dim is not None and args.series is not None:
+        raise SchemaError("--dim and --series conflict; give one of them")
     order = check_order(args.order)
     checks = []
     if args.series:
@@ -381,7 +388,7 @@ def cmd_classes(args) -> int:
     elif kind == "chern":
         series = po.chern_class_series(model, d, order)
         degree_check("degree-vs-euler-product", series,
-                     lambda: euler_exp(po.chi_alpha_scalars(d, order).scale(chi), order))
+                     lambda: euler_exp(po.chi_alpha_scalars(d, order).scale(chi)))
     elif kind == "virtual":
         series = po.virtual_class_series(model, order)
         a_y = mo.map_series(mo.virtual_punctual_series(order), "chi-y")

@@ -87,43 +87,27 @@ class EulerExponents:
         return EulerExponents._of(self.ring, tuple(b * m for b in self.exps))
 
 
-MEMO_SIZE = 64  # results kept by each pure Euler map, keyed by input, oldest dropped first
-_log_memo, _exp_memo = {}, {}  # (a, require_integral) and (b, N) -> result
-
-
-def _remember(memo: dict, key, value):
-    if len(memo) >= MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
-
-
-def euler_exp(b: EulerExponents, order: int | None = None) -> TSeries:
-    """Assemble prod_{k<=N} (1 - t^k)^(-b_k), memoized by ``(b, N)``.
+def euler_exp(b: EulerExponents) -> TSeries:
+    """Assemble prod_{k<=N} (1 - t^k)^(-b_k), N = ``b.order``, through t^N.
 
     Computed as one exponential, exp(sum_{k,r} Psi_r(b_k) t^{kr} / r), which is the
     factor-by-factor product with the logs combined first.
     """
-    n = b.order if order is None else order
-    if (hit := _exp_memo.get((b, n))) is not None:
-        return hit
     ring, exps = b.ring, b.exps
     # [t^m] of the argument is (1/m) sum_{kr=m} k Psi_r(b_k)
     arg = [ring.zero] + [
         LPoly.dot(ring, [(k, exps[k - 1].adams(m // k), ring.one)
-                         for k in divisors(m) if k <= b.order and exps[k - 1].num], m)
-        for m in range(1, n + 1)]
-    return _remember(_exp_memo, (b, n), TSeries._of(ring, arg).exp())
+                         for k in divisors(m) if exps[k - 1].num], m)
+        for m in range(1, b.order + 1)]
+    return TSeries._of(ring, arg).exp()
 
 
 def euler_log(a: TSeries, require_integral: bool = True) -> EulerExponents:
-    """Decompose a normalized series into its Euler exponents, memoized by equal arguments.
+    """Decompose a normalized series into its Euler exponents.
 
     With ``require_integral`` the b_k must stay in the declared integral subring; a surviving
-    denominator signals a bug or a false claim on every call, as errors are never memoized.
+    denominator signals a bug or a false claim.
     """
-    if (hit := _log_memo.get((a, require_integral))) is not None:
-        return hit
     if a.coeffs[0] != a.ring.one:
         raise NonUnitError("Euler decomposition needs a normalized series")
     ring = a.ring
@@ -135,13 +119,13 @@ def euler_log(a: TSeries, require_integral: bool = True) -> EulerExponents:
         if require_integral and not bk.is_integral():
             raise IntegralityError(f"Euler exponent b_{k} = {bk} is not integral")
         out.append(bk)
-    return _remember(_log_memo, (a, require_integral), EulerExponents._of(ring, tuple(out)))
+    return EulerExponents._of(ring, tuple(out))
 
 
 def power(a: TSeries, m, require_integral: bool = True) -> TSeries:
     """The power structure A(t)^m induced by the pre-lambda ring."""
     b = euler_log(a, require_integral=require_integral)
-    return euler_exp(b.scale(m), a.order)
+    return euler_exp(b.scale(m))
 
 
 def pre_lambda_polyring(p: LPoly, order: int) -> TSeries:

@@ -60,19 +60,12 @@ def proj_space_class(d: int) -> LPoly:
 
 # -- punctual Hilbert series ----------------------------------------------
 
-def punctual_hilb_small(d: int, order: int = 3) -> TSeries:
-    """1 + t + [d;1]_L t^2 + [d+1;2]_L t^3, the punctual series through t^3.
-
-    No closed form is known past t^3 for general d, so larger orders are an
-    explicit error instead of an extrapolation.
-    """
+def punctual_hilb_small(d: int) -> TSeries:
+    """1 + t + [d;1]_L t^2 + [d+1;2]_L t^3, the punctual series through t^3, the
+    furthest a closed form is known for general d."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if order > 3:
-        raise UnsupportedRangeError(
-            f"punctual Hilbert series for d={d} is only known through t^3, got N={order}")
-    coeffs = [RING_L.one, RING_L.one, l_binomial(d, 1), l_binomial(d + 1, 2)]
-    return TSeries(RING_L, coeffs[: order + 1])
+    return TSeries(RING_L, [RING_L.one, RING_L.one, l_binomial(d, 1), l_binomial(d + 1, 2)])
 
 
 def alpha_closed_small(d: int) -> tuple[LPoly, LPoly, LPoly]:
@@ -90,7 +83,7 @@ def punctual_exponents_small(d: int) -> EulerExponents:
     The Euler-log inversion of the t^3 series must reproduce the closed
     forms; a mismatch signals an inversion bug and raises.
     """
-    b = euler_log(punctual_hilb_small(d, 3))
+    b = euler_log(punctual_hilb_small(d))
     closed = alpha_closed_small(d)
     if b.exps != closed:
         raise TwoRouteMismatchError(
@@ -163,7 +156,7 @@ def map_series(a: TSeries, which: str) -> TSeries:
 def hilb_motive_series(x: LPoly, d: int, order: int) -> TSeries:
     """Generating series of Hilbert-scheme classes: (punctual series)^[X] = prod_k
     (1 - t^k)^(-alpha_k [X]), one exponential of the scaled punctual exponents."""
-    return euler_exp(punctual_exponents(d, order).scale(x), order)
+    return euler_exp(punctual_exponents(d, order).scale(x))
 
 
 def kapranov_zeta(e: LPoly, order: int) -> TSeries:

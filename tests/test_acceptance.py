@@ -33,14 +33,14 @@ def ok(n, text):
 
 def test_criterion_01_eq9_exponents():
     for d in (1, 2, 3, 4):
-        got = euler_log(punctual_hilb_small(d, 3)).exps
+        got = euler_log(punctual_hilb_small(d)).exps
         a1 = RING_L.one
         a2 = (L ** d - 1).exact_div(L - 1) - 1
         a3 = ((L ** (d + 1) - 1) * (L ** d - 1)).exact_div((L ** 2 - 1) * (L - 1)) \
             - (L ** d - 1).exact_div(L - 1)
         assert got == (a1, a2, a3), f"d={d}"
-    assert euler_log(punctual_hilb_small(1, 3)).exps[1:] == (RING_L.zero, RING_L.zero)
-    assert euler_log(punctual_hilb_small(2, 3)).exps == (RING_L.one, L, L ** 2)
+    assert euler_log(punctual_hilb_small(1)).exps[1:] == (RING_L.zero, RING_L.zero)
+    assert euler_log(punctual_hilb_small(2)).exps == (RING_L.one, L, L ** 2)
     ok(1, "Euler-log of the punctual series matches the closed-form exponents, d = 1..4;")
 
 
@@ -48,7 +48,7 @@ def test_criterion_02_surface_two_route():
     lhs = euler_exp(EulerExponents(RING_L, (RING_L.one, L, L ** 2)))
     rhs = TSeries(RING_L, [RING_L.one, RING_L.one, 1 + L, 1 + L + L ** 2])
     assert lhs == rhs
-    assert rhs == punctual_hilb_small(2, 3)
+    assert rhs == punctual_hilb_small(2)
     assert rhs.coeffs[2] == l_binomial(2, 1) and rhs.coeffs[3] == l_binomial(3, 2)
     ok(2, "surface Euler product equals the lambda-binomial punctual series;")
 

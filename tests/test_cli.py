@@ -111,6 +111,24 @@ def test_exponents_series_file(tmp_path, capsys):
     assert [rec["alpha"] for rec in rep["coefficients"]] == ["1", "0", "0"]
 
 
+def test_conflicting_inputs_are_refused(tmp_path, capsys):
+    """Two flags that each name the input exit 2 naming both, even when each input is valid."""
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(model_to_doc(builtin_model("P2"))))
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps({"order": 1, "coeffs": [[{"lNum": 0, "c": "1"}]] * 2}))
+    with_model = ("--builtin", "P1", "--model", str(model))
+    for argv in (("classes", *with_model, "--kind", "sym", "--order", "1"),
+                 ("zeta", *with_model, "--order", "1"),
+                 ("model", *with_model),
+                 ("model", "--builtin", "P1", "--model", "/nonexistent.json")):
+        code, err = run_err(capsys, *argv)
+        assert code == EXIT_SCHEMA and "--builtin and --model" in err, argv
+    code, err = run_err(capsys, "exponents", "--dim", "2", "--series", str(series),
+                        "--order", "1")
+    assert code == EXIT_SCHEMA and "--dim and --series" in err
+
+
 def test_classes_curve_hilb_equals_sym(capsys):
     code, hilb = run_json(capsys, "classes", "--builtin", "P1", "--dim", "1",
                           "--kind", "hilb", "--order", "4")
@@ -543,6 +561,22 @@ def test_order_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("MOTIVIC_CC_MAX_ORDER", "14")
     code, _ = run(capsys, "zeta", "--builtin", "point", "--order", "13")
     assert code == EXIT_OK
+    for raw in ("-1", "x"):
+        monkeypatch.setenv("MOTIVIC_CC_MAX_ORDER", raw)
+        code, err = run_err(capsys, "zeta", "--builtin", "P1", "--order", "0")
+        assert code == EXIT_SCHEMA and "MOTIVIC_CC_MAX_ORDER must be an integer >= 0" in err
+
+
+def test_verify_catches_a_scale_of_b1_alone(capsys, monkeypatch):
+    """An ``EulerExponents.scale`` that multiplies b_1 only breaks the power structure of
+    every series with a nonzero higher exponent: power-structure-axioms must fail."""
+    def scale_b1(self, m):
+        m = self.ring.coerce(m)
+        return EulerExponents._of(self.ring, tuple(b * m for b in self.exps[:1]) + self.exps[1:])
+    monkeypatch.setattr(EulerExponents, "scale", scale_b1)
+    code, doc = run_json(capsys, "verify", "--suite", "lambda", "--order", "8")
+    assert code == EXIT_CHECK_FAILED
+    assert {c["name"]: c["status"] for c in doc["checks"]}["power-structure-axioms"] == "fail"
 
 
 def test_reports_deterministic(capsys):
@@ -638,16 +672,20 @@ def test_verify_passes_at_lowest_orders(capsys, order):
 
 
 def test_stdout_independent_of_hash_seed():
-    # sets and dicts iterate by hash; no report may depend on that order
-    cases = (["classes", "--builtin", "P1xP1", "--dim", "2", "--kind", "hilb", "--order", "5"],
-             ["verify", "--suite", "all", "--order", "5", "--seed", "3"])
-    for argv in cases:
+    # sets and dicts iterate by hash; no report may depend on that order, and each report
+    # hashes to its committed digest
+    cases = {"4b3bc89247ca6a698913e5bf6394ee1b44270cef4e3e19a3d0467fa4d79aded2":
+             ["classes", "--builtin", "P1xP1", "--dim", "2", "--kind", "hilb", "--order", "5"],
+             "cf2ad2c3a82f65206d10ef4482b724e3b692fb5202fb49af92954b61ca1738fc":
+             ["verify", "--suite", "all", "--order", "5", "--seed", "3"]}
+    for digest, argv in cases.items():
         outs = {seed: subprocess.run([sys.executable, "-m", "motivic_cc.cli", *argv],
                                      capture_output=True, env=dict(package_env(),
                                                                    PYTHONHASHSEED=seed),
                                      check=True).stdout
                 for seed in ("0", "1")}
         assert outs["0"] == outs["1"] and outs["0"].startswith(b"{")
+        assert hashlib.sha256(outs["0"]).hexdigest() == digest, argv
 
 
 def test_cli_import_leaves_checks_unloaded():
@@ -685,7 +723,7 @@ def test_tracer_runs_and_counts_both_product_layers(tmp_path):
     """perfbench/tracer.py reads ``LPoly.terms`` and ``PontSeries.components[i].terms`` by
     name: a traced run must print the untraced report and count the products of both layers.
     ``classes`` builds its series with ``exp_series``, which makes no Pontrjagin product.  The
-    memoized Euler maps must stay plain functions, which the tracer re-binds and counts."""
+    Euler maps are plain module functions, which the tracer re-binds and counts."""
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     cases = {"verify": ["verify", "--suite", "pontrjagin", "--order", "3", "--seed", "0"],
              "classes": ["classes", "--builtin", "P1", "--dim", "2", "--kind", "hilb",
