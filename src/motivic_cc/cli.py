@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .lpoly import ExponentLimitError, LPoly, QQ, RING_L, RING_UV, RING_Y
 from .series import IntegralityError, TSeries
@@ -248,48 +249,55 @@ def coeff_str(c) -> str:
                                     "integers") from exc
 
 
-def pont_coefficients(s: po.PontSeries) -> list[dict]:
-    out = []
+def nest(text: str) -> str:
+    """JSON text one level (two spaces) deeper: no JSON string holds a raw newline."""
+    return text.replace("\n", "\n  ")
+
+
+def pont_json(s: po.PontSeries) -> str:
+    """The ``coefficients`` array of a Pontrjagin series as ``json.dumps(indent=2)``
+    prints it in a report.  Coefficient text (digits, ``+-/*^()``, variable names)
+    needs no escaping; each atom's line is escaped once."""
+    lines: dict = {}
+    comps = []
     for n, el in enumerate(s.components):
-        terms = [{"atoms": [atom_str(k, b) for k, b in ms], "c": coeff_str(c)}
-                 for ms, c in sorted(el.terms.items())]
-        out.append({"n": n, "terms": terms})
-    return out
+        coeffs, terms = el.terms, []
+        for ms in sorted(coeffs):
+            for atom in ms:
+                if atom not in lines:
+                    lines[atom] = "            " + encode_basestring_ascii(atom_str(*atom))
+            atoms = "[\n" + ",\n".join([lines[a] for a in ms]) + "\n          ]" if ms else "[]"
+            terms.append(f'        {{\n          "atoms": {atoms},\n'
+                         f'          "c": "{coeff_str(coeffs[ms])}"\n        }}')
+        body = "[\n" + ",\n".join(terms) + "\n      ]" if terms else "[]"
+        comps.append(f'    {{\n      "n": {n},\n      "terms": {body}\n    }}')
+    return "[\n" + ",\n".join(comps) + "\n  ]" if comps else "[]"
 
 
-def series_coefficients(s: TSeries) -> list[dict]:
-    return [{"n": n, "c": coeff_str(c)} for n, c in enumerate(s.coeffs)]
-
-
-def report(command: str, params: dict, order: int, coefficients: list,
-           checks: list[dict]) -> dict:
-    return {"command": command, "params": params, "order": order,
-            "coefficients": coefficients, "checks": checks}
-
-
-def print_report(doc: dict, pretty: bool) -> None:
-    if not pretty:
-        print(json.dumps(doc, indent=2))
-        return
-    print(f"# {doc['command']} {doc['params']}")
-    for rec in doc["coefficients"]:
-        if "terms" in rec:
-            body = " + ".join(
-                f"({t['c']}) {' '.join(t['atoms']) or '1'}" for t in rec["terms"]) or "0"
-            print(f"t^{rec['n']}: {body}")
-        elif "alpha" in rec:
-            print(f"alpha_{rec['k']}: {rec['alpha']}")
+def print_report(args, command: str, params: dict, order: int, coefficients,
+                 checks: list[dict]) -> int:
+    """Print the JSON document {command, params, order, coefficients (a Pontrjagin
+    series or scalar records), checks} or a ``--pretty`` table; the exit code is 1 when a
+    check failed.  The text is made whole first, so a coefficient past the digit limit
+    leaves stdout empty, and the newline ``print`` writes after it raises
+    ``BrokenPipeError`` where unbuffered stdout let a closed pipe cut the text short."""
+    pont = isinstance(coefficients, po.PontSeries)
+    if args.pretty:
+        lines = [f"# {command} {params}"]
+        if pont:
+            lines += [f"t^{n}: " + (" + ".join(
+                f"({coeff_str(el.terms[ms])}) {' '.join([atom_str(*a) for a in ms]) or '1'}"
+                for ms in sorted(el.terms)) or "0") for n, el in enumerate(coefficients.components)]
         else:
-            print(f"t^{rec['n']}: {rec['c']}")
-    for chk in doc["checks"]:
-        detail = f" [{chk['detail']}]" if "detail" in chk else ""
-        print(f"check {chk['name']}: {chk['status']}{detail}")
-
-
-def emit(args, command: str, params: dict, order: int, coefficients: list,
-         checks: list[dict]) -> int:
-    """Print the report; the exit code is 1 when a check failed."""
-    print_report(report(command, params, order, coefficients, checks), args.pretty)
+            lines += [f"alpha_{rec['k']}: {rec['alpha']}" if "alpha" in rec else
+                      f"t^{rec['n']}: {rec['c']}" for rec in coefficients]
+        print("\n".join(lines + [f"check {chk['name']}: {chk['status']}" + (
+            f" [{chk['detail']}]" if "detail" in chk else "") for chk in checks]))
+    else:  # json.dumps renders the small parts; head[:-2] drops its closing "\n}"
+        head = json.dumps({"command": command, "params": params, "order": order}, indent=2)
+        body = pont_json(coefficients) if pont else nest(json.dumps(coefficients, indent=2))
+        print(f'{head[:-2]},\n  "coefficients": {body},\n'
+              f'  "checks": {nest(json.dumps(checks, indent=2))}\n}}')
     return EXIT_CHECK_FAILED if any(c["status"] == "fail" for c in checks) else EXIT_OK
 
 
@@ -308,8 +316,8 @@ def cmd_zeta(args) -> int:
         checks.append({"name": "symmetric-product-route", "status": "ok" if ok else "fail"})
     else:
         checks.append({"name": "symmetric-product-route", "status": "skipped"})
-    return emit(args, "zeta", {"model": model.name, "spec": args.spec}, order,
-                series_coefficients(series), checks)
+    return print_report(args, "zeta", {"model": model.name, "spec": args.spec}, order,
+                [{"n": n, "c": coeff_str(c)} for n, c in enumerate(series.coeffs)], checks)
 
 
 def cmd_exponents(args) -> int:
@@ -343,7 +351,7 @@ def cmd_exponents(args) -> int:
             checks.append({"name": "closed-form-match", "status": "ok" if ok else "fail"})
         source = f"dim-{d}"
     coeffs = [{"k": k, "alpha": coeff_str(a)} for k, a in enumerate(b.exps, start=1)]
-    return emit(args, "exponents", {"source": source}, order, coeffs, checks)
+    return print_report(args, "exponents", {"source": source}, order, coeffs, checks)
 
 
 def cmd_classes(args) -> int:
@@ -369,6 +377,8 @@ def cmd_classes(args) -> int:
 
     if kind in ("hilb", "chern") and d is None:
         raise SchemaError(f"--kind {kind} requires --dim")
+    if kind in ("sym", "config") and d is not None:
+        raise SchemaError(f"--kind {kind} takes no --dim; leave it out")
     if kind in ("virtual", "aluffi") and d != 3:
         raise UnsupportedRangeError(f"--kind {kind} is a threefold formula; use --dim 3")
     chi = int(mo.hodge_spec(model.e_poly, "chi"))
@@ -407,14 +417,14 @@ def cmd_classes(args) -> int:
     else:
         raise SchemaError(f"unknown kind {kind!r}")
 
-    return emit(args, "classes", params, order, pont_coefficients(series), checks)
+    return print_report(args, "classes", params, order, series, checks)
 
 
 def cmd_verify(args) -> int:
     from .checks import run_suite  # imported here: no other command pays for it
     order = check_order(args.order)
     results = run_suite(args.suite, order, args.seed)
-    return emit(args, "verify", {"suite": args.suite, "order": order, "seed": args.seed},
+    return print_report(args, "verify", {"suite": args.suite, "order": order, "seed": args.seed},
                 order, [], results)
 
 

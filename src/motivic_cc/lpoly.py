@@ -472,18 +472,18 @@ class LPoly:
     # -- printing --------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.num:
-            return "0"
-        den, monomial = self.den, self.vars.monomial
+        num, den, monomial = self.num, self.den, self.vars.monomial
         parts: list[str] = []
-        for key, c in sorted(self.num.items()):
-            mono = monomial(key)
-            g = gcd(c, den)  # c/den printed like the reduced Fraction
-            cs = str(c // g) if g == den else f"{c // g}/{den // g}"
-            body = (cs if not mono else mono if c == den else "-" + mono if c == -den
-                    else f"{cs}*{mono}")
-            parts.append("+" + body if parts and not body.startswith("-") else body)
-        return "".join(parts)
+        for key in sorted(num):  # the int keys alone sort faster than the items
+            c, mono = num[key], monomial(key)
+            if mono and (c == den or c == -den):  # a coefficient of +-1 prints as its sign
+                body = mono if c > 0 else "-" + mono
+            else:
+                g = den if den == 1 else gcd(c, den)  # c/den printed like the reduced Fraction
+                cs = str(c // g) if g == den else f"{c // g}/{den // g}"
+                body = f"{cs}*{mono}" if mono else cs
+            parts.append("+" + body if c > 0 and parts else body)
+        return "".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"LPoly<{self}>"

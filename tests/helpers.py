@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from motivic_cc.lpoly import LPoly, VarSet, RING_Y
@@ -192,6 +194,55 @@ def ref_pont_exp(arg):
             break
         result = result + term
     return result
+
+
+# -- the printers the production writers replaced: oracles for their text -----------
+
+def ref_str(p: LPoly) -> str:
+    """``str(p)`` as the first ``LPoly.__str__`` built it: every term reduced with
+    ``gcd``, and the ``+`` read off the text of the term."""
+    if not p.num:
+        return "0"
+    den, monomial = p.den, p.vars.monomial
+    parts: list[str] = []
+    for key, c in sorted(p.num.items()):
+        mono = monomial(key)
+        g = gcd(c, den)
+        cs = str(c // g) if g == den else f"{c // g}/{den // g}"
+        body = (cs if not mono else mono if c == den else "-" + mono if c == -den
+                else f"{cs}*{mono}")
+        parts.append("+" + body if parts and not body.startswith("-") else body)
+    return "".join(parts)
+
+
+def ref_report(command: str, params: dict, order: int, coefficients, checks: list,
+               pretty: bool) -> str:
+    """A report as the dict-tree writer printed it: the document as nested dicts and
+    lists, then ``json.dumps(indent=2)`` or the plain-text table, line by line.
+    ``coefficients`` is a ``PontSeries`` or a list of scalar-series records."""
+    if isinstance(coefficients, PontSeries):
+        coefficients = [
+            {"n": n, "terms": [{"atoms": [f"d{k}*[{b}]" for k, b in ms], "c": str(c)}
+                               for ms, c in sorted(el.terms.items())]}
+            for n, el in enumerate(coefficients.components)]
+    doc = {"command": command, "params": params, "order": order,
+           "coefficients": coefficients, "checks": checks}
+    if not pretty:
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [f"# {doc['command']} {doc['params']}"]
+    for rec in doc["coefficients"]:
+        if "terms" in rec:
+            body = " + ".join(
+                f"({t['c']}) {' '.join(t['atoms']) or '1'}" for t in rec["terms"]) or "0"
+            lines.append(f"t^{rec['n']}: {body}")
+        elif "alpha" in rec:
+            lines.append(f"alpha_{rec['k']}: {rec['alpha']}")
+        else:
+            lines.append(f"t^{rec['n']}: {rec['c']}")
+    for chk in doc["checks"]:
+        detail = f" [{chk['detail']}]" if "detail" in chk else ""
+        lines.append(f"check {chk['name']}: {chk['status']}{detail}")
+    return "".join(line + "\n" for line in lines)
 
 
 def random_series(rng: random.Random, ring: VarSet, order: int,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from argparse import Namespace
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,13 +14,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from motivic_cc.cli import (
     EXIT_OK, EXIT_CHECK_FAILED, EXIT_SCHEMA, EXIT_RANGE, builtin_model, main,
-    model_from_doc, model_to_doc,
+    model_from_doc, model_to_doc, print_report,
 )
 from motivic_cc import motives as mo, pontrjagin as po
 from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_Y
 from motivic_cc.lambda_power import EulerExponents
 from motivic_cc.series import TSeries
-from helpers import load_bench_cases
+from helpers import load_bench_cases, ref_report
 
 
 def run(capsys, *argv):
@@ -133,8 +134,7 @@ def test_classes_curve_hilb_equals_sym(capsys):
     code, hilb = run_json(capsys, "classes", "--builtin", "P1", "--dim", "1",
                           "--kind", "hilb", "--order", "4")
     assert code == EXIT_OK
-    code, sym = run_json(capsys, "classes", "--builtin", "P1", "--dim", "1",
-                         "--kind", "sym", "--order", "4")
+    code, sym = run_json(capsys, "classes", "--builtin", "P1", "--kind", "sym", "--order", "4")
     assert code == EXIT_OK
     assert hilb["coefficients"] == sym["coefficients"]
     assert all(c["status"] == "ok" for c in hilb["checks"] + sym["checks"])
@@ -168,6 +168,17 @@ def test_classes_hilb_range_error(capsys):
             assert err == "error: dimension must be >= 1\n"
 
 
+def test_classes_dim_refused_where_kind_ignores_it(capsys):
+    # sym and config read no punctual data, so a --dim would only be echoed in params
+    for kind in ("sym", "config"):
+        code, err = run_err(capsys, "classes", "--builtin", "P2", "--kind", kind, "--dim", "7",
+                            "--order", "3")
+        assert code == EXIT_SCHEMA
+        assert "--dim" in err and f"--kind {kind}" in err
+        code, doc = run_json(capsys, "classes", "--builtin", "P2", "--kind", kind, "--order", "3")
+        assert code == EXIT_OK and doc["params"]["dim"] is None
+
+
 def test_classes_point_aluffi_macmahon(capsys):
     code, doc = run_json(capsys, "classes", "--builtin", "point", "--dim", "3",
                          "--kind", "aluffi", "--order", "6")
@@ -181,8 +192,8 @@ def test_classes_virtual_and_config(capsys):
                          "--kind", "virtual", "--order", "3")
     assert code == EXIT_OK
     assert all(c["status"] == "ok" for c in doc["checks"])
-    code, doc = run_json(capsys, "classes", "--builtin", "P1", "--dim", "1",
-                         "--kind", "config", "--order", "4")
+    code, doc = run_json(capsys, "classes", "--builtin", "P1", "--kind", "config",
+                         "--order", "4")
     assert code == EXIT_OK
     assert all(c["status"] == "ok" for c in doc["checks"])
 
@@ -233,8 +244,8 @@ def test_each_kind_builds_one_series(capsys, monkeypatch):
     counts = {}
     for kind in kinds:
         calls.clear()
-        code, _ = run(capsys, "classes", "--builtin", "P1", "--dim", "3",
-                      "--kind", kind, "--order", "3")
+        dim = () if kind in ("sym", "config") else ("--dim", "3")
+        code, _ = run(capsys, "classes", "--builtin", "P1", *dim, "--kind", kind, "--order", "3")
         assert code == EXIT_OK, kind
         counts[kind] = len(calls)
     assert counts == dict.fromkeys(kinds, 1)
@@ -394,6 +405,84 @@ def test_pretty_report_digest(cmdline, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PRETTY_DIGESTS[cmdline]
 
 
+# text that JSON escapes (quotes, backslashes, control and non-ASCII characters), or that
+# looks like the atom syntax
+HOSTILE_TEXT = st.text(st.one_of(st.sampled_from('"\\*[]d1 \n\t\x00\x1f\x7f\xe9\u2603\U0001d538'),
+                                 st.characters()), max_size=5)
+CHECK_RECORDS = st.builds(
+    lambda name, status, detail: dict({"name": name, "status": status},
+                                      **({} if detail is None else {"detail": detail})),
+    HOSTILE_TEXT, st.sampled_from(["ok", "fail", "skipped"]), st.none() | HOSTILE_TEXT)
+
+
+@st.composite
+def hostile_reports(draw):
+    """A report of a Pontrjagin series over a ModelFile model with hostile basis ids, some
+    components emptied, or of scalar-series records; hostile check records either way."""
+    ids = draw(st.lists(HOSTILE_TEXT, min_size=1, max_size=3, unique=True))
+    doc = {"name": draw(HOSTILE_TEXT), "dim": 1, "proper": False,
+           "basis": [{"id": b, "deg": i % 2} for i, b in enumerate(ids)],
+           "zeroDegreeBasisId": None,
+           "ty_class": {b: [{"yNum": draw(st.integers(0, 2)),
+                             "c": draw(st.sampled_from(["1", "-1", "3/2", "-2/7"]))}]
+                        for b in ids},
+           "e_poly": [{"u": 0, "v": 0, "c": 1}]}
+    model = model_from_doc(doc)
+    order = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        series = po.sym_prod_class_series(model, order)
+        empty = draw(st.sets(st.integers(0, order)))
+        coefficients = po.PontSeries(model, series.ring, [
+            {} if n in empty else el.terms for n, el in enumerate(series.components)])
+    else:
+        key, value = draw(st.sampled_from([("n", "c"), ("k", "alpha")]))
+        coefficients = draw(st.lists(st.builds(lambda i, text: {key: i, value: text},
+                                               st.integers(0, 9), HOSTILE_TEXT), max_size=3))
+    params = {"model": model.name, "kind": "sym", "dim": None, ids[0]: draw(HOSTILE_TEXT)}
+    return "classes", params, order, coefficients, draw(st.lists(CHECK_RECORDS, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hostile_reports(), st.booleans())
+def test_writer_matches_dict_tree_reference(report, pretty):
+    """Both forms of every report are the bytes the dict-tree writer printed, and a
+    failed check makes the exit code 1."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = print_report(Namespace(pretty=pretty), *report)
+    assert out.getvalue() == ref_report(*report, pretty)
+    failed = any(chk["status"] == "fail" for chk in report[-1])
+    assert code == (EXIT_CHECK_FAILED if failed else EXIT_OK)
+
+
+def test_hostile_basis_ids_through_main(tmp_path, capsys):
+    ids = ['a"b', "c\\d", "e\x01f", "\xe9\u2603", "d1*[x]", ""]
+    doc = {"name": 'M"\\', "dim": 2, "proper": False,
+           "basis": [{"id": b, "deg": i % 3} for i, b in enumerate(ids)],
+           "zeroDegreeBasisId": None,
+           "ty_class": {b: [{"yNum": i, "c": f"{i - 2}/3"}] for i, b in enumerate(ids)},
+           "e_poly": [{"u": 0, "v": 0, "c": 1}]}
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))
+    model = model_from_doc(doc)
+    series = po.sym_prod_class_series(model, 3)
+    params = {"model": model.name, "kind": "sym", "dim": None}
+    skipped = [{"name": "degree-vs-motivic-route", "status": "skipped"}]
+    for pretty in (False, True):
+        code, out = run(capsys, "classes", "--model", str(path), "--kind", "sym", "--order", "3",
+                        *(("--pretty",) if pretty else ()))
+        assert code == EXIT_OK
+        assert out == ref_report("classes", params, 3, series, skipped, pretty)
+        failed = [{"name": "x", "status": "fail", "detail": 'see "d1*[a\\"b]"'}]
+        assert print_report(Namespace(pretty=pretty), "classes", params, 3, series, failed) == \
+            EXIT_CHECK_FAILED
+        assert capsys.readouterr().out == ref_report("classes", params, 3, series, failed, pretty)
+    # the ids read back from the JSON report as they were written into the model file
+    code, out = run(capsys, "classes", "--model", str(path), "--kind", "sym", "--order", "1")
+    atoms = [t["atoms"] for t in json.loads(out)["coefficients"][1]["terms"]]
+    assert atoms == [[f"d1*[{b}]"] for b in sorted(model.ty)] and len(atoms) == 5
+
+
 def test_model_roundtrip():
     for name in ("point", "P2", "P1xP1"):
         model = builtin_model(name)
@@ -405,19 +494,17 @@ def test_model_roundtrip_via_file(tmp_path, capsys):
     assert code == EXIT_OK
     path = tmp_path / "m.json"
     path.write_text(out)
-    code, doc = run_json(capsys, "classes", "--model", str(path), "--dim", "2",
-                         "--kind", "sym", "--order", "2")
+    code, doc = run_json(capsys, "classes", "--model", str(path), "--kind", "sym",
+                         "--order", "2")
     assert code == EXIT_OK
 
 
 def test_schema_errors(tmp_path, capsys):
-    code, _ = run(capsys, "classes", "--builtin", "nope", "--dim", "1",
-                  "--kind", "sym", "--order", "2")
+    code, _ = run(capsys, "classes", "--builtin", "nope", "--kind", "sym", "--order", "2")
     assert code == EXIT_SCHEMA
     path = tmp_path / "bad.json"
     path.write_text("{\"name\": \"x\"}")
-    code, _ = run(capsys, "classes", "--model", str(path), "--dim", "1",
-                  "--kind", "sym", "--order", "2")
+    code, _ = run(capsys, "classes", "--model", str(path), "--kind", "sym", "--order", "2")
     assert code == EXIT_SCHEMA
     path.write_text("not json")
     code, _ = run(capsys, "zeta", "--model", str(path), "--order", "2")
@@ -650,12 +737,19 @@ def package_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
-def test_closed_stdout_exits_quietly():
-    # ``motivic-cc classes ... | head -1``: a 0.5 MB report, the reader leaves after one line
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # ``motivic-cc classes ... | head -1``: a 0.5 MB report, the reader leaves after one line.
+    # Unbuffered stdout ignores a short write to a closed pipe, so a report written in one
+    # piece would end with exit 0 there, cut short
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "motivic_cc.cli", "classes", "--builtin", "P2", "--dim", "2",
          "--kind", "hilb", "--order", "8"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env())
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
     err = proc.stderr.read()

@@ -12,7 +12,7 @@ from motivic_cc.lpoly import (
 from motivic_cc.motives import chi_of_y, hodge_spec, spec_chi_minus_y, spec_e
 from motivic_cc.hirzebruch import proj_space_model, qy_series
 from helpers import (
-    random_lpoly, ref_adams, ref_add, ref_mul, ref_pow, ref_scale, ref_substitute,
+    random_lpoly, ref_adams, ref_add, ref_mul, ref_pow, ref_scale, ref_str, ref_substitute,
 )
 
 L = LPoly.var(RING_L, "L")
@@ -410,6 +410,27 @@ def test_str_orders_terms_as_sorted_exponent_tuples(case):
     parts = [str(LPoly(vars, {e: terms[e]})) for e in sorted(terms)]
     expect = "".join(t if not i or t.startswith("-") else "+" + t for i, t in enumerate(parts))
     assert str(LPoly(vars, terms)) == (expect or "0")
+
+
+# integers (a polynomial of them has den == 1), +-1 and fractions
+STR_COEFFS = st.one_of(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2)]),
+                       st.integers(-10 ** 30, 10 ** 30).filter(bool), COEFFS)
+
+
+@given(term_maps(), st.data())
+def test_str_matches_the_first_printer(case, data):
+    """``str`` against ``helpers.ref_str``, the printer it replaced, over all four rings."""
+    vars, terms = case
+    p = LPoly(vars, {e: data.draw(STR_COEFFS) for e in terms})
+    for q in (p, -p, p * p.den, -p * p.den):  # both leading signs; numerators alone, den == 1
+        assert str(q) == ref_str(q)
+    assert str(LPoly(vars, {})) == ref_str(LPoly(vars, {})) == "0"
+
+
+def test_str_of_unit_and_integer_coefficients():
+    for p, text in ((-(Y ** 2) + 1, "1-y^2"), (-Y - 1, "-1-y"), (YHALF * 4 - 3, "-3+4*y^(1/2)"),
+                    ((L - 2) * Fraction(-1, 2), "1-1/2*L"), (U * V - U ** -1, "-u^(-1)+uv")):
+        assert str(p) == ref_str(p) == text
 
 
 def test_exponent_limit_guards():

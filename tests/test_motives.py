@@ -8,8 +8,8 @@ from motivic_cc.series import TSeries
 from motivic_cc.lambda_power import EulerExponents, euler_exp, euler_log, power
 from motivic_cc.motives import (
     L, L_HALF, U, V, Y, Y_HALF, UnsupportedRangeError,
-    alpha_closed_small, config_space_series, chi_of_y, hilb_motive_series,
-    kapranov_zeta, l_binomial, l_factorial, macmahon_series, map_series,
+    config_space_series, hilb_motive_series,
+    kapranov_zeta, l_binomial, macmahon_series, map_series,
     proj_space_class, punctual_exponents_small, punctual_hilb_small,
     spec_chi, spec_chi_minus_y, spec_e,
     virtual_alpha, virtual_exponents,
