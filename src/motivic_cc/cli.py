@@ -219,7 +219,7 @@ def read_json(path: str, what: str):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {what} file: {exc}")
-    except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, past the digit limit, too deep
         raise SchemaError(f"{what} file is not valid JSON: {exc}")
 
 

@@ -61,9 +61,10 @@ class HomologyModel:
         for b, k in basis:
             if not 0 <= k <= dim:
                 raise ValueError(f"basis degree {k} outside 0..{dim} in model {name}")
-        if proper:
-            if zero_id is None or degs.get(zero_id) != 0:
-                raise ValueError(f"proper model {name} needs a degree-0 point class")
+        if zero_id is not None and zero_id not in degs:
+            raise ValueError(f"zero-degree id {zero_id!r} is no basis id of model {name}")
+        if proper and degs.get(zero_id) != 0:
+            raise ValueError(f"proper model {name} needs a degree-0 point class")
         for b in ty:
             if b not in degs:
                 raise ValueError(f"ty class mentions unknown basis id {b!r}")

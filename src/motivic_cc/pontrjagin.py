@@ -143,13 +143,6 @@ class PontSeries:
 
     __mul__ = mul
 
-    def subst_neg_t(self) -> "PontSeries":
-        """t -> -t: flip the sign of every odd component."""
-        return PontSeries._of(
-            self.model, self.ring,
-            [{ms: (-c if n % 2 else c) for ms, c in el.terms.items()}
-             for n, el in enumerate(self.components)])
-
     def __eq__(self, other):
         return (isinstance(other, PontSeries)
                 and self.model == other.model and self.ring == other.ring
@@ -162,11 +155,11 @@ class PontSeries:
 # -- the homological exponential -------------------------------------------
 
 def log_atoms(model: HomologyModel, gamma: HClass, b: EulerExponents,
-              order: int) -> dict[tuple[int, str], LPoly]:
-    """The log of prod_k (1 - t^k d^k_*)^(-b_k gamma) through t^order, over the ring of ``b``.
+              order: int, sign: int = 1) -> dict[tuple[int, str], LPoly]:
+    """The log of prod_k (1 - (sign t)^k d^k_*)^(-b_k gamma) through t^order, over ``b.ring``.
 
-    The log is linear in atoms: atom (rk, x) collects Psi_r(b_k gamma)_x / r,
-    where Psi_r is the identity over ``QQ``.  Only nonzero atoms are kept.
+    The log is linear in atoms: atom (rk, x) collects sign^(rk) Psi_r(b_k gamma)_x / r, where
+    Psi_r is the identity over ``QQ``.  Only nonzero atoms are kept.
     """
     ring = b.ring
     gamma = {x: ring.coerce(c) for x, c in gamma.items()}
@@ -177,20 +170,20 @@ def log_atoms(model: HomologyModel, gamma: HClass, b: EulerExponents,
         g = {x: c * s for x, c in gamma.items()}
         for r in range(1, order // k + 1):
             for x, c in (g if ring == QQ else adams_h(model, r, g)).items():
-                log[r * k, x] = log.get((r * k, x), ring.zero) + c.div_int(r)
+                log[r * k, x] = log.get((r * k, x), ring.zero) + c.div_int(sign ** (r * k) * r)
     return {atom: c for atom, c in log.items() if c.num}
 
 
 def exp_series(model: HomologyModel, gamma: HClass, b: EulerExponents,
-               order: int) -> PontSeries:
-    """prod_k (1 - t^k d^k_*)^(-b_k gamma) through t^order: the exponential of :func:`log_atoms`.
+               order: int, sign: int = 1) -> PontSeries:
+    """prod_k (1 - (sign t)^k d^k_*)^(-b_k gamma) through t^order: exp of :func:`log_atoms`.
 
     Atoms generate the free Pontrjagin ring, so the exponential factors atom
     by atom: a multiset with multiplicities m_x gets prod_x a_x^(m_x) / m_x!.
     The product of ``checks.hom_exp_inv`` factors is the reference route.
     """
     ring = b.ring
-    log = log_atoms(model, gamma, b, order)
+    log = log_atoms(model, gamma, b, order, sign)
     dicts = [dict() for _ in range(order + 1)]
     dicts[0][()] = ring.one
     # multiply in one atom at a time; walking n downward never extends a
@@ -261,22 +254,21 @@ def virtual_scalars(order: int) -> EulerExponents:
 def virtual_class_series(model: HomologyModel, order: int) -> PontSeries:
     """Virtual Hirzebruch-class series of a threefold, the t-form.
 
-    The power calculus does not commute with t -> -t over a ring with Adams
-    operations, so the closed-form exponents are exponentiated on the -t side
-    and read back at -t.  The Euler-log route to these scalars also starts from
-    virtual_alpha and tests that chi_{-y} commutes with the Adams-twisted Euler
-    decomposition on the -t side; ``classes`` and ``verify`` compare the two.
+    The closed-form exponents are those of the series at -t, and t -> -t commutes with
+    the atomwise exponential, so the atoms are signed.  The Euler-log route to these
+    scalars also starts from virtual_alpha and tests that chi_{-y} commutes with the
+    Adams-twisted Euler decomposition on the -t side; ``classes`` and ``verify`` compare the two.
     """
-    return exp_series(model, model.ty, virtual_scalars(order), order).subst_neg_t()
+    return exp_series(model, model.ty, virtual_scalars(order), order, -1)
 
 
 def aluffi_series(model: HomologyModel, order: int) -> PontSeries:
     """Pushed-forward Aluffi classes of Hilbert schemes of a threefold.
 
-    The product prod_k (1 - t^k d^k_*)^(-k c_*(X)) enumerates them against
-    (-t)^n, so the coefficient of t^n here carries the sign (-1)^n.
+    The product prod_k (1 - t^k d^k_*)^(-k c_*(X)) enumerates them against (-t)^n,
+    so the atoms are signed: the coefficient of t^n here carries the sign (-1)^n.
     """
-    return chern_class_series(model, 3, order).subst_neg_t()
+    return exp_series(model, chern_class_of(model), chi_alpha_scalars(3, order), order, -1)
 
 
 def pont_degree(model: HomologyModel, s: PontSeries) -> TSeries:

@@ -236,19 +236,23 @@ def test_virtual_check_catches_wrong_scalars(capsys, monkeypatch):
 
 
 def test_each_kind_builds_one_series(capsys, monkeypatch):
-    """Every class kind makes one exp_series call; no self-check rebuilds the series."""
-    calls = []
-    real = po.exp_series
+    """Every class kind makes one exp_series call and constructs one Pontrjagin series: no
+    self-check rebuilds the series, and no post-pass (such as t -> -t) copies it."""
+    calls, built = [], []
+    real, real_of = po.exp_series, po.PontSeries._of.__func__
     monkeypatch.setattr(po, "exp_series", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    monkeypatch.setattr(po.PontSeries, "_of",
+                        classmethod(lambda cls, *a: built.append(1) or real_of(cls, *a)))
     kinds = ("hilb", "sym", "config", "chern", "virtual", "aluffi")
     counts = {}
     for kind in kinds:
         calls.clear()
+        built.clear()
         dim = () if kind in ("sym", "config") else ("--dim", "3")
         code, _ = run(capsys, "classes", "--builtin", "P1", *dim, "--kind", kind, "--order", "3")
         assert code == EXIT_OK, kind
-        counts[kind] = len(calls)
-    assert counts == dict.fromkeys(kinds, 1)
+        counts[kind] = (len(calls), len(built))
+    assert counts == dict.fromkeys(kinds, (1, 1))
 
 
 def test_series_file_boundary(tmp_path, capsys):
@@ -515,6 +519,15 @@ def test_schema_errors(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == EXIT_SCHEMA and out == "" and err.count("\n") == 1
     assert err.startswith("error: ") and "negative dimension" in err
+    # a zero-degree id must name a basis class, also on a model that is not proper
+    path.write_text(json.dumps({"name": "F", "dim": 1, "proper": False,
+                                "basis": [{"id": "a", "deg": 0}], "zeroDegreeBasisId": "nope",
+                                "ty_class": {}, "e_poly": []}))
+    for argv in (("model",), ("classes", "--kind", "sym", "--order", "2")):
+        code = main([*argv, "--model", str(path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_SCHEMA and out == "" and err.count("\n") == 1, argv
+        assert err.startswith("error: ") and "'nope'" in err
     # numbers are bounded at the boundary: exponent notation and JSON floats are
     # no rationals, and an integer past Python's 4300-digit limit does not load
     for c in ("1e5000", 0.5):
@@ -545,6 +558,21 @@ def test_schema_errors(tmp_path, capsys):
             assert json.loads(out) == doc
         else:
             assert out == "" and err.startswith("error: bad e_poly term") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_is_a_schema_error(tmp_path, capsys):
+    # json.load recurses once per level, so a deep array ends in RecursionError
+    deep = "[" * 100000 + "]" * 100000
+    model, series = tmp_path / "model.json", tmp_path / "series.json"
+    model.write_text(deep)
+    series.write_text(f'{{"order": 1, "coeffs": {deep}}}')
+    for argv, what in ((("classes", "--kind", "sym", "--order", "2", "--model", model), "model"),
+                       (("model", "--model", model), "model"),
+                       (("exponents", "--order", "1", "--series", series), "series")):
+        code = main([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == EXIT_SCHEMA and out == "" and err.count("\n") == 1, argv
+        assert err.startswith(f"error: {what} file is not valid JSON: maximum recursion"), err
 
 
 @pytest.mark.parametrize("pretty", [(), ("--pretty",)])

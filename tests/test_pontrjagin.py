@@ -24,7 +24,7 @@ from motivic_cc.pontrjagin import (
 )
 from motivic_cc.checks import (
     d_push, hom_exp_inv, hom_exponentiation, mt2_series, normalized_y1_limit,
-    pont_exp, power_op, pre_lambda, punctual_series, y1_limit_atoms,
+    pont_exp, power_op, pre_lambda, punctual_series, subst_neg_t, y1_limit_atoms,
 )
 from motivic_cc.cli import builtin_model, model_from_doc
 from helpers import load_bench_cases, random_hclass, random_lpoly, random_series, ref_pont_exp
@@ -324,7 +324,7 @@ def virtual_route_case(route):
         else:
             scalars = EulerExponents(
                 RING_Y, [spec_chi_minus_y(virtual_alpha(k)) for k in range(1, N + 1)])
-        return virtual_class_series(m, N).subst_neg_t(), reference_product(m, m.ty, scalars, N)
+        return subst_neg_t(virtual_class_series(m, N)), reference_product(m, m.ty, scalars, N)
     return case
 
 
@@ -395,7 +395,7 @@ def test_unchecked_results_pass_the_checks(model):
     assert not cancelled_product.components[1].terms and cancelled_product.components[2].terms
     assert not any(el.terms for el in cancelled_sum.components)
     results = [s, t, unit, s * t, cancelled_product, s + t, cancelled_sum, s.scale(Y),
-               s.scale(0), s.subst_neg_t(), power_op(2, s), power_op(3, t, 2 * N), pont_exp(x),
+               s.scale(0), subst_neg_t(s), power_op(2, s), power_op(3, t, 2 * N), pont_exp(x),
                exp_series(model, rational_class(model), EulerExponents(QQ, [1, 2]), N)]
     if model.proper:
         results.append(normalized_y1_limit(virtual_class_series(model, 3)))
@@ -548,7 +548,7 @@ def test_virtual_two_route_p3():
     scalars = virtual_euler_log_scalars(3)
     assert scalars == virtual_scalars(3)
     t_form = virtual_class_series(P3, 3)
-    assert t_form.subst_neg_t() == reference_product(P3, P3.ty, scalars, 3)
+    assert subst_neg_t(t_form) == reference_product(P3, P3.ty, scalars, 3)
     assert t_form.components[0].terms == {(): RING_Y.one}
 
 
@@ -567,7 +567,21 @@ def aluffi_reference(model, order):
 
 def test_aluffi_sign_relation_eq220():
     # read at -t, the Aluffi series is the MacMahon-exponent product of the Chern class
-    assert aluffi_series(P3, 4).subst_neg_t() == aluffi_reference(P3, 4)
+    assert subst_neg_t(aluffi_series(P3, 4)) == aluffi_reference(P3, 4)
+
+
+@pytest.mark.parametrize("model", MODELS.values(), ids=MODELS)
+def test_signed_atoms_read_the_series_at_minus_t(model):
+    """sign = -1 multiplies atom (j, x) by (-1)^j, and the exponential of the signed atoms is
+    the unsigned series read at -t, with and without the Adams twist."""
+    for gamma, b in ((model.ty, virtual_scalars(N)),
+                     (rational_class(model), chi_alpha_scalars(3, N))):
+        atoms = log_atoms(model, gamma, b, N)
+        assert log_atoms(model, gamma, b, N, -1) == \
+            {(j, x): -c if j % 2 else c for (j, x), c in atoms.items()}
+        assert exp_series(model, gamma, b, N, -1) == subst_neg_t(exp_series(model, gamma, b, N))
+    if model.proper:
+        assert subst_neg_t(aluffi_series(model, N)) == aluffi_reference(model, N)
 
 
 @pytest.mark.parametrize("order", (3, 4))
