@@ -9,10 +9,10 @@ truncation variable of a :class:`TSeries` over Q[y] (order = dimension).
 
 A :class:`HomologyModel` is a finite graded basis of the even Borel-Moore
 homology with a stored class T_{(-y)*}(X); built-in models (point, P^d,
-binary products) also carry an independently computed MacPherson Chern class
-so the y -> 1 normalization limit can be cross-checked.  This module is the
-one home of the homological Adams operation :func:`adams_h` and of the exact
-y -> 1 limit :func:`y1_limit` of the normalization Psi_(1-y).
+binary products) also carry an independently computed MacPherson Chern class,
+the reference for the y -> 1 normalization limit.  This module is the one home
+of the homological Adams operation :func:`adams_h` and of the exact y -> 1 limit
+:func:`y1_limit` of the normalization Psi_(1-y).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import comb, factorial
 
 from .lpoly import ExactDivisionError, LPoly, RING_UV, RING_Y
 from .series import TSeries
-from .motives import TwoRouteMismatchError, Y, chi_of_y, hodge_spec, proj_space_class
+from .motives import TwoRouteMismatchError, Y, hodge_spec, proj_space_class
 
 
 def qy_series(order: int) -> TSeries:
@@ -40,8 +40,9 @@ class HomologyModel:
     ``basis`` lists (id, homological degree k) pairs; ``ty`` maps basis ids
     to the y-polynomial coefficients of T_{(-y)*}(X).  Proper connected
     models name their degree-zero point class, which the degree map picks
-    out.  ``chern`` (over Q) and ``l_class`` (the Grothendieck-ring proxy
-    of [X]) are optional extras carried by the built-in models.
+    out.  Built-in models carry ``l_class``, the Grothendieck-ring proxy of
+    [X], and ``chern``: an independent Chern class over Q, not a cache but the
+    reference the y -> 1 limit of ``ty`` must equal.
     """
 
     __slots__ = ("name", "dim", "proper", "basis", "zero_id", "ty",
@@ -96,7 +97,7 @@ class HomologyModel:
 
     def __eq__(self, other):
         # equality covers the serialized surface; chern and l_class are
-        # derived caches carried only by built-in models
+        # independent references carried only by built-in models
         return (isinstance(other, HomologyModel)
                 and self.name == other.name and self.dim == other.dim
                 and self.proper == other.proper and self.basis == other.basis
@@ -163,15 +164,19 @@ def adams_h(model: HomologyModel, r: int, hclass: dict[str, LPoly]) -> dict[str,
 def y1_limit(c: LPoly, m: int) -> Fraction:
     """c / (1-y)^m at y = 1, exactly: the y -> 1 limit of Psi_(1-y) in degree m.
 
-    The power must cancel into c, or ArithmeticError signals a pole.  A pole
-    is raised without dividing when c(1) != 0, or when c has at most m terms:
-    by Descartes' rule of signs in y^(1/2), such a c vanishes to order below m.
+    With z = y^(1/2) and c = sum a_e z^e / den, (1-y)^m = (1-z)^m (1+z)^m divides c iff the
+    Taylor sums sum a_e C(e, i) at z = 1 and sum a_e (-1)^e C(e, i) at z = -1 vanish for
+    i < m, or ExactDivisionError flags a pole; the limit is sum a_e C(e, m) / (den (-2)^m).
+    C(e, i) is an integer.  By Descartes' rule of signs a c with t terms stops by step t.
     """
-    if m and c.num:
-        if len(c.num) <= m or chi_of_y(c):
+    if not c.num:
+        return Fraction(0)
+    terms = c.num.items()
+    for i in range(m):
+        if sum(a for _, a in terms) or sum(-a if e % 2 else a for e, a in terms):
             raise ExactDivisionError(f"c does not vanish to order {m} at y=1")
-        c = c.exact_div((RING_Y.one - Y) ** m)
-    return chi_of_y(c)
+        terms = [(e, a * (e - i) // (i + 1)) for e, a in terms]
+    return Fraction(sum(a for _, a in terms), c.den * (-2) ** m)
 
 
 def chern_limit_check(model: HomologyModel, r: int = 1) -> dict[str, Fraction]:
@@ -180,8 +185,7 @@ def chern_limit_check(model: HomologyModel, r: int = 1) -> dict[str, Fraction]:
     Computes Psi_(1-y) Psi_r T_{(-y)*}(X) exactly: the degree-k coordinate
     tau(y) becomes tau(y^r) / (r^k (1-y)^k), whose (1-y)-power must cancel
     (a pole means the divisibility claim failed), then y = 1 is substituted.
-    When the model stores an independently computed Chern class the result
-    is compared against it.
+    A stored, independently computed Chern class must equal the result.
     """
     degs = model.degs()
     out: dict[str, Fraction] = {}
@@ -202,11 +206,5 @@ def chern_limit_check(model: HomologyModel, r: int = 1) -> dict[str, Fraction]:
 
 
 def chern_class_of(model: HomologyModel) -> dict[str, Fraction]:
-    """The model's rationalized MacPherson Chern class.
-
-    Built-in models store it; for user models it is defined by the y -> 1
-    normalization limit of the stored Hirzebruch class.
-    """
-    if model.chern is not None:
-        return dict(model.chern)
+    """Rationalized MacPherson Chern class: the y -> 1 limit, checked by a stored one."""
     return chern_limit_check(model, 1)

@@ -670,6 +670,31 @@ def test_exit_one_on_failed_internal_check(tmp_path, capsys):
                                 "pole at y=1 after (1-y)-cancellation\n")
 
 
+def test_huge_exponent_limit_is_prompt(tmp_path):
+    # 1 - 2y + y^(2^39) in degree 1: its limit -(-2 + 2^39) is read off the Taylor
+    # coefficients at y^(1/2) = 1; dividing by 1 - y would write 2^39 quotient terms.
+    # A child process with a timeout turns such a hang into a failure
+    doc = {"name": "hostile", "dim": 1, "proper": False,
+           "basis": [{"id": "a", "deg": 1}, {"id": "b", "deg": 0}], "zeroDegreeBasisId": None,
+           "ty_class": {"a": [{"yNum": 0, "c": "1"}, {"yNum": 2, "c": "-2"},
+                              {"yNum": 2 ** 40, "c": "1"}]},
+           "e_poly": [{"u": 0, "v": 0, "c": 1}]}
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))
+
+    def coefficients(kind, dim):
+        out = subprocess.run([sys.executable, "-m", "motivic_cc.cli", "classes", "--model",
+                              str(path), "--kind", kind, "--dim", dim, "--order", "2"],
+                             capture_output=True, env=package_env(), timeout=60, check=True)
+        return {tuple(t["atoms"]): t["c"] for c in json.loads(out.stdout)["coefficients"]
+                for t in c["terms"]}
+
+    chern = coefficients("chern", "2")
+    assert chern[("d1*[a]",)] == str(2 - 2 ** 39) == "-549755813886"
+    assert chern[("d2*[a]",)] == "-824633720829"
+    assert coefficients("aluffi", "3")[("d1*[a]",)] == "549755813886"
+
+
 def test_order_cap_env(capsys, monkeypatch):
     code, _ = run(capsys, "zeta", "--builtin", "point", "--order", "13")
     assert code == EXIT_RANGE

@@ -11,6 +11,7 @@ from motivic_cc.hirzebruch import (
     product_model, proj_space_model, qy_series, y1_limit,
 )
 from motivic_cc.checks import qyhat_series
+from motivic_cc.pontrjagin import chern_class_series
 from helpers import random_lpoly
 
 
@@ -190,6 +191,31 @@ def test_y1_limit_matches_two_step_reference():
                 assert got == outcome(reference, c, m), (base, j, m)
                 poles += got is ArithmeticError
     assert 0 < poles < len(bases) * 36
+    # the zero guard, and the Descartes bound: one term vanishes to order 0 at y = 1
+    assert y1_limit(RING_Y.zero, 10 ** 9) == 0
+    with pytest.raises(ArithmeticError):
+        y1_limit(Y_HALF.scale(7), 10 ** 9)
+
+
+def test_chern_class_takes_one_route(monkeypatch):
+    """Every model's Chern class is the y -> 1 limit, with no polynomial division, and a
+    built-in model's stored class is the reference that limit must equal."""
+    e_a = LPoly(RING_UV, {(0, 0): 1})
+    small = HomologyModel("small", 1, False, (("a", 1), ("b", 0)), None,
+                          {"a": RING_Y.one - Y.scale(2) + Y ** 3}, e_a)
+    divisions = []
+    exact_div = LPoly.exact_div
+    monkeypatch.setattr(LPoly, "exact_div",
+                        lambda self, other: divisions.append(other) or exact_div(self, other))
+    assert chern_class_of(small) == {"a": -1}
+    assert divisions == []
+
+    p2 = proj_space_model(2)
+    wrong = HomologyModel(p2.name, p2.dim, p2.proper, p2.basis, p2.zero_id, p2.ty, p2.e_poly,
+                          chern={**p2.chern, "P0": Fraction(4)}, l_class=p2.l_class)
+    assert chern_class_of(p2) == p2.chern
+    with pytest.raises(TwoRouteMismatchError):
+        chern_class_series(wrong, 2, 2)
 
 
 def test_model_chi_consistency_guard():
