@@ -87,15 +87,12 @@ def parse_rational(s) -> Fraction:
 
 
 def model_to_doc(model: hz.HomologyModel) -> dict:
-    ty = {}
-    for b, _ in model.basis:
-        c = model.ty.get(b)
-        if c is None:
-            continue
-        ty[b] = [{"yNum": exps[0], "c": coeff_str(coeff)}
-                 for exps, coeff in sorted(c.terms.items())]
-    e_terms = [{"u": e[0] // 2, "v": e[1] // 2, "c": int(c)}
-               for e, c in sorted(model.e_poly.terms.items())]
+    """The ModelFile document of ``model``, read off each polynomial's ``num`` and ``den``."""
+    ty = {b: [{"yNum": RING_Y.unpack(k)[0], "c": coeff_str(Fraction(n, model.ty[b].den))}
+              for k, n in sorted(model.ty[b].num.items())]
+          for b, _ in model.basis if b in model.ty}
+    e_terms = [{"u": u // 2, "v": v // 2, "c": int(Fraction(n, model.e_poly.den))}
+               for (u, v), n in sorted((RING_UV.unpack(k), n) for k, n in model.e_poly.num.items())]
     return {
         "name": model.name,
         "dim": model.dim,

@@ -17,12 +17,13 @@ of the homological Adams operation :func:`adams_h` and of the exact y -> 1 limit
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
 from .lpoly import ExactDivisionError, LPoly, RING_UV, RING_Y
 from .series import TSeries
-from .motives import TwoRouteMismatchError, Y, hodge_spec, proj_space_class
+from .motives import TwoRouteMismatchError, UnsupportedRangeError, Y, hodge_spec, proj_space_class
 
 
 def qy_series(order: int) -> TSeries:
@@ -153,10 +154,22 @@ def product_model(m1: HomologyModel, m2: HomologyModel) -> HomologyModel:
 
 
 def adams_h(model: HomologyModel, r: int, hclass: dict[str, LPoly]) -> dict[str, LPoly]:
-    """Homological Adams operation Psi_r: 1/r^k in degree k, and y -> y^r."""
+    """Homological Adams operation Psi_r: 1/r^k in degree k, and y -> y^r.
+
+    A term n y^e in degree k keeps r^k/|n| in its denominator, as does the one-atom term
+    that carries it.  Past 10^limit (``sys.get_int_max_str_digits()``, 0 for none) no report
+    can print that, so it is refused, by bit lengths first: a huge r^k is never built.
+    """
     if r < 1:
         raise ValueError("Adams index must be >= 1")
-    degs = model.degs()
+    degs, limit = model.degs(), sys.get_int_max_str_digits()
+    for b, c in hclass.items():
+        k, n = degs[b], min(map(abs, c.num.values()), default=0)
+        if limit and r > 1 and n and (k * (r.bit_length() - 1) > 4 * limit + n.bit_length()
+                                      or r ** k >= 10 ** limit * n):
+            raise UnsupportedRangeError(
+                f"basis class {b} has degree {k}: its Adams twist 1/{r}^{k} passes "
+                f"Python's {limit}-digit limit for printing integers")
     return {b: c.adams(r) * Fraction(1, r ** degs[b])
             for b, c in hclass.items()}
 

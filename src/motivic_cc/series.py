@@ -62,11 +62,8 @@ class TSeries:
 
     @classmethod
     def from_terms(cls, ring: VarSet, order: int, terms: dict[int, object]) -> "TSeries":
-        coeffs = [ring.zero] * (order + 1)
-        for n, c in terms.items():
-            if 0 <= n <= order:
-                coeffs[n] = ring.coerce(c)
-        return cls(ring, coeffs)
+        """The series of ``terms[n] t^n`` through t^order; terms past the order are dropped."""
+        return cls(ring, [terms.get(n, 0) for n in range(order + 1)])
 
     # -- arithmetic ------------------------------------------------------
 

@@ -146,10 +146,30 @@ def ref_log(a: TSeries) -> TSeries:
     return TSeries(a.ring, out)
 
 
-def ref_euler_log(a: TSeries) -> tuple:
-    """b_k = (1/k) sum_{d | k} mu(k/d) Psi_{k/d}(d c_d), one term at a time."""
-    from motivic_cc.lambda_power import divisors, mobius
+def divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
 
+
+def mobius(n: int) -> int:
+    """The Moebius function, by trial division."""
+    if n == 1:
+        return 1
+    result, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if m > 1:
+        result = -result
+    return result
+
+
+def ref_euler_log(a: TSeries) -> tuple:
+    """b_k = (1/k) sum_{d | k} mu(k/d) Psi_{k/d}(d c_d), the Moebius inversion of the
+    relation ``euler_log`` peels, one term at a time."""
     c = ref_log(a).coeffs
     out = []
     for k in range(1, a.order + 1):
@@ -260,7 +280,8 @@ def random_series(rng: random.Random, ring: VarSet, order: int,
 def euler_log_bruteforce(a: TSeries) -> EulerExponents:
     """Solve for the Euler exponents degree by degree by dividing factors out.
 
-    Independent of the Moebius-inversion route: after b_1 .. b_{k-1} are
+    Independent of the peeled ``euler_log`` and of the Moebius inversion in
+    :func:`ref_euler_log`: after b_1 .. b_{k-1} are
     known, A / prod_{j<k} (1-t^j)^(-b_j) = 1 + b_k t^k + O(t^{k+1}).
     """
     ring = a.ring

@@ -154,7 +154,7 @@ def test_criterion_12_property_suites():
     bad = [r for r in results if r["status"] != "ok"]
     assert not bad, bad
     assert len(results) >= 30
-    # the Moebius inversion is additionally pinned to the brute-force oracle
+    # the Euler log is additionally pinned to the brute-force oracle
     import random
     from helpers import random_series
     rng = random.Random(1234)

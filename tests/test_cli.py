@@ -493,6 +493,28 @@ def test_model_roundtrip():
         assert model_from_doc(model_to_doc(model)) == model
 
 
+
+def test_model_to_doc_decodes_num_and_den(monkeypatch):
+    """Documents of builtin and generated models (rational and half-exponent
+    coefficients) equal the ``LPoly.terms`` reading, and are written without it."""
+    gen = load_bench_cases().generate_model
+    models = [builtin_model(name) for name in ("point", "P1", "P2xP2")] + \
+        [model_from_doc(gen(seed)) for seed in range(8)]
+    want = [({b: [{"yNum": e[0], "c": str(c)} for e, c in sorted(m.ty[b].terms.items())]
+              for b, _ in m.basis if b in m.ty},
+             [{"u": e[0] // 2, "v": e[1] // 2, "c": int(c)}
+              for e, c in sorted(m.e_poly.terms.items())]) for m in models]
+
+    def no_terms(self):
+        raise AssertionError("LPoly.terms read")
+
+    monkeypatch.setattr(LPoly, "terms", property(no_terms))
+    for model, (ty, e_poly) in zip(models, want):
+        doc = model_to_doc(model)
+        assert doc["ty_class"] == ty and doc["e_poly"] == e_poly
+    assert [model_to_doc(model_from_doc(gen(seed))) for seed in range(8)] == \
+        [gen(seed) for seed in range(8)]
+
 def test_model_roundtrip_via_file(tmp_path, capsys):
     code, out = run(capsys, "model", "--builtin", "P1xP2")
     assert code == EXIT_OK
@@ -621,6 +643,29 @@ def test_exponent_limit_exits_three(tmp_path, capsys):
             ["1", "u" + v(e)] + [f"u^{n}" + v(n * e) for n in range(2, 5)]
 
 
+
+def test_zeta_exponent_limit_follows_the_factor_coefficients(tmp_path, capsys):
+    # (1 - w t)^(-a) for w = u v^(2^59) needs w^4 at t^4 unless a < 0 and |a| < 4: a factor
+    # (1 - w t)^3 stops at w^3, whose exponent of v, 3 * 2^59, is inside the limit
+    def zeta(c, one=2):
+        doc = {"name": "V", "dim": 1, "proper": False, "basis": [{"id": "a", "deg": 0}],
+               "zeroDegreeBasisId": None, "ty_class": {"a": [{"yNum": 0, "c": "1"}]},
+               "e_poly": [{"u": 0, "v": 0, "c": one}, {"u": 1, "v": 2 ** 59, "c": c}]}
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(doc))
+        code = main(["zeta", "--model", str(path), "--order", "4"])
+        return code, capsys.readouterr()
+
+    for c in (1, 7, -7, -4):
+        for one in (0, 2):  # the factor alone, and multiplied into (1 - t)^(-2)
+            code, (out, err) = zeta(c, one)
+            assert code == EXIT_RANGE and out == ""
+            assert err.startswith("error: exponent limit") and err.count("\n") == 1
+    code, (out, _) = zeta(-3)  # [t^4] (1 - t)^(-2) (1 - w t)^3 = 5 - 4*3w + 3*3w^2 - 2w^3
+    assert code == EXIT_OK
+    assert json.loads(out)["coefficients"][4]["c"] == \
+        f"5-12*uv^{2 ** 59}+9*u^2v^{2 ** 60}-2*u^3v^{3 * 2 ** 59}"
+
 def test_inconsistent_model_rejected(tmp_path, capsys):
     model = builtin_model("P1")
     doc = model_to_doc(model)
@@ -694,6 +739,27 @@ def test_huge_exponent_limit_is_prompt(tmp_path):
     assert chern[("d2*[a]",)] == "-824633720829"
     assert coefficients("aluffi", "3")[("d1*[a]",)] == "549755813886"
 
+
+
+def test_huge_homological_degree_is_refused_promptly(tmp_path):
+    # a coordinate 1 in degree 10^9: every atom d{2k}*[a] carries 1/2^(10^9), a number of
+    # 3 * 10^8 digits, so no report can print; only chern, with no twist, meets its pole
+    doc = {"name": "huge", "dim": 10 ** 9, "proper": False,
+           "basis": [{"id": "a", "deg": 10 ** 9}], "zeroDegreeBasisId": None,
+           "ty_class": {"a": [{"yNum": 0, "c": "1"}]}, "e_poly": [{"u": 0, "v": 0, "c": 1}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for kind, code in (("hilb", EXIT_RANGE), ("sym", EXIT_RANGE), ("chern", EXIT_CHECK_FAILED)):
+        dim = [] if kind == "sym" else ["--dim", "2"]
+        out = subprocess.run([sys.executable, "-m", "motivic_cc.cli", "classes", "--model",
+                              str(path), "--kind", kind, *dim, "--order", "2"],
+                             capture_output=True, timeout=30,
+                             env=dict(package_env(), PYTHONINTMAXSTRDIGITS="4300"))
+        err = out.stderr.decode()
+        assert (out.returncode, out.stdout) == (code, b"")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if code == EXIT_RANGE:
+            assert "basis class a has degree 1000000000" in err and "4300-digit limit" in err
 
 def test_order_cap_env(capsys, monkeypatch):
     code, _ = run(capsys, "zeta", "--builtin", "point", "--order", "13")

@@ -6,11 +6,12 @@ import pytest
 from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_UV, RING_Y
 from motivic_cc.series import TSeries, IntegralityError, NonUnitError
 from motivic_cc.lambda_power import (
-    EulerExponents, euler_exp, euler_log, mobius, power, pre_lambda_polyring,
+    EulerExponents, euler_exp, euler_log, power, pre_lambda_polyring,
 )
 from motivic_cc.checks import pre_lambda
 from helpers import (
-    binomial, euler_log_bruteforce, random_lpoly, random_series, ref_euler_exp, ref_euler_log,
+    binomial, euler_log_bruteforce, mobius, random_lpoly, random_series, ref_euler_exp,
+    ref_euler_log,
 )
 
 L = LPoly.var(RING_L, "L")
@@ -52,8 +53,8 @@ def test_euler_log_examples():
 
 
 def test_euler_log_matches_bruteforce_oracle():
-    # design obligation: validate the Adams-twisted Moebius inversion against
-    # the degree-by-degree divide-out oracle before relying on it
+    # design obligation: validate the peeled Euler log against the degree-by-degree
+    # divide-out oracle before relying on it
     rng = random.Random(42)
     for _ in range(100):
         a = random_series(rng, RING_Y, 8, normalized=True)
@@ -80,7 +81,8 @@ def test_euler_log_integrality_guard():
 
 def test_euler_maps_raise_on_every_call_and_match_references():
     """An input that raises raises on every call, also after a call that does not check
-    integrality; on half-exponent rational inputs both maps equal the reference routes."""
+    integrality; on integral and rational inputs over every ring both maps equal the
+    reference routes, Moebius inversion for the log."""
     bad = TSeries.from_terms(QQ, 3, {0: 1, 1: Fraction(1, 2)})
     for _ in range(3):
         with pytest.raises(IntegralityError):
@@ -97,6 +99,17 @@ def test_euler_maps_raise_on_every_call_and_match_references():
                                     for _ in range(6)])
         assert euler_log(a, require_integral=False).exps == ref_euler_log(a)
         assert euler_exp(b) == ref_euler_exp(b, 6)
+    # every ring through t^12, so composite indices 4, 6, 8, 9 and 12 meet Psi_2 and Psi_3;
+    # over L, Laurent and half exponents: Psi_2 flips the sign of the negative root's odd powers
+    for ring, kw in ((RING_L, dict(laurent=True, halves=True)), (RING_UV, {}), (QQ, {})):
+        for denom_bound in (1, 3):  # integral, then rational coefficients
+            for n in (8, 12):
+                a = random_series(rng, ring, n, normalized=True, denom_bound=denom_bound, **kw)
+                b = EulerExponents(ring, [random_lpoly(rng, ring, max_deg=2, terms=2,
+                                                       denom_bound=denom_bound, **kw)
+                                          for _ in range(n)])
+                assert euler_log(a, require_integral=False).exps == ref_euler_log(a)
+                assert euler_exp(b) == ref_euler_exp(b, n)
 
 
 def test_power_examples():
@@ -154,3 +167,24 @@ def test_pre_lambda_polyring_matches_adams_route():
         p = random_lpoly(rng, RING_UV, max_deg=3, terms=3)
         n = rng.randint(1, 6)
         assert pre_lambda_polyring(p, n) == pre_lambda(RING_UV, p, n)
+
+
+def test_pre_lambda_polyring_factor_coefficients_match_adams_route():
+    # (1 - w t)^(-a) has the coefficients C(a+n-1, n) w^n; for a < 0 they stop at n = |a|
+    for a in (1, -1, 7, -7, 10 ** 6, -10 ** 6):
+        for b in (1, -7, 10 ** 6):
+            p = a * U * V ** 2 + b * U ** 3 + (a - b)
+            for n in (1, 5, 8):
+                assert pre_lambda_polyring(p, n) == pre_lambda(RING_UV, p, n)
+    assert pre_lambda_polyring(-7 * U, 8).coeffs == \
+        tuple((-1) ** n * binomial(7, n) * U ** n for n in range(9))
+
+
+def test_pre_lambda_polyring_takes_no_power_or_inverse(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a geometric series was powered or inverted")
+
+    monkeypatch.setattr(TSeries, "pow_int", forbidden)
+    monkeypatch.setattr(TSeries, "invert", forbidden)
+    for p in (-3 + U * V - 2 * V, 2 * U - V ** 2, RING_UV.coerce(-1)):
+        assert pre_lambda_polyring(p, 6) == pre_lambda(RING_UV, p, 6)

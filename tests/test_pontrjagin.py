@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from motivic_cc.lambda_power import EulerExponents, euler_log
 from motivic_cc.motives import (
     Y, chi_of_y, macmahon_series, map_series, proj_space_class,
     hilb_motive_series, config_space_series, spec_chi_minus_y, virtual_alpha,
-    virtual_hilb_series, virtual_punctual_series,
+    virtual_hilb_series, virtual_punctual_series, UnsupportedRangeError,
 )
 from motivic_cc.hirzebruch import (
     adams_h, chern_class_of, product_model, proj_space_model,
@@ -106,6 +107,36 @@ def test_adams_h():
     a2 = adams_h(P1, 2, gamma)
     assert a2["P0"] == RING_Y.one + Y ** 2
     assert a2["P1"] == RING_Y.one.scale(Fraction(1, 2))
+
+
+def test_adams_h_refuses_twists_past_the_digit_limit():
+    """1/r^k is refused where r^k over the smallest numerator passes 10^limit, before r^k
+    is built; not at r = 1, not at the limit 0, and not where the numerator cancels it."""
+    def model(k, c):
+        return model_from_doc({
+            "name": "deep", "dim": k, "proper": False, "basis": [{"id": "a", "deg": k}],
+            "zeroDegreeBasisId": None, "ty_class": {"a": [{"yNum": 0, "c": str(c)}]},
+            "e_poly": [{"u": 0, "v": 0, "c": 1}]})
+
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        # 3^(10^7), refused by its bit length, has 4.8 million digits: small enough that a
+        # regression which builds it fails here instead of exhausting memory
+        for k, c, r in ((10 ** 7, 1, 3), (14290, 1, 2), (4300, 1, 10), (4301, 7, 10)):
+            with pytest.raises(UnsupportedRangeError, match=f"basis class a has degree {k}: "
+                               f"its Adams twist 1/{r}\\^{k} passes Python's 4300-digit"):
+                adams_h(model(k, c), r, {"a": RING_Y.one * c})
+        # 1024 / 2^14290 = 1 / 2^14280 (4,299 digits); 10^4299 has 4,300 digits
+        assert adams_h(model(14290, 1024), 2, {"a": RING_Y.one * 1024}) == \
+            {"a": RING_Y.one * Fraction(1, 2 ** 14280)}
+        assert adams_h(model(4299, 1), 10, {"a": RING_Y.one})["a"].den == 10 ** 4299
+        assert adams_h(model(10 ** 18, 1), 1, {"a": RING_Y.one}) == {"a": RING_Y.one}
+        sys.set_int_max_str_digits(0)
+        assert adams_h(model(20000, 1), 3, {"a": Y})["a"] == \
+            (Y ** 3).scale(Fraction(1, 3 ** 20000))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_power_op_on_atoms():
