@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 from .lpoly import ExponentLimitError, LPoly, QQ, RING_L, RING_UV, RING_Y
 from .series import IntegralityError, TSeries
-from .lambda_power import EulerExponents, euler_exp, euler_log
+from .lambda_power import euler_exp, euler_log
 from . import motives as mo
 from . import hirzebruch as hz
 from . import pontrjagin as po
@@ -339,15 +339,15 @@ def cmd_exponents(args) -> int:
         b = mo.punctual_exponents(d, order)
         # each check compares the table with a route that does not start from it
         if d == 2:  # the t^3 inversion of the lambda-binomial series
-            inverted = mo.punctual_exponents_small(2).exps
-            for k, (alpha, want) in enumerate(zip(b.exps, inverted), start=1):
+            inverted = mo.punctual_exponents_small(2).coeffs[1:]
+            for k, (alpha, want) in enumerate(zip(b.coeffs[1:], inverted), start=1):
                 checks.append({"name": f"closed-form-alpha-{k}",
                                "status": "ok" if alpha == want else "fail"})
         elif d > 2:
-            ok = b.exps == mo.alpha_closed_small(d)[:order]
+            ok = b.coeffs[1:] == mo.alpha_closed_small(d)[:order]
             checks.append({"name": "closed-form-match", "status": "ok" if ok else "fail"})
         source = f"dim-{d}"
-    coeffs = [{"k": k, "alpha": coeff_str(a)} for k, a in enumerate(b.exps, start=1)]
+    coeffs = [{"k": k, "alpha": coeff_str(a)} for k, a in enumerate(b.coeffs[1:], start=1)]
     return print_report(args, "exponents", {"source": source}, order, coeffs, checks)
 
 
@@ -395,7 +395,7 @@ def cmd_classes(args) -> int:
     elif kind == "chern":
         series = po.chern_class_series(model, d, order)
         degree_check("degree-vs-euler-product", series,
-                     lambda: euler_exp(po.chi_alpha_scalars(d, order).scale(chi)))
+                     lambda: euler_exp(po.chi_alpha_scalars(d, order) * chi))
     elif kind == "virtual":
         series = po.virtual_class_series(model, order)
         a_y = mo.map_series(mo.virtual_punctual_series(order), "chi-y")
@@ -405,8 +405,7 @@ def cmd_classes(args) -> int:
     elif kind == "aluffi":
         series = po.aluffi_series(model, order)
         # the scalar Chern-MNOP statement: chi of the virtual exponents is k
-        ok = po.chi_alpha_scalars(3, order) == \
-            EulerExponents(QQ, map(mo.spec_chi, mo.virtual_exponents(order).exps))
+        ok = po.chi_alpha_scalars(3, order) == mo.map_series(mo.virtual_exponents(order), "chi")
         checks.append({"name": "sign-relation-vs-chern", "status": "ok" if ok else "fail"})
         degree_check("degree-vs-macmahon", series,
                      lambda: mo.macmahon_series(order, chi).subst(1, -1))

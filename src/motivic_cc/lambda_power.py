@@ -5,13 +5,16 @@ The pre-lambda series of a coefficient m is
     (1 - t)^(-m) := lambda_t(m) = exp( sum_r Psi_r(m) t^r / r ),
 
 with Psi_r the ring's Adams endomorphisms.  Every normalized series A then
-factors uniquely as an Euler product prod_k (1 - t^k)^(-b_k); decomposing,
-re-assembling and exponentiating by ring elements,
+factors uniquely as an Euler product prod_k (1 - t^k)^(-b_k), and its Euler
+exponents are themselves a series, b = sum_{k>=1} b_k t^k with b_0 = 0.
+``euler_exp`` and ``euler_log`` are the plethystic exp and log: the exp and
+log of :class:`TSeries` twisted by the Adams operations, with their shapes
+and their ``NonUnitError`` contract.  Exponentiating by a ring element is the
+scalar product of the exponent series,
 
-    A^m := prod_k (1 - t^k)^(-m b_k),
+    A^m := euler_exp(euler_log(A) * m) = prod_k (1 - t^k)^(-m b_k).
 
-is the whole calculus this module provides.  One relation ties the log
-coefficients c_m = [t^m] log A to the exponents,
+One relation ties the log coefficients c_m = [t^m] log A to the exponents,
 
     m c_m = sum_{k | m} k Psi_{m/k}(b_k),
 
@@ -27,68 +30,28 @@ from .lpoly import EXP_LIMIT, LPoly, VarSet
 from .series import IntegralityError, NonUnitError, TSeries
 
 
-class EulerExponents:
-    """The exponent sequence b_1 .. b_N of prod_k (1 - t^k)^(-b_k)."""
-
-    __slots__ = ("ring", "exps")
-
-    def __new__(cls, ring: VarSet, exps):
-        return cls._of(ring, tuple(ring.coerce(b) for b in exps))
-
-    @classmethod
-    def _of(cls, ring: VarSet, exps: tuple) -> "EulerExponents":
-        """Exponents already in ``ring``: nothing is coerced."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "ring", ring)
-        object.__setattr__(obj, "exps", exps)
-        return obj
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("EulerExponents is immutable")
-
-    def __reduce__(self):
-        return EulerExponents, (self.ring, self.exps)
-
-    def __eq__(self, other):
-        if not isinstance(other, EulerExponents):
-            return NotImplemented
-        return self.ring == other.ring and self.exps == other.exps
-
-    def __hash__(self):
-        return hash((self.ring, self.exps))
-
-    def __repr__(self):
-        return f"EulerExponents[{self.ring}]{self.exps}"
-
-    @property
-    def order(self) -> int:
-        return len(self.exps)
-
-    def scale(self, m) -> "EulerExponents":
-        m = self.ring.coerce(m)
-        return EulerExponents._of(self.ring, tuple(b * m for b in self.exps))
-
-
-def _adams_sum(ring: VarSet, exps, m: int, w: int = 1) -> list:
-    """The ``LPoly.dot`` triples (w k, Psi_{m/k}(b_k), 1) over the divisors k <= len(exps)
+def _adams_sum(ring: VarSet, b, m: int, w: int = 1) -> list:
+    """The ``LPoly.dot`` triples (w k, Psi_{m/k}(b_k), 1) over the divisors 1 <= k < len(b)
     of m with b_k nonzero: w times the sum in m c_m = sum_{k | m} k Psi_{m/k}(b_k)."""
-    return [(w * k, exps[k - 1].adams(m // k), ring.one)
-            for k in range(1, min(m, len(exps)) + 1) if not m % k and exps[k - 1].num]
+    return [(w * k, b[k].adams(m // k), ring.one)
+            for k in range(1, min(m, len(b) - 1) + 1) if not m % k and b[k].num]
 
 
-def euler_exp(b: EulerExponents) -> TSeries:
+def euler_exp(b: TSeries) -> TSeries:
     """Assemble prod_{k<=N} (1 - t^k)^(-b_k), N = ``b.order``, through t^N.
 
     Computed as one exponential, exp(sum_m c_m t^m) with m c_m = sum_{k | m} k Psi_{m/k}(b_k),
     which is the factor-by-factor product with the logs combined first.
     """
+    if b.coeffs[0] != b.ring.zero:
+        raise NonUnitError(f"Euler exponents need zero constant term, got {b.coeffs[0]}")
     ring = b.ring
-    return TSeries._of(ring, [ring.zero] + [LPoly.dot(ring, _adams_sum(ring, b.exps, m), m)
+    return TSeries._of(ring, [ring.zero] + [LPoly.dot(ring, _adams_sum(ring, b.coeffs, m), m)
                                             for m in range(1, b.order + 1)]).exp()
 
 
-def euler_log(a: TSeries, require_integral: bool = True) -> EulerExponents:
-    """Decompose a normalized series into its Euler exponents.
+def euler_log(a: TSeries, require_integral: bool = True) -> TSeries:
+    """Decompose a normalized series into its Euler exponents b = sum_{k>=1} b_k t^k.
 
     The relation of :func:`euler_exp` is solved one index at a time: with c = log A,
     b_m = c_m - (1/m) sum_{k | m, k < m} k Psi_{m/k}(b_k), one ``LPoly.dot`` per m.
@@ -99,19 +62,18 @@ def euler_log(a: TSeries, require_integral: bool = True) -> EulerExponents:
         raise NonUnitError("Euler decomposition needs a normalized series")
     ring = a.ring
     c = a.log().coeffs
-    out: list[LPoly] = []
+    out = [ring.zero]
     for m in range(1, a.order + 1):
         bm = LPoly.dot(ring, [(m, c[m], ring.one)] + _adams_sum(ring, out, m, -1), m)
         if require_integral and not bm.is_integral():
             raise IntegralityError(f"Euler exponent b_{m} = {bm} is not integral")
         out.append(bm)
-    return EulerExponents._of(ring, tuple(out))
+    return TSeries._of(ring, out)
 
 
 def power(a: TSeries, m, require_integral: bool = True) -> TSeries:
     """The power structure A(t)^m induced by the pre-lambda ring."""
-    b = euler_log(a, require_integral=require_integral)
-    return euler_exp(b.scale(m))
+    return euler_exp(euler_log(a, require_integral=require_integral) * m)
 
 
 def pre_lambda_polyring(p: LPoly, order: int) -> TSeries:

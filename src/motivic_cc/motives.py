@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .lpoly import LPoly, QQ, RING_L, RING_UV, RING_Y
 from .series import TSeries
-from .lambda_power import EulerExponents, euler_exp, euler_log, power, pre_lambda_polyring
+from .lambda_power import euler_exp, euler_log, power, pre_lambda_polyring
 
 
 class UnsupportedRangeError(ValueError):
@@ -77,7 +77,7 @@ def alpha_closed_small(d: int) -> tuple[LPoly, LPoly, LPoly]:
     return a1, a2, a3
 
 
-def punctual_exponents_small(d: int) -> EulerExponents:
+def punctual_exponents_small(d: int) -> TSeries:
     """Euler exponents of the punctual series, cross-checked two ways.
 
     The Euler-log inversion of the t^3 series must reproduce the closed
@@ -85,14 +85,14 @@ def punctual_exponents_small(d: int) -> EulerExponents:
     """
     b = euler_log(punctual_hilb_small(d))
     closed = alpha_closed_small(d)
-    if b.exps != closed:
+    if b.coeffs[1:] != closed:
         raise TwoRouteMismatchError(
-            f"punctual exponents for d={d}: inversion gave {b.exps}, closed forms {closed}")
+            f"punctual exponents for d={d}: inversion gave {b.coeffs[1:]}, closed forms {closed}")
     return b
 
 
-def punctual_exponents(d: int, order: int) -> EulerExponents:
-    """alpha_1 .. alpha_order, the Euler exponents of the punctual Hilbert series.
+def punctual_exponents(d: int, order: int) -> TSeries:
+    """sum_k alpha_k t^k through t^order, the Euler exponents of the punctual Hilbert series.
 
     The one table of which punctual data exist: curves and surfaces at every
     order, d = 3 and 4 through k = 3; anything else is out of range.
@@ -103,12 +103,10 @@ def punctual_exponents(d: int, order: int) -> EulerExponents:
         raise UnsupportedRangeError(f"no punctual data for d={d} at order {order}: "
                                     "d = 1, 2 at any order, d = 3, 4 through k = 3")
     if d == 1:
-        exps = (RING_L.one,) + (RING_L.zero,) * (order - 1)
-    elif d == 2:
-        exps = tuple(L ** (k - 1) for k in range(1, order + 1))
-    else:
-        exps = punctual_exponents_small(d).exps
-    return EulerExponents(RING_L, exps[:order])
+        return TSeries.from_terms(RING_L, order, {1: 1})
+    if d == 2:
+        return TSeries.from_terms(RING_L, order, {k: L ** (k - 1) for k in range(1, order + 1)})
+    return TSeries._of(RING_L, punctual_exponents_small(d).coeffs[: order + 1])
 
 
 # -- specialization homomorphisms ----------------------------------------
@@ -156,7 +154,7 @@ def map_series(a: TSeries, which: str) -> TSeries:
 def hilb_motive_series(x: LPoly, d: int, order: int) -> TSeries:
     """Generating series of Hilbert-scheme classes: (punctual series)^[X] = prod_k
     (1 - t^k)^(-alpha_k [X]), one exponential of the scaled punctual exponents."""
-    return euler_exp(punctual_exponents(d, order).scale(x))
+    return euler_exp(punctual_exponents(d, order) * x)
 
 
 def kapranov_zeta(e: LPoly, order: int) -> TSeries:
@@ -188,8 +186,8 @@ def virtual_alpha(k: int) -> LPoly:
     return q
 
 
-def virtual_exponents(order: int) -> EulerExponents:
-    return EulerExponents(RING_L, tuple(virtual_alpha(k) for k in range(1, order + 1)))
+def virtual_exponents(order: int) -> TSeries:
+    return TSeries.from_terms(RING_L, order, {k: virtual_alpha(k) for k in range(1, order + 1)})
 
 
 def virtual_punctual_series(order: int) -> TSeries:
@@ -206,10 +204,10 @@ def virtual_hilb_series(x: LPoly, order: int) -> TSeries:
     ring with nontrivial Adams operations, so the side matters; this is the
     side on which the closed-form exponents live.)
     """
-    return euler_exp(virtual_exponents(order).scale(x)).subst(1, -1)
+    return euler_exp(virtual_exponents(order) * x).subst(1, -1)
 
 
 def macmahon_series(order: int, chi: int = 1) -> TSeries:
     """prod_k (1 - t^k)^(-k*chi): the MacMahon function M(t)^chi."""
-    b = EulerExponents(QQ, tuple(k * chi for k in range(1, order + 1)))
+    b = TSeries.from_terms(QQ, order, {k: k * chi for k in range(1, order + 1)})
     return euler_exp(b).assert_integral("MacMahon series")

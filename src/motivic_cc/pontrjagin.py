@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from .lpoly import LPoly, VarSet, QQ, RING_Y
 from .series import TSeries
-from .lambda_power import EulerExponents
-from .motives import punctual_exponents, spec_chi, spec_chi_minus_y, virtual_exponents
+from .motives import map_series, punctual_exponents, virtual_exponents
 from .hirzebruch import HomologyModel, adams_h, chern_class_of
 
 Multiset = tuple[tuple[int, str], ...]
@@ -154,17 +153,20 @@ class PontSeries:
 
 # -- the homological exponential -------------------------------------------
 
-def log_atoms(model: HomologyModel, gamma: HClass, b: EulerExponents,
-              order: int, sign: int = 1) -> dict[tuple[int, str], LPoly]:
-    """The log of prod_k (1 - (sign t)^k d^k_*)^(-b_k gamma) through t^order, over ``b.ring``.
+def log_atoms(model: HomologyModel, gamma: HClass, b: TSeries,
+              sign: int = 1) -> dict[tuple[int, str], LPoly]:
+    """The log of prod_k (1 - (sign t)^k d^k_*)^(-b_k gamma) through t^N, N = ``b.order``,
+    over ``b.ring``, for Euler exponents b = sum_k b_k t^k.
 
     The log is linear in atoms: atom (rk, x) collects sign^(rk) Psi_r(b_k gamma)_x / r, where
     Psi_r is the identity over ``QQ``.  Only nonzero atoms are kept.
     """
-    ring = b.ring
+    if sign not in (1, -1):
+        raise ValueError(f"bad sign {sign} in t -> sign * t")
+    ring, order = b.ring, b.order
     gamma = {x: ring.coerce(c) for x, c in gamma.items()}
     log: dict[tuple[int, str], LPoly] = {}
-    for k, s in enumerate(b.exps[:order], start=1):
+    for k, s in enumerate(b.coeffs[1:], start=1):
         if not s.num:
             continue
         g = {x: c * s for x, c in gamma.items()}
@@ -174,16 +176,16 @@ def log_atoms(model: HomologyModel, gamma: HClass, b: EulerExponents,
     return {atom: c for atom, c in log.items() if c.num}
 
 
-def exp_series(model: HomologyModel, gamma: HClass, b: EulerExponents,
-               order: int, sign: int = 1) -> PontSeries:
-    """prod_k (1 - (sign t)^k d^k_*)^(-b_k gamma) through t^order: exp of :func:`log_atoms`.
+def exp_series(model: HomologyModel, gamma: HClass, b: TSeries, sign: int = 1) -> PontSeries:
+    """prod_k (1 - (sign t)^k d^k_*)^(-b_k gamma) through t^N, N = ``b.order``: exp of
+    :func:`log_atoms`.
 
     Atoms generate the free Pontrjagin ring, so the exponential factors atom
     by atom: a multiset with multiplicities m_x gets prod_x a_x^(m_x) / m_x!.
     The product of ``checks.hom_exp_inv`` factors is the reference route.
     """
-    ring = b.ring
-    log = log_atoms(model, gamma, b, order, sign)
+    ring, order = b.ring, b.order
+    log = log_atoms(model, gamma, b, sign)
     dicts = [dict() for _ in range(order + 1)]
     dicts[0][()] = ring.one
     # multiply in one atom at a time; walking n downward never extends a
@@ -204,51 +206,51 @@ def exp_series(model: HomologyModel, gamma: HClass, b: EulerExponents,
 
 def sym_prod_class_series(model: HomologyModel, order: int) -> PontSeries:
     """Hirzebruch classes of symmetric products: (1 - t d_*)^(-T_{(-y)*}(X))."""
-    return exp_series(model, model.ty, EulerExponents(RING_Y, [1]), order)
+    return exp_series(model, model.ty, TSeries.from_terms(RING_Y, order, {1: 1}))
 
 
-def chi_y_alpha_scalars(d: int, order: int) -> EulerExponents:
+def chi_y_alpha_scalars(d: int, order: int) -> TSeries:
     """chi_{-y}(alpha_k) for k = 1..order, in the ranges the punctual data allows."""
-    return EulerExponents(RING_Y, map(spec_chi_minus_y, punctual_exponents(d, order).exps))
+    return map_series(punctual_exponents(d, order), "chi-y")
 
 
 def hilb_class_series(model: HomologyModel, d: int, order: int) -> PontSeries:
     """Pushed-forward Hirzebruch classes of Hilbert schemes of a d-fold:
     prod_k (1 - t^k d^k_*)^(-chi_{-y}(alpha_k) T_{(-y)*}(X))."""
-    return exp_series(model, model.ty, chi_y_alpha_scalars(d, order), order)
+    return exp_series(model, model.ty, chi_y_alpha_scalars(d, order))
 
 
-def config_scalars(order: int) -> EulerExponents:
-    """The Euler exponents (1, -1, 0, ...) of chi_{-y}(1 + t) = (1 - t^2)/(1 - t)."""
-    return EulerExponents(RING_Y, ([1, -1] + [0] * order)[:order])
+def config_scalars(order: int) -> TSeries:
+    """The Euler exponents t - t^2 of chi_{-y}(1 + t) = (1 - t^2)/(1 - t)."""
+    return TSeries.from_terms(RING_Y, order, {1: 1, 2: -1})
 
 
 def config_class_series(model: HomologyModel, order: int) -> PontSeries:
     """Classes of configuration spaces:
     (1 - t^2 d^2_*)^(+T) * (1 - t d_*)^(-T)."""
-    return exp_series(model, model.ty, config_scalars(order), order)
+    return exp_series(model, model.ty, config_scalars(order))
 
 
-def chi_alpha_scalars(d: int, order: int) -> EulerExponents:
+def chi_alpha_scalars(d: int, order: int) -> TSeries:
     """chi(alpha_k) for k = 1..order.
 
     Threefolds are known at every order: chi(alpha_k) = k is the MacMahon
     exponent, although alpha_k itself is only known through k = 3.
     """
     if d == 3:
-        return EulerExponents(QQ, range(1, order + 1))
-    return EulerExponents(QQ, map(spec_chi, punctual_exponents(d, order).exps))
+        return TSeries.from_terms(QQ, order, {k: k for k in range(1, order + 1)})
+    return map_series(punctual_exponents(d, order), "chi")
 
 
 def chern_class_series(model: HomologyModel, d: int, order: int) -> PontSeries:
     """Pushed-forward MacPherson Chern classes of Hilbert schemes:
     prod_k (1 - t^k d^k_*)^(-chi(alpha_k) c_*(X)), with no Adams twist."""
-    return exp_series(model, chern_class_of(model), chi_alpha_scalars(d, order), order)
+    return exp_series(model, chern_class_of(model), chi_alpha_scalars(d, order))
 
 
-def virtual_scalars(order: int) -> EulerExponents:
+def virtual_scalars(order: int) -> TSeries:
     """chi_{-y} of the closed-form virtual exponents alpha_k, k = 1..order."""
-    return EulerExponents(RING_Y, map(spec_chi_minus_y, virtual_exponents(order).exps))
+    return map_series(virtual_exponents(order), "chi-y")
 
 
 def virtual_class_series(model: HomologyModel, order: int) -> PontSeries:
@@ -259,7 +261,7 @@ def virtual_class_series(model: HomologyModel, order: int) -> PontSeries:
     scalars also starts from virtual_alpha and tests that chi_{-y} commutes with the
     Adams-twisted Euler decomposition on the -t side; ``classes`` and ``verify`` compare the two.
     """
-    return exp_series(model, model.ty, virtual_scalars(order), order, -1)
+    return exp_series(model, model.ty, virtual_scalars(order), -1)
 
 
 def aluffi_series(model: HomologyModel, order: int) -> PontSeries:
@@ -268,7 +270,7 @@ def aluffi_series(model: HomologyModel, order: int) -> PontSeries:
     The product prod_k (1 - t^k d^k_*)^(-k c_*(X)) enumerates them against (-t)^n,
     so the atoms are signed: the coefficient of t^n here carries the sign (-1)^n.
     """
-    return exp_series(model, chern_class_of(model), chi_alpha_scalars(3, order), order, -1)
+    return exp_series(model, chern_class_of(model), chi_alpha_scalars(3, order), -1)
 
 
 def pont_degree(model: HomologyModel, s: PontSeries) -> TSeries:

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from motivic_cc.lpoly import LPoly, VarSet, RING_Y
 from motivic_cc.series import TSeries
-from motivic_cc.lambda_power import EulerExponents
 from motivic_cc.pontrjagin import PontSeries
 from motivic_cc.checks import pre_lambda
 
@@ -181,12 +180,20 @@ def ref_euler_log(a: TSeries) -> tuple:
     return tuple(out)
 
 
-def ref_euler_exp(b: EulerExponents, order: int) -> TSeries:
+def exps(ring: VarSet, seq, order: int | None = None) -> TSeries:
+    """The Euler exponents ``seq`` = b_1, b_2, ... as the series sum_k b_k t^k through t^order,
+    by default through the last of them."""
+    seq = tuple(seq)
+    return TSeries.from_terms(ring, len(seq) if order is None else order,
+                              dict(enumerate(seq, start=1)))
+
+
+def ref_euler_exp(b: TSeries, order: int) -> TSeries:
     """exp(sum_{k,r} Psi_r(b_k) t^{kr} / r), the argument summed one term at a time."""
     arg = [b.ring.zero] * (order + 1)
     for k in range(1, min(b.order, order) + 1):
         for r in range(1, order // k + 1):
-            arg[k * r] = arg[k * r] + b.exps[k - 1].adams(r).div_int(r)
+            arg[k * r] = arg[k * r] + b.coeffs[k].adams(r).div_int(r)
     return ref_exp(TSeries(b.ring, arg))
 
 
@@ -277,7 +284,7 @@ def random_series(rng: random.Random, ring: VarSet, order: int,
     return TSeries(ring, coeffs)
 
 
-def euler_log_bruteforce(a: TSeries) -> EulerExponents:
+def euler_log_bruteforce(a: TSeries) -> TSeries:
     """Solve for the Euler exponents degree by degree by dividing factors out.
 
     Independent of the peeled ``euler_log`` and of the Moebius inversion in
@@ -286,16 +293,16 @@ def euler_log_bruteforce(a: TSeries) -> EulerExponents:
     """
     ring = a.ring
     rest = a
-    exps = []
+    out = []
     for k in range(1, a.order + 1):
         bk = rest.coeffs[k]
-        exps.append(bk)
+        out.append(bk)
         # divide out: multiply by (1 - t^k)^(+b_k) = lambda_{t^k}(-b_k)
         lam = pre_lambda(ring, -bk, a.order // k)
         factor = TSeries.from_terms(ring, a.order,
                                     {i * k: c for i, c in enumerate(lam.coeffs)})
         rest = rest * factor
-    return EulerExponents(ring, tuple(exps))
+    return exps(ring, out)
 
 
 def random_hclass(rng: random.Random, model, terms: int = 2,

@@ -18,9 +18,8 @@ from motivic_cc.cli import (
 )
 from motivic_cc import motives as mo, pontrjagin as po
 from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_Y
-from motivic_cc.lambda_power import EulerExponents
 from motivic_cc.series import TSeries
-from helpers import load_bench_cases, ref_report
+from helpers import exps, load_bench_cases, ref_report
 
 
 def run(capsys, *argv):
@@ -87,7 +86,7 @@ def test_exponents_checks_the_table_it_prints(capsys, monkeypatch):
     """The printed exponents are the table; each check compares it with a route that does not
     start from it, so a wrong surface table fails instead of agreeing with its round trip."""
     right = mo.punctual_exponents
-    monkeypatch.setattr(mo, "punctual_exponents", lambda d, order: EulerExponents(
+    monkeypatch.setattr(mo, "punctual_exponents", lambda d, order: exps(
         RING_L, tuple(mo.L ** k for k in range(1, order + 1))) if d == 2 else right(d, order))
     code, doc = run_json(capsys, "exponents", "--dim", "2", "--order", "4")
     assert code == EXIT_CHECK_FAILED
@@ -96,7 +95,7 @@ def test_exponents_checks_the_table_it_prints(capsys, monkeypatch):
                              for k in (1, 2, 3)]
     code, doc = run_json(capsys, "exponents", "--dim", "3", "--order", "3")
     assert (code, doc["checks"]) == (EXIT_OK, [{"name": "closed-form-match", "status": "ok"}])
-    monkeypatch.setattr(mo, "punctual_exponents", lambda d, order: right(d, order).scale(2))
+    monkeypatch.setattr(mo, "punctual_exponents", lambda d, order: right(d, order) * 2)
     code, doc = run_json(capsys, "exponents", "--dim", "3", "--order", "3")
     assert (code, doc["checks"]) == (EXIT_CHECK_FAILED,
                                      [{"name": "closed-form-match", "status": "fail"}])
@@ -201,17 +200,17 @@ def test_classes_virtual_and_config(capsys):
 def test_config_check_catches_wrong_scalars(capsys, monkeypatch):
     """config-vs-exponentiation fails once the scalars of the series are perturbed."""
     right = po.config_scalars
-    monkeypatch.setattr(po, "config_scalars", lambda order: EulerExponents(
-        RING_Y, right(order).exps[:2] + (RING_Y.one,) + right(order).exps[3:]))
+    monkeypatch.setattr(po, "config_scalars", lambda order: exps(
+        RING_Y, right(order).coeffs[1:3] + (RING_Y.one,) + right(order).coeffs[4:]))
     code, doc = run_json(capsys, "classes", "--builtin", "P1", "--kind", "config",
                          "--order", "4")
     assert code == EXIT_CHECK_FAILED
     assert {"name": "config-vs-exponentiation", "status": "fail"} in doc["checks"]
 
 
-def bump_second(b: EulerExponents) -> EulerExponents:
+def bump_second(b: TSeries) -> TSeries:
     """The exponents with the second one raised by one."""
-    return EulerExponents(b.ring, b.exps[:1] + (b.exps[1] + 1,) + b.exps[2:])
+    return exps(b.ring, b.coeffs[1:2] + (b.coeffs[2] + 1,) + b.coeffs[3:])
 
 
 def test_aluffi_check_catches_wrong_scalars(capsys, monkeypatch):
@@ -774,12 +773,16 @@ def test_order_cap_env(capsys, monkeypatch):
 
 
 def test_verify_catches_a_scale_of_b1_alone(capsys, monkeypatch):
-    """An ``EulerExponents.scale`` that multiplies b_1 only breaks the power structure of
+    """A scalar product of ``TSeries`` that multiplies b_1 only breaks the power structure of
     every series with a nonzero higher exponent: power-structure-axioms must fail."""
-    def scale_b1(self, m):
-        m = self.ring.coerce(m)
-        return EulerExponents._of(self.ring, tuple(b * m for b in self.exps[:1]) + self.exps[1:])
-    monkeypatch.setattr(EulerExponents, "scale", scale_b1)
+    real = TSeries.__mul__
+
+    def scale_b1(self, other):
+        if isinstance(other, TSeries):
+            return real(self, other)
+        m = self.ring.coerce(other)
+        return TSeries._of(self.ring, [c * m if n == 1 else c for n, c in enumerate(self.coeffs)])
+    monkeypatch.setattr(TSeries, "__mul__", scale_b1)
     code, doc = run_json(capsys, "verify", "--suite", "lambda", "--order", "8")
     assert code == EXIT_CHECK_FAILED
     assert {c["name"]: c["status"] for c in doc["checks"]}["power-structure-axioms"] == "fail"

@@ -5,12 +5,10 @@ import pytest
 
 from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_UV, RING_Y
 from motivic_cc.series import TSeries, IntegralityError, NonUnitError
-from motivic_cc.lambda_power import (
-    EulerExponents, euler_exp, euler_log, power, pre_lambda_polyring,
-)
+from motivic_cc.lambda_power import euler_exp, euler_log, power, pre_lambda_polyring
 from motivic_cc.checks import pre_lambda
 from helpers import (
-    binomial, euler_log_bruteforce, mobius, random_lpoly, random_series, ref_euler_exp,
+    binomial, euler_log_bruteforce, exps, mobius, random_lpoly, random_series, ref_euler_exp,
     ref_euler_log,
 )
 
@@ -35,20 +33,20 @@ def test_pre_lambda_examples():
 
 
 def test_euler_exp_examples():
-    assert euler_exp(EulerExponents(QQ, (1, 0, 0, 0))) == TSeries(QQ, [1] * 5)
-    assert euler_exp(EulerExponents(QQ, (1, -1, 0, 0))) == TSeries.from_terms(QQ, 4, {0: 1, 1: 1})
-    b = EulerExponents(RING_L, tuple(L ** k for k in range(3)))
+    assert euler_exp(exps(QQ, (1, 0, 0, 0))) == TSeries(QQ, [1] * 5)
+    assert euler_exp(exps(QQ, (1, -1, 0, 0))) == TSeries.from_terms(QQ, 4, {0: 1, 1: 1})
+    b = exps(RING_L, tuple(L ** k for k in range(3)))
     s = euler_exp(b)
     assert s.coeffs == (RING_L.one, RING_L.one, 1 + L, 1 + L + L ** 2)
 
 
 def test_euler_log_examples():
     geo = TSeries(QQ, [1] * 7)
-    assert euler_log(geo).exps == (Fraction(1),) + (Fraction(0),) * 5
+    assert euler_log(geo).coeffs[1:] == (Fraction(1),) + (Fraction(0),) * 5
     one_plus = TSeries.from_terms(QQ, 5, {0: 1, 1: 1})
-    assert euler_log(one_plus).exps == (1, -1, 0, 0, 0)
+    assert euler_log(one_plus).coeffs[1:] == (1, -1, 0, 0, 0)
     # surface punctual series decomposes to alpha_k = L^(k-1)
-    b = EulerExponents(RING_L, tuple(L ** k for k in range(3)))
+    b = exps(RING_L, tuple(L ** k for k in range(3)))
     assert euler_log(euler_exp(b)) == b
 
 
@@ -58,18 +56,26 @@ def test_euler_log_matches_bruteforce_oracle():
     rng = random.Random(42)
     for _ in range(100):
         a = random_series(rng, RING_Y, 8, normalized=True)
-        assert euler_log(a, require_integral=False).exps == \
-            euler_log_bruteforce(a).exps
+        assert euler_log(a, require_integral=False).coeffs[1:] == \
+            euler_log_bruteforce(a).coeffs[1:]
 
 
 def test_euler_roundtrips_random():
     rng = random.Random(43)
     for _ in range(100):
-        b = EulerExponents(RING_Y, tuple(random_lpoly(rng, RING_Y, max_deg=3, terms=3)
-                                         for _ in range(8)))
+        b = exps(RING_Y, tuple(random_lpoly(rng, RING_Y, max_deg=3, terms=3)
+                               for _ in range(8)))
         assert euler_log(euler_exp(b)) == b
         a = random_series(rng, RING_Y, 8, normalized=True)
         assert euler_exp(euler_log(a, require_integral=False)) == a
+
+
+def test_euler_exp_refuses_a_constant_exponent():
+    """The exponents start at t^1: a nonzero b_0 raises, as ``TSeries.exp`` does for a nonzero
+    constant term, instead of being dropped."""
+    for b in (TSeries.from_terms(QQ, 3, {0: 1, 1: 1}), TSeries(RING_L, [L])):
+        with pytest.raises(NonUnitError, match="^Euler exponents need zero constant term, got"):
+            euler_exp(b)
 
 
 def test_euler_log_integrality_guard():
@@ -89,15 +95,15 @@ def test_euler_maps_raise_on_every_call_and_match_references():
             euler_log(bad)
         with pytest.raises(NonUnitError):
             euler_log(bad * 2)
-    assert euler_log(bad, require_integral=False).exps == ref_euler_log(bad)
+    assert euler_log(bad, require_integral=False).coeffs[1:] == ref_euler_log(bad)
     with pytest.raises(IntegralityError):
         euler_log(bad)
     rng = random.Random(46)
     for _ in range(20):
         a = random_series(rng, RING_Y, 6, normalized=True, halves=True, denom_bound=3)
-        b = EulerExponents(RING_Y, [random_lpoly(rng, RING_Y, max_deg=3, terms=3, halves=True)
-                                    for _ in range(6)])
-        assert euler_log(a, require_integral=False).exps == ref_euler_log(a)
+        b = exps(RING_Y, [random_lpoly(rng, RING_Y, max_deg=3, terms=3, halves=True)
+                          for _ in range(6)])
+        assert euler_log(a, require_integral=False).coeffs[1:] == ref_euler_log(a)
         assert euler_exp(b) == ref_euler_exp(b, 6)
     # every ring through t^12, so composite indices 4, 6, 8, 9 and 12 meet Psi_2 and Psi_3;
     # over L, Laurent and half exponents: Psi_2 flips the sign of the negative root's odd powers
@@ -105,10 +111,10 @@ def test_euler_maps_raise_on_every_call_and_match_references():
         for denom_bound in (1, 3):  # integral, then rational coefficients
             for n in (8, 12):
                 a = random_series(rng, ring, n, normalized=True, denom_bound=denom_bound, **kw)
-                b = EulerExponents(ring, [random_lpoly(rng, ring, max_deg=2, terms=2,
-                                                       denom_bound=denom_bound, **kw)
-                                          for _ in range(n)])
-                assert euler_log(a, require_integral=False).exps == ref_euler_log(a)
+                b = exps(ring, [random_lpoly(rng, ring, max_deg=2, terms=2,
+                                             denom_bound=denom_bound, **kw)
+                                for _ in range(n)])
+                assert euler_log(a, require_integral=False).coeffs[1:] == ref_euler_log(a)
                 assert euler_exp(b) == ref_euler_exp(b, n)
 
 

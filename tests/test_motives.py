@@ -5,7 +5,7 @@ import pytest
 
 from motivic_cc.lpoly import RING_L, RING_UV
 from motivic_cc.series import TSeries
-from motivic_cc.lambda_power import EulerExponents, euler_exp, euler_log, power
+from motivic_cc.lambda_power import euler_exp, euler_log, power
 from motivic_cc.motives import (
     L, L_HALF, U, V, Y, Y_HALF, UnsupportedRangeError,
     config_space_series, hilb_motive_series,
@@ -16,7 +16,7 @@ from motivic_cc.motives import (
     virtual_hilb_series, virtual_punctual_series,
 )
 from motivic_cc.checks import punctual_series
-from helpers import binomial, random_lpoly
+from helpers import binomial, exps, random_lpoly
 
 
 def gauss_binomial_recurrence(n, k):
@@ -50,9 +50,9 @@ def test_punctual_series_small():
 
 
 def test_punctual_exponents():
-    assert punctual_exponents_small(1).exps == (RING_L.one, RING_L.zero, RING_L.zero)
-    assert punctual_exponents_small(2).exps == (RING_L.one, L, L ** 2)
-    a1, a2, a3 = punctual_exponents_small(3).exps
+    assert punctual_exponents_small(1).coeffs[1:] == (RING_L.one, RING_L.zero, RING_L.zero)
+    assert punctual_exponents_small(2).coeffs[1:] == (RING_L.one, L, L ** 2)
+    a1, a2, a3 = punctual_exponents_small(3).coeffs[1:]
     assert (a1, a2) == (RING_L.one, L + L ** 2)
     assert a3 == L ** 2 + L ** 3 + L ** 4
     # d = 4 closed forms survive the internal two-route check as well
@@ -60,7 +60,7 @@ def test_punctual_exponents():
 
 
 def test_chi_of_punctual_exponents_is_k_for_threefolds():
-    for k, a in enumerate(punctual_exponents_small(3).exps, start=1):
+    for k, a in enumerate(punctual_exponents_small(3).coeffs[1:], start=1):
         assert spec_chi(a) == k
 
 
@@ -102,7 +102,7 @@ def test_hilb_series_curve_collapse_vs_kapranov():
 def test_hilb_series_surface_vs_euler_product():
     x = proj_space_class(2)
     s = hilb_motive_series(x, 2, 3)
-    b = EulerExponents(RING_L, tuple(L ** (k - 1) * x for k in (1, 2, 3)))
+    b = exps(RING_L, tuple(L ** (k - 1) * x for k in (1, 2, 3)))
     assert s == euler_exp(b)
 
 
@@ -164,6 +164,23 @@ def test_specialization_respects_power_structure():
         assert lhs == rhs
 
 
+def test_specializations_commute_with_the_euler_maps():
+    """chi_{-y}, chi and, on integral powers of L, e commute with euler_exp and euler_log: the
+    class scalars are the specialized punctual exponents because of this.  The exponents are
+    Laurent, with half powers of L and coefficients of both signs."""
+    rng = random.Random(27)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        for halves, specs in ((True, ("chi-y", "chi")), (False, ("chi-y", "chi", "e"))):
+            b = exps(RING_L, [random_lpoly(rng, RING_L, max_deg=2, terms=3, laurent=True,
+                                           halves=halves) for _ in range(n)])
+            a = euler_exp(b)
+            for which in specs:
+                b_spec = map_series(b, which)
+                assert map_series(a, which) == euler_exp(b_spec), (which, b)
+                assert euler_log(map_series(a, which), require_integral=False) == b_spec, which
+
+
 def test_virtual_alpha():
     assert virtual_alpha(1) == -(L_HALF ** (-3))
     assert virtual_alpha(2) == L ** (-2) * (1 + L)
@@ -213,4 +230,4 @@ def test_macmahon_fixture():
     # frozen regression fixture, generated once by the Euler-product oracle
     m = macmahon_series(8)
     assert m.coeffs == tuple(Fraction(c) for c in (1, 1, 3, 6, 13, 24, 48, 86, 160))
-    assert euler_log(m).exps == tuple(Fraction(k) for k in range(1, 9))
+    assert euler_log(m).coeffs[1:] == tuple(Fraction(k) for k in range(1, 9))

@@ -8,7 +8,7 @@ import pytest
 
 from motivic_cc.lpoly import LPoly, VarSet, QQ, RING_L, RING_UV, RING_Y
 from motivic_cc.series import TSeries
-from motivic_cc.lambda_power import EulerExponents, euler_log
+from motivic_cc.lambda_power import euler_log
 from motivic_cc.motives import (
     Y, chi_of_y, macmahon_series, map_series, proj_space_class,
     hilb_motive_series, config_space_series, spec_chi_minus_y, virtual_alpha,
@@ -28,7 +28,7 @@ from motivic_cc.checks import (
     pont_exp, power_op, pre_lambda, punctual_series, subst_neg_t, y1_limit_atoms,
 )
 from motivic_cc.cli import builtin_model, model_from_doc
-from helpers import load_bench_cases, random_hclass, random_lpoly, random_series, ref_pont_exp
+from helpers import exps, load_bench_cases, random_hclass, random_lpoly, random_series, ref_pont_exp
 
 POINT = proj_space_model(0)
 P1 = proj_space_model(1)
@@ -306,12 +306,12 @@ def test_hilb_class_series_range_errors():
     hilb_class_series(P2, 2, 4)
 
 
-def reference_product(model, gamma, b: EulerExponents, order):
+def reference_product(model, gamma, b: TSeries, order):
     """prod_k (1 - t^k d^k_*)^(-b_k gamma) as a product of hom_exp_inv factors over
     the ring of b; over QQ they carry no Adams twist."""
     ring = b.ring
     out = PontSeries.unit(model, ring, order)
-    for k, s in enumerate(b.exps[:order], start=1):
+    for k, s in enumerate(b.coeffs[1:order + 1], start=1):
         scaled = {x: ring.coerce(c) * s for x, c in gamma.items()}
         out = out * hom_exp_inv(model, scaled, k, order, ring)
     return out
@@ -337,7 +337,7 @@ def chern_case(d):
         scalars = chi_alpha_scalars(d, N)
         gamma = rational_class(m)
         fast = (chern_class_series(m, d, N) if m.proper
-                else exp_series(m, gamma, scalars, N))
+                else exp_series(m, gamma, scalars))
         return fast, reference_product(m, gamma, scalars, N)
     return case
 
@@ -353,7 +353,7 @@ def virtual_route_case(route):
         if route == 1:
             scalars = virtual_euler_log_scalars(N)
         else:
-            scalars = EulerExponents(
+            scalars = exps(
                 RING_Y, [spec_chi_minus_y(virtual_alpha(k)) for k in range(1, N + 1)])
         return subst_neg_t(virtual_class_series(m, N)), reference_product(m, m.ty, scalars, N)
     return case
@@ -367,12 +367,12 @@ def hom_exponentiation_case(m):
 
 CASES = {
     "sym": lambda m: (sym_prod_class_series(m, N),
-                      reference_product(m, m.ty, EulerExponents(RING_Y, [1]), N)),
+                      reference_product(m, m.ty, exps(RING_Y, [1]), N)),
     "hilb1": hilb_case(1, N),
     "hilb2": hilb_case(2, N),
     "hilb3": hilb_case(3, 3),
     "config": lambda m: (config_class_series(m, N),
-                         reference_product(m, m.ty, EulerExponents(RING_Y, [1, -1]), N)),
+                         reference_product(m, m.ty, exps(RING_Y, [1, -1]), N)),
     "chern2": chern_case(2),
     "chern3": chern_case(3),
     "virtual-route1": virtual_route_case(1),
@@ -393,15 +393,15 @@ def test_exp_series_matches_reference(model_name, kind):
 
 @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS)
 def test_exp_series_degenerate_inputs_give_unit(model):
-    def b(*exps, ring=RING_Y):
-        return EulerExponents(ring, exps)
+    def b(order, *seq, ring=RING_Y):
+        return exps(ring, seq, order)
 
-    assert exp_series(model, model.ty, b(1, Y), 0) == PontSeries.unit(model, RING_Y, 0)
+    assert exp_series(model, model.ty, b(0, 1, Y)) == PontSeries.unit(model, RING_Y, 0)
     unit = PontSeries.unit(model, RING_Y, 3)
-    assert exp_series(model, {}, b(1, Y, -1), 3) == unit
-    assert exp_series(model, model.ty, b(0, RING_Y.zero, 0), 3) == unit
-    assert exp_series(model, model.ty, b(), 3) == unit
-    assert exp_series(model, rational_class(model), b(0, 0, ring=QQ), 3) == \
+    assert exp_series(model, {}, b(3, 1, Y, -1)) == unit
+    assert exp_series(model, model.ty, b(3, 0, RING_Y.zero, 0)) == unit
+    assert exp_series(model, model.ty, b(3)) == unit
+    assert exp_series(model, rational_class(model), b(3, 0, 0, ring=QQ)) == \
         PontSeries.unit(model, QQ, 3)
 
 
@@ -427,7 +427,7 @@ def test_unchecked_results_pass_the_checks(model):
     assert not any(el.terms for el in cancelled_sum.components)
     results = [s, t, unit, s * t, cancelled_product, s + t, cancelled_sum, s.scale(Y),
                s.scale(0), subst_neg_t(s), power_op(2, s), power_op(3, t, 2 * N), pont_exp(x),
-               exp_series(model, rational_class(model), EulerExponents(QQ, [1, 2]), N)]
+               exp_series(model, rational_class(model), exps(QQ, [1, 2], N))]
     if model.proper:
         results.append(normalized_y1_limit(virtual_class_series(model, 3)))
     for r in results:
@@ -548,8 +548,8 @@ def test_log_atoms_y1_limit_is_chern_level(model):
     gamma = chern_class_of(model)
     for y_scalars, d in ((chi_y_alpha_scalars(1, n), 1), (chi_y_alpha_scalars(2, n), 2),
                          (virtual_scalars(n), 3)):
-        limited = y1_limit_atoms(model, log_atoms(model, model.ty, y_scalars, n))
-        assert limited and limited == log_atoms(model, gamma, chi_alpha_scalars(d, n), n), d
+        limited = y1_limit_atoms(model, log_atoms(model, model.ty, y_scalars))
+        assert limited and limited == log_atoms(model, gamma, chi_alpha_scalars(d, n)), d
     if not model.proper:  # the series route on the model no digest pins
         for d in (1, 2):
             assert normalized_y1_limit(hilb_class_series(model, d, 3)) == \
@@ -560,13 +560,13 @@ def test_log_atoms_y1_limit_is_chern_level(model):
 def test_exp_series_is_the_exponential_of_log_atoms(model):
     """The one-atom terms of exp_series are its log atoms, and a zero atom is left out."""
     b = chi_y_alpha_scalars(2, N)
-    atoms = log_atoms(model, model.ty, b, N)
-    s = exp_series(model, model.ty, b, N)
+    atoms = log_atoms(model, model.ty, b)
+    s = exp_series(model, model.ty, b)
     assert atoms and all(c.num and c.vars == RING_Y for c in atoms.values())
     assert atoms == {ms[0]: c for el in s.components for ms, c in el.terms.items() if len(ms) == 1}
     # over Q, atom (2, x) collects gamma_x / 2 from b_1 = 1 and -gamma_x / 2 from b_2 = -1/2
-    half = EulerExponents(QQ, [1, Fraction(-1, 2)])
-    assert {j for j, _ in log_atoms(model, rational_class(model), half, 2)} == {1}
+    half = exps(QQ, [1, Fraction(-1, 2)])
+    assert {j for j, _ in log_atoms(model, rational_class(model), half)} == {1}
 
 
 def test_normalization_limit_matches_chern_series():
@@ -593,7 +593,7 @@ def test_virtual_degree_matches_motivic_route():
 def aluffi_reference(model, order):
     """prod_k (1 - t^k d^k_*)^(-k c_*(X)) as hom_exp_inv factors over Q, without Adams twist."""
     return reference_product(model, chern_class_of(model),
-                             EulerExponents(QQ, range(1, order + 1)), order)
+                             exps(QQ, range(1, order + 1)), order)
 
 
 def test_aluffi_sign_relation_eq220():
@@ -607,10 +607,12 @@ def test_signed_atoms_read_the_series_at_minus_t(model):
     the unsigned series read at -t, with and without the Adams twist."""
     for gamma, b in ((model.ty, virtual_scalars(N)),
                      (rational_class(model), chi_alpha_scalars(3, N))):
-        atoms = log_atoms(model, gamma, b, N)
-        assert log_atoms(model, gamma, b, N, -1) == \
+        atoms = log_atoms(model, gamma, b)
+        assert log_atoms(model, gamma, b, -1) == \
             {(j, x): -c if j % 2 else c for (j, x), c in atoms.items()}
-        assert exp_series(model, gamma, b, N, -1) == subst_neg_t(exp_series(model, gamma, b, N))
+        assert exp_series(model, gamma, b, -1) == subst_neg_t(exp_series(model, gamma, b))
+        with pytest.raises(ValueError, match="bad sign"):  # an order in the sign's place
+            exp_series(model, gamma, b, N)
     if model.proper:
         assert subst_neg_t(aluffi_series(model, N)) == aluffi_reference(model, N)
 
@@ -652,7 +654,6 @@ VALUES = {
     "PontElement": lambda: d_push(P1, 2, P1.ty),
     "PontSeries": lambda: chern_class_series(P2, 2, 3),
     "VarSet": lambda: RING_Y,
-    "EulerExponents": lambda: euler_log(map_series(punctual_series(2, 3), "chi-y")),
 }
 
 

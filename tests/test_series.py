@@ -5,11 +5,11 @@ import pytest
 
 from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_UV, RING_Y
 from motivic_cc.series import TSeries, NonUnitError, OrderMismatchError, IntegralityError
-from motivic_cc.lambda_power import EulerExponents, euler_exp, euler_log
+from motivic_cc.lambda_power import euler_exp, euler_log
 from motivic_cc.hirzebruch import proj_space_model
 from motivic_cc.pontrjagin import PontSeries
 from helpers import (
-    random_lpoly, random_series, ref_euler_exp, ref_euler_log, ref_exp, ref_invert, ref_log,
+    exps, random_lpoly, random_series, ref_euler_exp, ref_euler_log, ref_exp, ref_invert, ref_log,
     ref_pont_mul, ref_series_mul,
 )
 
@@ -149,12 +149,11 @@ def test_sums_of_products_match_accumulate_route(name):
         assert unit.invert() == ref_invert(unit)
         assert nil.exp() == ref_exp(nil)
         assert unit.log() == ref_log(unit)
-        assert euler_log(unit, require_integral=False).exps == ref_euler_log(unit)
+        assert euler_log(unit, require_integral=False).coeffs[1:] == ref_euler_log(unit)
         nonzero = rng.randint(0, order)  # the rest of b_1 .. b_order are padded with zeros
-        exps = EulerExponents(ring, tuple(
-            random_lpoly(rng, ring, max_deg=2, terms=3, denom_bound=5, **kw)
-            for _ in range(nonzero)) + (0,) * (order - nonzero))
-        assert euler_exp(exps) == ref_euler_exp(exps, order)
+        e = exps(ring, (random_lpoly(rng, ring, max_deg=2, terms=3, denom_bound=5, **kw)
+                        for _ in range(nonzero)), order)
+        assert euler_exp(e) == ref_euler_exp(e, order)
 
 
 def assert_rebuilds(s: TSeries):
@@ -181,33 +180,33 @@ def test_unchecked_results_pass_the_checks(name):
         nil = random_series(rng, ring, order, zero_constant=True, denom_bound=5, **kw)
         m = random_lpoly(rng, ring, max_deg=2, terms=3, denom_bound=5, **kw)
         k = rng.randint(1, 3)
-        exps = euler_log(unit, require_integral=False)
+        lu = euler_log(unit, require_integral=False)
         for s in (a + b, a - b, a - a, -a, a * b, a * m, a * 0, unit.invert(), nil.exp(),
                   unit.log(), a.subst(k), a.subst(1, -1), TSeries(ring, [0] * (order + 1)),
-                  TSeries.one(ring, order), euler_exp(exps.scale(m)), unit.pow_int(-2)):
+                  TSeries.one(ring, order), euler_exp(lu * m), unit.pow_int(-2)):
             assert_rebuilds(s)
-        for e in (exps, exps.scale(m), exps.scale(0)):
-            assert EulerExponents(e.ring, e.exps) == e
-            assert all(type(c) is LPoly and c.vars == ring for c in e.exps)
+        for e in (lu, lu * m, lu * 0):
+            assert exps(e.ring, e.coeffs[1:]) == e
+            assert all(type(c) is LPoly and c.vars == ring for c in e.coeffs[1:])
 
 
 def test_public_constructors_coerce_and_reject():
-    """TSeries, from_terms, map_coeffs, the scalar product and EulerExponents coerce ints
-    and Fractions and reject coefficients of another ring."""
+    """TSeries, from_terms, map_coeffs and the scalar product coerce ints and Fractions,
+    also as Euler exponents, and reject coefficients of another ring."""
     s = TSeries(RING_Y, [1, Fraction(-1, 2), Y])
     assert s.coeffs == (RING_Y.one, RING_Y.one.scale(Fraction(-1, 2)), Y)
     assert all(type(c) is LPoly and c.vars == RING_Y for c in s.coeffs)
     assert TSeries.from_terms(RING_Y, 2, {0: 1, 2: Fraction(1, 3)}) == \
         TSeries(RING_Y, [RING_Y.one, RING_Y.zero, RING_Y.one.scale(Fraction(1, 3))])
     assert (s * Fraction(2)).coeffs[1] == -RING_Y.one
-    assert EulerExponents(RING_Y, (1, Fraction(1, 2))).exps == \
+    assert exps(RING_Y, (1, Fraction(1, 2))).coeffs[1:] == \
         (RING_Y.one, RING_Y.one.scale(Fraction(1, 2)))
     el = LPoly.var(RING_L, "L")
-    exps = EulerExponents(RING_Y, (Y,))
+    b = exps(RING_Y, (Y,))
     for build in (lambda: TSeries(RING_Y, [RING_Y.one, el]), lambda: TSeries(RING_Y, [0.5]),
                   lambda: TSeries.from_terms(RING_Y, 2, {1: el}), lambda: s * el,
                   lambda: s.map_coeffs(RING_L, lambda c: c),
-                  lambda: EulerExponents(RING_Y, (el,)), lambda: exps.scale(el)):
+                  lambda: exps(RING_Y, (el,)), lambda: b * el):
         with pytest.raises(TypeError):
             build()
     with pytest.raises(ValueError):
