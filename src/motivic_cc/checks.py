@@ -449,6 +449,11 @@ def _random_pont(rng, model, order):
     return po.PontSeries(model, RING_Y, dicts)
 
 
+def kind_series(model, kind: str, d: int | None, order: int) -> po.PontSeries:
+    """The class series of a kind through t^order, from the kind's own exponents."""
+    return po.class_series(model, kind, po.class_exponents(kind, d, order))
+
+
 def _limit_atoms_match(model, y_scalars: TSeries, q_scalars: TSeries) -> bool:
     """y -> 1 of the atoms of the stored class over ``y_scalars`` against the atoms of the
     Chern class over ``q_scalars``: the two series agree through their order."""
@@ -515,20 +520,20 @@ def suite_pontrjagin(order: int, seed: int) -> list[dict]:
 
     def mt2_hilb_config_coherence():
         _require(mt2_series(p2, punctual_series(2, 3), 3) ==
-                 po.hilb_class_series(p2, 2, 3), "mt2 vs surface hilb series")
+                 kind_series(p2, "hilb", 2, 3), "mt2 vs surface hilb series")
         one_plus = TSeries.from_terms(RING_L, 4, {0: 1, 1: 1})
         for model in (point, p1):
-            _require(po.config_class_series(model, 4) ==
+            _require(kind_series(model, "config", None, 4) ==
                      mt2_series(model, one_plus, 4), "config vs mt2(1+t)")
 
     def chern_normalization_limit():
         for model, d in ((p1, 1), (p2, 2), (p3, 3)):
-            _require(normalized_y1_limit(po.hilb_class_series(model, d, 3)) ==
-                     po.chern_class_series(model, d, 3),
+            _require(normalized_y1_limit(kind_series(model, "hilb", d, 3)) ==
+                     kind_series(model, "chern", d, 3),
                      lambda: f"y->1 normalization limit on {model.name}")
         for model, d in ((p1, 1), (p2, 2)):
-            _require(_limit_atoms_match(model, po.chi_y_alpha_scalars(d, order),
-                                        po.chi_alpha_scalars(d, order)),
+            _require(_limit_atoms_match(model, po.class_exponents("hilb", d, order),
+                                        po.class_exponents("chern", d, order)),
                      lambda: f"y->1 limit of the log atoms on {model.name} at t^{order}")
 
     def virtual_two_route():
@@ -537,20 +542,21 @@ def suite_pontrjagin(order: int, seed: int) -> list[dict]:
         ref = po.PontSeries.unit(p3, RING_Y, 3)
         for k, s in enumerate(euler_log(a_y.subst(1, -1)).coeffs[1:], start=1):
             ref = ref * hom_exp_inv(p3, {b: c * s for b, c in p3.ty.items()}, k, 3)
-        _require(po.virtual_class_series(p3, 3) == subst_neg_t(ref), "virtual class two routes")
+        _require(kind_series(p3, "virtual", 3, 3) == subst_neg_t(ref), "virtual class two routes")
 
     def eq220_sign_relation():
         # the Chern-class MNOP statement: y -> 1 of the virtual classes is the Aluffi series
         n = min(order, 3)
         for model in (point, p1, p3, hz.product_model(p1, p1)):
-            _require(normalized_y1_limit(po.virtual_class_series(model, n)) ==
-                     po.aluffi_series(model, n), lambda: f"Chern-MNOP on {model.name} at t^{n}")
-            _require(_limit_atoms_match(model, po.virtual_scalars(order),
-                                        po.chi_alpha_scalars(3, order)),
+            _require(normalized_y1_limit(kind_series(model, "virtual", 3, n)) ==
+                     kind_series(model, "aluffi", 3, n),
+                     lambda: f"Chern-MNOP on {model.name} at t^{n}")
+            _require(_limit_atoms_match(model, po.class_exponents("virtual", 3, order),
+                                        po.class_exponents("aluffi", 3, order)),
                      lambda: f"Chern-MNOP on the log atoms of {model.name} at t^{order}")
 
     def aluffi_macmahon_degree():
-        deg = po.pont_degree(point, po.aluffi_series(point, max(order, 8)))
+        deg = po.pont_degree(point, kind_series(point, "aluffi", 3, max(order, 8)))
         _require(deg.subst(1, -1) == mo.macmahon_series(max(order, 8)),
                  "point-level Aluffi degree vs MacMahon")
 

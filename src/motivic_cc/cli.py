@@ -356,22 +356,6 @@ def cmd_classes(args) -> int:
     order = check_order(args.order)
     d = args.dim if args.dim is None else check_dim(args.dim)
     kind = args.kind
-    checks: list[dict] = []
-    params = {"model": model.name, "kind": kind, "dim": d}
-
-    def degree_check(name, series, make_expected):
-        if not model.proper or make_expected is None:
-            checks.append({"name": name, "status": "skipped"})
-            return
-        got = po.pont_degree(model, series)
-        checks.append({"name": name, "status": "ok" if got == make_expected() else "fail"})
-
-    def motivic_check(name, series, motive_series, *args):
-        """The degree against chi_{-y} of ``motive_series(l_class, *args)``; skipped
-        for a model without an L-class."""
-        degree_check(name, series, None if model.l_class is None else
-                     lambda: mo.map_series(motive_series(model.l_class, *args), "chi-y"))
-
     if kind in ("hilb", "chern") and d is None:
         raise SchemaError(f"--kind {kind} requires --dim")
     if kind in ("sym", "config") and d is not None:
@@ -379,39 +363,47 @@ def cmd_classes(args) -> int:
     if kind in ("virtual", "aluffi") and d != 3:
         raise UnsupportedRangeError(f"--kind {kind} is a threefold formula; use --dim 3")
     chi = int(mo.hodge_spec(model.e_poly, "chi"))
+    # the scalar records and the degree references compare the b the series is built from
+    b = po.class_exponents(kind, d, order)
+    series = po.class_series(model, kind, b)
+    checks: list[dict] = []
+    params = {"model": model.name, "kind": kind, "dim": d}
 
-    if kind == "sym":
-        series = po.sym_prod_class_series(model, order)
-        motivic_check("degree-vs-motivic-route", series, mo.hilb_motive_series, 1, order)
-    elif kind == "hilb":
-        series = po.hilb_class_series(model, d, order)
-        motivic_check("degree-vs-cheah-route", series, mo.hilb_motive_series, d, order)
+    def degree_check(name, make_expected):
+        if not model.proper or make_expected is None:
+            checks.append({"name": name, "status": "skipped"})
+            return
+        got = po.pont_degree(model, series)
+        checks.append({"name": name, "status": "ok" if got == make_expected() else "fail"})
+
+    def motivic_check(name, motive_series, *args):
+        """The degree against chi_{-y} of ``motive_series(l_class, *args)``; skipped
+        for a model without an L-class."""
+        degree_check(name, None if model.l_class is None else
+                     lambda: mo.map_series(motive_series(model.l_class, *args), "chi-y"))
+
+    if kind == "hilb":
+        motivic_check("degree-vs-cheah-route", mo.hilb_motive_series, d, order)
+    elif kind == "sym":
+        motivic_check("degree-vs-motivic-route", mo.hilb_motive_series, 1, order)
     elif kind == "config":
-        series = po.config_class_series(model, order)
         one_plus = TSeries.from_terms(RING_L, order, {0: 1, 1: 1})
-        ok = euler_log(mo.map_series(one_plus, "chi-y")) == po.config_scalars(order)
+        ok = euler_log(mo.map_series(one_plus, "chi-y")) == b
         checks.append({"name": "config-vs-exponentiation", "status": "ok" if ok else "fail"})
-        motivic_check("degree-vs-motivic-route", series, mo.config_space_series, order)
+        motivic_check("degree-vs-motivic-route", mo.config_space_series, order)
     elif kind == "chern":
-        series = po.chern_class_series(model, d, order)
-        degree_check("degree-vs-euler-product", series,
-                     lambda: euler_exp(po.chi_alpha_scalars(d, order) * chi))
+        degree_check("degree-vs-euler-product", lambda: euler_exp(b * chi))
     elif kind == "virtual":
-        series = po.virtual_class_series(model, order)
         a_y = mo.map_series(mo.virtual_punctual_series(order), "chi-y")
-        ok = euler_log(a_y.subst(1, -1)) == po.virtual_scalars(order)
+        ok = euler_log(a_y.subst(1, -1)) == b
         checks.append({"name": "two-route-forms", "status": "ok" if ok else "fail"})
-        motivic_check("degree-vs-motivic-route", series, mo.virtual_hilb_series, order)
-    elif kind == "aluffi":
-        series = po.aluffi_series(model, order)
+        motivic_check("degree-vs-motivic-route", mo.virtual_hilb_series, order)
+    else:  # aluffi
         # the scalar Chern-MNOP statement: chi of the virtual exponents is k
-        ok = po.chi_alpha_scalars(3, order) == mo.map_series(mo.virtual_exponents(order), "chi")
+        ok = b == mo.map_series(mo.virtual_exponents(order), "chi")
         checks.append({"name": "sign-relation-vs-chern", "status": "ok" if ok else "fail"})
-        degree_check("degree-vs-macmahon", series,
-                     lambda: mo.macmahon_series(order, chi).subst(1, -1))
+        degree_check("degree-vs-macmahon", lambda: mo.macmahon_series(order, chi).subst(1, -1))
         params["convention"] = "coefficients enumerate against (-t)^n"
-    else:
-        raise SchemaError(f"unknown kind {kind!r}")
 
     return print_report(args, "classes", params, order, series, checks)
 
@@ -459,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_flags(p)
     p.add_argument("--dim", type=int, help="dimension parameter of the punctual data")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--kind", required=True,
-                   choices=("hilb", "sym", "config", "chern", "virtual", "aluffi"))
+    p.add_argument("--kind", required=True, choices=po.KINDS)
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(fn=cmd_classes)
 

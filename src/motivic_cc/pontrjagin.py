@@ -10,6 +10,11 @@ variables (Chern level); the series records which, and the ring decides
 whether homological exponentiation carries the Adams twist: ``RING_Y`` does,
 and ``QQ``, the y -> 1 limit, does not.
 
+Every class series is one homological exponentiation prod_k (1 - (sign t)^k
+d^k_*)^(-b_k gamma).  The kinds in :data:`KINDS` differ only in the exponents b,
+the class gamma and the sign of t: :func:`class_exponents` gives a kind's b, whose
+ring sets gamma, and :func:`class_series` exponentiates it.
+
 The free model deliberately ignores any relations holding in the honest
 homology of symmetric products: every identity proved by the calculus is
 generated by the same operations on both sides, so equality of free-model
@@ -20,7 +25,7 @@ production route; the reference routes it is checked against live in ``checks``.
 
 from __future__ import annotations
 
-from .lpoly import LPoly, VarSet, QQ, RING_Y
+from .lpoly import LPoly, VarSet, QQ, RING_L, RING_Y
 from .series import TSeries
 from .motives import map_series, punctual_exponents, virtual_exponents
 from .hirzebruch import HomologyModel, adams_h, chern_class_of
@@ -204,73 +209,45 @@ def exp_series(model: HomologyModel, gamma: HClass, b: TSeries, sign: int = 1) -
 
 # -- the generating series of the main results -------------------------------
 
-def sym_prod_class_series(model: HomologyModel, order: int) -> PontSeries:
-    """Hirzebruch classes of symmetric products: (1 - t d_*)^(-T_{(-y)*}(X))."""
-    return exp_series(model, model.ty, TSeries.from_terms(RING_Y, order, {1: 1}))
+KINDS = ("hilb", "sym", "config", "chern", "virtual", "aluffi")
 
 
-def chi_y_alpha_scalars(d: int, order: int) -> TSeries:
-    """chi_{-y}(alpha_k) for k = 1..order, in the ranges the punctual data allows."""
-    return map_series(punctual_exponents(d, order), "chi-y")
+def class_exponents(kind: str, d: int | None, order: int) -> TSeries:
+    """The Euler exponents b of a class kind through t^order, at the kind's level.
 
-
-def hilb_class_series(model: HomologyModel, d: int, order: int) -> PontSeries:
-    """Pushed-forward Hirzebruch classes of Hilbert schemes of a d-fold:
-    prod_k (1 - t^k d^k_*)^(-chi_{-y}(alpha_k) T_{(-y)*}(X))."""
-    return exp_series(model, model.ty, chi_y_alpha_scalars(d, order))
-
-
-def config_scalars(order: int) -> TSeries:
-    """The Euler exponents t - t^2 of chi_{-y}(1 + t) = (1 - t^2)/(1 - t)."""
-    return TSeries.from_terms(RING_Y, order, {1: 1, 2: -1})
-
-
-def config_class_series(model: HomologyModel, order: int) -> PontSeries:
-    """Classes of configuration spaces:
-    (1 - t^2 d^2_*)^(+T) * (1 - t d_*)^(-T)."""
-    return exp_series(model, model.ty, config_scalars(order))
-
-
-def chi_alpha_scalars(d: int, order: int) -> TSeries:
-    """chi(alpha_k) for k = 1..order.
-
-    Threefolds are known at every order: chi(alpha_k) = k is the MacMahon
-    exponent, although alpha_k itself is only known through k = 3.
+    The Hirzebruch kinds take chi_{-y} of their L-exponents over ``RING_Y``: the
+    punctual exponents of a d-fold (``hilb``) or of a curve (``sym``), t - t^2, those
+    of (1 + t) (``config``), and the closed-form virtual exponents (``virtual``).
+    ``chern`` takes chi of the punctual exponents over ``QQ``.  The one chi-level
+    exception lives here: chi(alpha_k) = k, the MacMahon exponent, is known at every
+    order for threefolds although alpha_k itself is only known through k = 3, so
+    ``aluffi`` and ``chern`` at d = 3 are sum_k k t^k.
     """
-    if d == 3:
+    if kind == "aluffi" or kind == "chern" and d == 3:
         return TSeries.from_terms(QQ, order, {k: k for k in range(1, order + 1)})
-    return map_series(punctual_exponents(d, order), "chi")
+    if kind == "chern":
+        return map_series(punctual_exponents(d, order), "chi")
+    if kind in ("hilb", "sym"):
+        e = punctual_exponents(1 if kind == "sym" else d, order)
+    elif kind == "config":
+        e = TSeries.from_terms(RING_L, order, {1: 1, 2: -1})
+    elif kind == "virtual":
+        e = virtual_exponents(order)
+    else:
+        raise ValueError(f"unknown kind {kind!r}; choose from {KINDS}")
+    return map_series(e, "chi-y")
 
 
-def chern_class_series(model: HomologyModel, d: int, order: int) -> PontSeries:
-    """Pushed-forward MacPherson Chern classes of Hilbert schemes:
-    prod_k (1 - t^k d^k_*)^(-chi(alpha_k) c_*(X)), with no Adams twist."""
-    return exp_series(model, chern_class_of(model), chi_alpha_scalars(d, order))
+def class_series(model: HomologyModel, kind: str, b: TSeries) -> PontSeries:
+    """The class series prod_k (1 - (sign t)^k d^k_*)^(-b_k gamma) of a kind, for its
+    exponents b = :func:`class_exponents`.
 
-
-def virtual_scalars(order: int) -> TSeries:
-    """chi_{-y} of the closed-form virtual exponents alpha_k, k = 1..order."""
-    return map_series(virtual_exponents(order), "chi-y")
-
-
-def virtual_class_series(model: HomologyModel, order: int) -> PontSeries:
-    """Virtual Hirzebruch-class series of a threefold, the t-form.
-
-    The closed-form exponents are those of the series at -t, and t -> -t commutes with
-    the atomwise exponential, so the atoms are signed.  The Euler-log route to these
-    scalars also starts from virtual_alpha and tests that chi_{-y} commutes with the
-    Adams-twisted Euler decomposition on the -t side; ``classes`` and ``verify`` compare the two.
+    The ring of b sets the class: gamma is T_{(-y)*}(X) over ``RING_Y`` and c_*(X) over
+    ``QQ``.  The virtual t-form and the Aluffi classes are read against (-t)^n, so their
+    atoms are signed: t -> -t commutes with the atomwise exponential.
     """
-    return exp_series(model, model.ty, virtual_scalars(order), -1)
-
-
-def aluffi_series(model: HomologyModel, order: int) -> PontSeries:
-    """Pushed-forward Aluffi classes of Hilbert schemes of a threefold.
-
-    The product prod_k (1 - t^k d^k_*)^(-k c_*(X)) enumerates them against (-t)^n,
-    so the atoms are signed: the coefficient of t^n here carries the sign (-1)^n.
-    """
-    return exp_series(model, chern_class_of(model), chi_alpha_scalars(3, order), -1)
+    gamma = model.ty if b.ring == RING_Y else chern_class_of(model)
+    return exp_series(model, gamma, b, -1 if kind in ("virtual", "aluffi") else 1)
 
 
 def pont_degree(model: HomologyModel, s: PontSeries) -> TSeries:

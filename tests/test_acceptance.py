@@ -16,12 +16,9 @@ from motivic_cc.motives import (
     config_space_series,
 )
 from motivic_cc.hirzebruch import chern_limit_check, proj_space_model
-from motivic_cc.pontrjagin import (
-    aluffi_series, config_class_series, hilb_class_series,
-    pont_degree, virtual_class_series, virtual_scalars,
-)
+from motivic_cc.pontrjagin import class_exponents, pont_degree
 from motivic_cc.checks import (
-    mt2_series, normalized_y1_limit, qyhat_series, run_suite, subst_neg_t,
+    kind_series, mt2_series, normalized_y1_limit, qyhat_series, run_suite, subst_neg_t,
 )
 from helpers import euler_log_bruteforce, exps
 
@@ -67,7 +64,7 @@ def test_criterion_04_macmahon_degree():
     m = macmahon_series(8)
     # independently generated fixture (euler_exp oracle at order 8, audited once)
     assert m.coeffs == tuple(Fraction(c) for c in (1, 1, 3, 6, 13, 24, 48, 86, 160))
-    aluffi = aluffi_series(proj_space_model(0), 8)
+    aluffi = kind_series(proj_space_model(0), "aluffi", 3, 8)
     deg = pont_degree(proj_space_model(0), aluffi)
     assert deg.subst(1, -1) == m
     ok(4, "point-level Aluffi degree series with the (-t)^n convention is M(t) (fixture 1,1,3,6,13);")
@@ -116,11 +113,11 @@ def _binom(n, k):
 
 def test_criterion_09_thm1_degree_cross_check():
     p2 = proj_space_model(2)
-    lhs = pont_degree(p2, hilb_class_series(p2, 2, 3))
+    lhs = pont_degree(p2, kind_series(p2, "hilb", 2, 3))
     rhs = map_series(hilb_motive_series(proj_space_class(2), 2, 3), "chi-y")
     assert lhs == rhs
     p1 = proj_space_model(1)
-    lhs = pont_degree(p1, hilb_class_series(p1, 1, 6))
+    lhs = pont_degree(p1, kind_series(p1, "hilb", 1, 6))
     rhs = map_series(hilb_motive_series(proj_space_class(1), 1, 6), "chi-y")
     assert lhs == rhs
     ok(9, "Hilbert-scheme class degrees match the motivic genus series (P^2 N=3, P^1 N=6);")
@@ -129,8 +126,8 @@ def test_criterion_09_thm1_degree_cross_check():
 def test_criterion_10_config_coherence():
     p1 = proj_space_model(1)
     one_plus = TSeries.from_terms(RING_L, 4, {0: 1, 1: 1})
-    assert config_class_series(p1, 4) == mt2_series(p1, one_plus, 4)
-    deg = pont_degree(p1, config_class_series(p1, 4))
+    assert kind_series(p1, "config", None, 4) == mt2_series(p1, one_plus, 4)
+    deg = pont_degree(p1, kind_series(p1, "config", None, 4))
     assert deg.coeffs[2] == Y ** 2
     assert deg == map_series(config_space_series(proj_space_class(1), 4), "chi-y")
     ok(10, "configuration-space class series equals the exponentiation route; P^1 degree t^2 = y^2;")
@@ -139,11 +136,11 @@ def test_criterion_10_config_coherence():
 def test_criterion_11_virtual_two_route_and_sign():
     p3 = proj_space_model(3)
     scalars = virtual_euler_log_scalars(3)
-    assert scalars == virtual_scalars(3)
-    t_form = virtual_class_series(p3, 3)
+    assert scalars == class_exponents("virtual", 3, 3)
+    t_form = kind_series(p3, "virtual", 3, 3)
     assert subst_neg_t(t_form) == reference_product(p3, p3.ty, scalars, 3)
-    assert subst_neg_t(aluffi_series(p3, 4)) == aluffi_reference(p3, 4)
-    assert normalized_y1_limit(t_form) == aluffi_series(p3, 3)
+    assert subst_neg_t(kind_series(p3, "aluffi", 3, 4)) == aluffi_reference(p3, 4)
+    assert normalized_y1_limit(t_form) == kind_series(p3, "aluffi", 3, 3)
     ok(11, "virtual class series two-route equality on P^3 (t^3); Aluffi series at -t vs "
            "the hom_exp_inv Chern product (t^4); y -> 1 limit of the virtual classes is the "
            "Aluffi series (t^3);")

@@ -19,6 +19,7 @@ from motivic_cc.cli import (
 from motivic_cc import motives as mo, pontrjagin as po
 from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_Y
 from motivic_cc.series import TSeries
+from motivic_cc.checks import kind_series
 from helpers import exps, load_bench_cases, ref_report
 
 
@@ -197,11 +198,17 @@ def test_classes_virtual_and_config(capsys):
     assert all(c["status"] == "ok" for c in doc["checks"])
 
 
+def perturb_exponents(monkeypatch, kind, perturb):
+    """Make ``po.class_exponents`` return ``perturb`` of the right exponents for ``kind``."""
+    right = po.class_exponents
+    monkeypatch.setattr(po, "class_exponents", lambda k, d, order: (
+        perturb(right(k, d, order)) if k == kind else right(k, d, order)))
+
+
 def test_config_check_catches_wrong_scalars(capsys, monkeypatch):
     """config-vs-exponentiation fails once the scalars of the series are perturbed."""
-    right = po.config_scalars
-    monkeypatch.setattr(po, "config_scalars", lambda order: exps(
-        RING_Y, right(order).coeffs[1:3] + (RING_Y.one,) + right(order).coeffs[4:]))
+    perturb_exponents(monkeypatch, "config", lambda b: exps(
+        RING_Y, b.coeffs[1:3] + (RING_Y.one,) + b.coeffs[4:]))
     code, doc = run_json(capsys, "classes", "--builtin", "P1", "--kind", "config",
                          "--order", "4")
     assert code == EXIT_CHECK_FAILED
@@ -215,8 +222,7 @@ def bump_second(b: TSeries) -> TSeries:
 
 def test_aluffi_check_catches_wrong_scalars(capsys, monkeypatch):
     """sign-relation-vs-chern fails once a MacMahon exponent of the series is perturbed."""
-    right = po.chi_alpha_scalars
-    monkeypatch.setattr(po, "chi_alpha_scalars", lambda d, order: bump_second(right(d, order)))
+    perturb_exponents(monkeypatch, "aluffi", bump_second)
     code, doc = run_json(capsys, "classes", "--builtin", "point", "--dim", "3",
                          "--kind", "aluffi", "--order", "4")
     assert code == EXIT_CHECK_FAILED
@@ -225,8 +231,7 @@ def test_aluffi_check_catches_wrong_scalars(capsys, monkeypatch):
 
 def test_virtual_check_catches_wrong_scalars(capsys, monkeypatch):
     """two-route-forms fails, with a full report, once a virtual scalar is perturbed."""
-    right = po.virtual_scalars
-    monkeypatch.setattr(po, "virtual_scalars", lambda order: bump_second(right(order)))
+    perturb_exponents(monkeypatch, "virtual", bump_second)
     code, doc = run_json(capsys, "classes", "--builtin", "P3", "--dim", "3",
                          "--kind", "virtual", "--order", "3")
     assert code == EXIT_CHECK_FAILED
@@ -235,23 +240,26 @@ def test_virtual_check_catches_wrong_scalars(capsys, monkeypatch):
 
 
 def test_each_kind_builds_one_series(capsys, monkeypatch):
-    """Every class kind makes one exp_series call and constructs one Pontrjagin series: no
-    self-check rebuilds the series, and no post-pass (such as t -> -t) copies it."""
-    calls, built = [], []
-    real, real_of = po.exp_series, po.PontSeries._of.__func__
+    """Every class kind makes one class_exponents call for its own kind, one exp_series call
+    and constructs one Pontrjagin series: the scalar records and the degree references compare
+    the exponents the series is built from, no self-check rebuilds the series, and no
+    post-pass (such as t -> -t) copies it."""
+    exponents, calls, built = [], [], []
+    real_b, real, real_of = po.class_exponents, po.exp_series, po.PontSeries._of.__func__
+    monkeypatch.setattr(po, "class_exponents", lambda *a: exponents.append(a[0]) or real_b(*a))
     monkeypatch.setattr(po, "exp_series", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     monkeypatch.setattr(po.PontSeries, "_of",
                         classmethod(lambda cls, *a: built.append(1) or real_of(cls, *a)))
-    kinds = ("hilb", "sym", "config", "chern", "virtual", "aluffi")
     counts = {}
-    for kind in kinds:
+    for kind in po.KINDS:
+        exponents.clear()
         calls.clear()
         built.clear()
         dim = () if kind in ("sym", "config") else ("--dim", "3")
         code, _ = run(capsys, "classes", "--builtin", "P1", *dim, "--kind", kind, "--order", "3")
         assert code == EXIT_OK, kind
-        counts[kind] = (len(calls), len(built))
-    assert counts == dict.fromkeys(kinds, (1, 1))
+        counts[kind] = (exponents[:], len(calls), len(built))
+    assert counts == {kind: ([kind], 1, 1) for kind in po.KINDS}
 
 
 def test_series_file_boundary(tmp_path, capsys):
@@ -433,7 +441,7 @@ def hostile_reports(draw):
     model = model_from_doc(doc)
     order = draw(st.integers(0, 3))
     if draw(st.booleans()):
-        series = po.sym_prod_class_series(model, order)
+        series = kind_series(model, "sym", None, order)
         empty = draw(st.sets(st.integers(0, order)))
         coefficients = po.PontSeries(model, series.ring, [
             {} if n in empty else el.terms for n, el in enumerate(series.components)])
@@ -468,7 +476,7 @@ def test_hostile_basis_ids_through_main(tmp_path, capsys):
     path = tmp_path / "hostile.json"
     path.write_text(json.dumps(doc))
     model = model_from_doc(doc)
-    series = po.sym_prod_class_series(model, 3)
+    series = kind_series(model, "sym", None, 3)
     params = {"model": model.name, "kind": "sym", "dim": None}
     skipped = [{"name": "degree-vs-motivic-route", "status": "skipped"}]
     for pretty in (False, True):

@@ -10,8 +10,7 @@ from motivic_cc.hirzebruch import (
     HomologyModel, chern_class_of, chern_limit_check,
     product_model, proj_space_model, qy_series, y1_limit,
 )
-from motivic_cc.checks import qyhat_series
-from motivic_cc.pontrjagin import chern_class_series
+from motivic_cc.checks import kind_series, qyhat_series
 from helpers import random_lpoly
 
 
@@ -215,7 +214,7 @@ def test_chern_class_takes_one_route(monkeypatch):
                           chern={**p2.chern, "P0": Fraction(4)}, l_class=p2.l_class)
     assert chern_class_of(p2) == p2.chern
     with pytest.raises(TwoRouteMismatchError):
-        chern_class_series(wrong, 2, 2)
+        kind_series(wrong, "chern", 2, 2)
 
 
 def test_model_chi_consistency_guard():

@@ -10,7 +10,7 @@ from motivic_cc.lpoly import LPoly, VarSet, QQ, RING_L, RING_UV, RING_Y
 from motivic_cc.series import TSeries
 from motivic_cc.lambda_power import euler_log
 from motivic_cc.motives import (
-    Y, chi_of_y, macmahon_series, map_series, proj_space_class,
+    Y, alpha_closed_small, chi_of_y, macmahon_series, map_series, proj_space_class, spec_chi,
     hilb_motive_series, config_space_series, spec_chi_minus_y, virtual_alpha,
     virtual_hilb_series, virtual_punctual_series, UnsupportedRangeError,
 )
@@ -18,13 +18,10 @@ from motivic_cc.hirzebruch import (
     adams_h, chern_class_of, product_model, proj_space_model,
 )
 from motivic_cc.pontrjagin import (
-    PontElement, PontSeries, aluffi_series, chern_class_series,
-    chi_alpha_scalars, chi_y_alpha_scalars, config_class_series,
-    exp_series, hilb_class_series, log_atoms, pont_degree, sym_prod_class_series,
-    virtual_class_series, virtual_scalars,
+    KINDS, PontElement, PontSeries, class_exponents, exp_series, log_atoms, pont_degree,
 )
 from motivic_cc.checks import (
-    d_push, hom_exp_inv, hom_exponentiation, mt2_series, normalized_y1_limit,
+    d_push, hom_exp_inv, hom_exponentiation, kind_series, mt2_series, normalized_y1_limit,
     pont_exp, power_op, pre_lambda, punctual_series, subst_neg_t, y1_limit_atoms,
 )
 from motivic_cc.cli import builtin_model, model_from_doc
@@ -282,9 +279,9 @@ def test_hom_exponentiation_additive_in_class():
 
 
 def test_sym_prod_series():
-    s = sym_prod_class_series(POINT, 5)
+    s = kind_series(POINT, "sym", None, 5)
     assert pont_degree(POINT, s) == TSeries(RING_Y, [RING_Y.one] * 6)
-    s1 = sym_prod_class_series(P1, 5)
+    s1 = kind_series(P1, "sym", None, 5)
     assert s1.components[1].terms[(1, "P1"),] == RING_Y.one - Y
     assert s1.components[1].terms[(1, "P0"),] == RING_Y.one + Y
     deg = pont_degree(P1, s1)
@@ -293,17 +290,47 @@ def test_sym_prod_series():
 
 
 def test_hilb_class_series_curve_is_sym():
-    assert hilb_class_series(P1, 1, 5) == sym_prod_class_series(P1, 5)
+    assert kind_series(P1, "hilb", 1, 5) == kind_series(P1, "sym", None, 5)
 
 
 def test_hilb_class_series_range_errors():
     from motivic_cc.motives import UnsupportedRangeError
     with pytest.raises(UnsupportedRangeError):
-        hilb_class_series(P3, 3, 4)
+        kind_series(P3, "hilb", 3, 4)
     with pytest.raises(UnsupportedRangeError):
-        chern_class_series(P3, 4, 4)
+        kind_series(P3, "chern", 4, 4)
     # d = 2 carries no order restriction
-    hilb_class_series(P2, 2, 4)
+    kind_series(P2, "hilb", 2, 4)
+
+
+def test_class_exponents_of_each_kind():
+    """Each kind's exponents at N = 8, written out: t, t - t^2, sum_k k t^k, and chi_{-y}
+    or chi of the punctual and the virtual exponents; d = 3, 4 are known through t^3."""
+    n = 8
+    macmahon = exps(QQ, range(1, n + 1))
+    want = {
+        ("sym", None, n): exps(RING_Y, [1], n),
+        ("config", None, n): exps(RING_Y, [1, -1], n),
+        ("hilb", 1, n): exps(RING_Y, [1], n),
+        ("hilb", 2, n): exps(RING_Y, [Y ** (k - 1) for k in range(1, n + 1)]),
+        ("chern", 1, n): exps(QQ, [1], n),
+        ("chern", 2, n): exps(QQ, [1] * n),
+        ("chern", 3, n): macmahon,
+        ("aluffi", 3, n): macmahon,
+        ("virtual", 3, n): exps(RING_Y, [spec_chi_minus_y(virtual_alpha(k))
+                                          for k in range(1, n + 1)]),
+        ("hilb", 3, 3): exps(RING_Y, map(spec_chi_minus_y, alpha_closed_small(3))),
+        ("hilb", 4, 3): exps(RING_Y, map(spec_chi_minus_y, alpha_closed_small(4))),
+        ("chern", 4, 3): exps(QQ, map(spec_chi, alpha_closed_small(4))),
+    }
+    for (kind, d, order), b in want.items():
+        got = class_exponents(kind, d, order)
+        assert got == b and got.ring == b.ring, (kind, d)
+
+
+def test_class_exponents_refuse_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown kind 'hilbert'"):
+        class_exponents("hilbert", 2, 3)
 
 
 def reference_product(model, gamma, b: TSeries, order):
@@ -328,17 +355,22 @@ N = 4
 
 
 def hilb_case(d, n):
-    return lambda m: (hilb_class_series(m, d, n),
-                      reference_product(m, m.ty, chi_y_alpha_scalars(d, n), n))
+    return lambda m: (kind_series(m, "hilb", d, n),
+                      reference_product(m, m.ty, class_exponents("hilb", d, n), n))
 
 
-def chern_case(d):
+def chern_case(d, kind="chern"):
+    """A Chern-level kind; aluffi is read at -t.  A non-proper model has no c_*(X), so its
+    rational class is exponentiated directly."""
+    sign = -1 if kind == "aluffi" else 1
+
     def case(m):
-        scalars = chi_alpha_scalars(d, N)
+        scalars = class_exponents(kind, d, N)
         gamma = rational_class(m)
-        fast = (chern_class_series(m, d, N) if m.proper
-                else exp_series(m, gamma, scalars))
-        return fast, reference_product(m, gamma, scalars, N)
+        fast = (kind_series(m, kind, d, N) if m.proper
+                else exp_series(m, gamma, scalars, sign))
+        return (fast if sign == 1 else subst_neg_t(fast),
+                reference_product(m, gamma, scalars, N))
     return case
 
 
@@ -355,7 +387,8 @@ def virtual_route_case(route):
         else:
             scalars = exps(
                 RING_Y, [spec_chi_minus_y(virtual_alpha(k)) for k in range(1, N + 1)])
-        return subst_neg_t(virtual_class_series(m, N)), reference_product(m, m.ty, scalars, N)
+        return (subst_neg_t(kind_series(m, "virtual", 3, N)),
+                reference_product(m, m.ty, scalars, N))
     return case
 
 
@@ -365,20 +398,20 @@ def hom_exponentiation_case(m):
             reference_product(m, m.ty, euler_log(a), N))
 
 
-CASES = {
-    "sym": lambda m: (sym_prod_class_series(m, N),
-                      reference_product(m, m.ty, exps(RING_Y, [1]), N)),
-    "hilb1": hilb_case(1, N),
-    "hilb2": hilb_case(2, N),
-    "hilb3": hilb_case(3, 3),
-    "config": lambda m: (config_class_series(m, N),
-                         reference_product(m, m.ty, exps(RING_Y, [1, -1]), N)),
-    "chern2": chern_case(2),
-    "chern3": chern_case(3),
-    "virtual-route1": virtual_route_case(1),
-    "virtual-route2": virtual_route_case(2),
-    "hom-exponentiation": hom_exponentiation_case,
+KIND_CASES = {
+    "hilb": {"hilb1": hilb_case(1, N), "hilb2": hilb_case(2, N), "hilb3": hilb_case(3, 3)},
+    "sym": {"sym": lambda m: (kind_series(m, "sym", None, N),
+                              reference_product(m, m.ty, exps(RING_Y, [1]), N))},
+    "config": {"config": lambda m: (kind_series(m, "config", None, N),
+                                    reference_product(m, m.ty, exps(RING_Y, [1, -1]), N))},
+    "chern": {"chern2": chern_case(2), "chern3": chern_case(3)},
+    "virtual": {"virtual-route1": virtual_route_case(1),
+                "virtual-route2": virtual_route_case(2)},
+    "aluffi": {"aluffi": chern_case(3, "aluffi")},
 }
+# every kind needs a reference product: a kind missing from KIND_CASES stops the module here
+CASES = {name: case for kind in KINDS for name, case in KIND_CASES[kind].items()}
+CASES["hom-exponentiation"] = hom_exponentiation_case
 MODELS = {"point": POINT, "P1": P1, "P2": P2, "P1xP1": product_model(P1, P1), "gen5": GEN}
 
 
@@ -418,7 +451,7 @@ def test_unchecked_results_pass_the_checks(model):
     """Products, sums, scalings, t -> -t, power operations, the closed-form exponential and the
     y = 1 limit build their elements unchecked; every result still passes the public checks."""
     rng = random.Random(model.name)
-    s = hilb_class_series(model, 2, N)
+    s = kind_series(model, "hilb", 2, N)
     t = random_pont(rng, model, N)
     unit = PontSeries.unit(model, RING_Y, N)
     x = embed(model, d_push(model, 1, model.ty), N)
@@ -429,7 +462,7 @@ def test_unchecked_results_pass_the_checks(model):
                s.scale(0), subst_neg_t(s), power_op(2, s), power_op(3, t, 2 * N), pont_exp(x),
                exp_series(model, rational_class(model), exps(QQ, [1, 2], N))]
     if model.proper:
-        results.append(normalized_y1_limit(virtual_class_series(model, 3)))
+        results.append(normalized_y1_limit(kind_series(model, "virtual", 3, 3)))
     for r in results:
         assert_rebuilds(r)
 
@@ -473,14 +506,14 @@ def test_two_spellings_of_one_multiset_add():
 
 
 def test_hilb_degree_matches_cheah_route_p2():
-    s = hilb_class_series(P2, 2, 3)
+    s = kind_series(P2, "hilb", 2, 3)
     lhs = pont_degree(P2, s)
     rhs = map_series(hilb_motive_series(proj_space_class(2), 2, 3), "chi-y")
     assert lhs == rhs
 
 
 def test_hilb_degree_matches_cheah_route_p1():
-    s = hilb_class_series(P1, 1, 6)
+    s = kind_series(P1, "hilb", 1, 6)
     lhs = pont_degree(P1, s)
     rhs = map_series(hilb_motive_series(proj_space_class(1), 1, 6), "chi-y")
     assert lhs == rhs
@@ -489,27 +522,27 @@ def test_hilb_degree_matches_cheah_route_p1():
 def test_mt2_collapses():
     geo = map_series(punctual_series(1, 4), "chi-y")
     assert geo == TSeries(RING_Y, [RING_Y.one] * 5)
-    assert mt2_series(P1, punctual_series(1, 4), 4) == sym_prod_class_series(P1, 4)
+    assert mt2_series(P1, punctual_series(1, 4), 4) == kind_series(P1, "sym", None, 4)
 
 
 def test_mt2_equals_hilb_for_surfaces():
-    assert mt2_series(P2, punctual_series(2, 3), 3) == hilb_class_series(P2, 2, 3)
+    assert mt2_series(P2, punctual_series(2, 3), 3) == kind_series(P2, "hilb", 2, 3)
 
 
 def test_config_equals_mt2_of_one_plus_t():
     one_plus = TSeries.from_terms(RING_L, 4, {0: 1, 1: 1})
     for model in (POINT, P1):
-        assert config_class_series(model, 4) == mt2_series(model, one_plus, 4)
+        assert kind_series(model, "config", None, 4) == mt2_series(model, one_plus, 4)
 
 
 def test_config_point_terminates():
-    s = config_class_series(POINT, 4)
+    s = kind_series(POINT, "config", None, 4)
     deg = pont_degree(POINT, s)
     assert deg == TSeries.from_terms(RING_Y, 4, {0: 1, 1: 1})
 
 
 def test_config_p1():
-    s = config_class_series(P1, 4)
+    s = kind_series(P1, "config", None, 4)
     assert s.components[1].terms[(1, "P1"),] == RING_Y.one - Y
     assert s.components[1].terms[(1, "P0"),] == RING_Y.one + Y
     deg = pont_degree(P1, s)
@@ -519,7 +552,7 @@ def test_config_p1():
 
 
 def test_chern_point_threefold_degree_is_macmahon():
-    s = chern_class_series(POINT, 3, 8)
+    s = kind_series(POINT, "chern", 3, 8)
     assert pont_degree(POINT, s) == macmahon_series(8)
 
 
@@ -546,20 +579,20 @@ def test_log_atoms_y1_limit_is_chern_level(model):
     log atoms of chern with the same d and with d = 3 (the Aluffi series before t -> -t)."""
     n = 12
     gamma = chern_class_of(model)
-    for y_scalars, d in ((chi_y_alpha_scalars(1, n), 1), (chi_y_alpha_scalars(2, n), 2),
-                         (virtual_scalars(n), 3)):
+    for y_scalars, d in ((class_exponents("hilb", 1, n), 1), (class_exponents("hilb", 2, n), 2),
+                         (class_exponents("virtual", 3, n), 3)):
         limited = y1_limit_atoms(model, log_atoms(model, model.ty, y_scalars))
-        assert limited and limited == log_atoms(model, gamma, chi_alpha_scalars(d, n)), d
+        assert limited and limited == log_atoms(model, gamma, class_exponents("chern", d, n)), d
     if not model.proper:  # the series route on the model no digest pins
         for d in (1, 2):
-            assert normalized_y1_limit(hilb_class_series(model, d, 3)) == \
-                chern_class_series(model, d, 3)
+            assert normalized_y1_limit(kind_series(model, "hilb", d, 3)) == \
+                kind_series(model, "chern", d, 3)
 
 
 @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS)
 def test_exp_series_is_the_exponential_of_log_atoms(model):
     """The one-atom terms of exp_series are its log atoms, and a zero atom is left out."""
-    b = chi_y_alpha_scalars(2, N)
+    b = class_exponents("hilb", 2, N)
     atoms = log_atoms(model, model.ty, b)
     s = exp_series(model, model.ty, b)
     assert atoms and all(c.num and c.vars == RING_Y for c in atoms.values())
@@ -571,20 +604,20 @@ def test_exp_series_is_the_exponential_of_log_atoms(model):
 
 def test_normalization_limit_matches_chern_series():
     for model, d in ((P1, 1), (P2, 2), (P3, 3)):
-        hilb = hilb_class_series(model, d, 3)
-        assert normalized_y1_limit(hilb) == chern_class_series(model, d, 3)
+        hilb = kind_series(model, "hilb", d, 3)
+        assert normalized_y1_limit(hilb) == kind_series(model, "chern", d, 3)
 
 
 def test_virtual_two_route_p3():
     scalars = virtual_euler_log_scalars(3)
-    assert scalars == virtual_scalars(3)
-    t_form = virtual_class_series(P3, 3)
+    assert scalars == class_exponents("virtual", 3, 3)
+    t_form = kind_series(P3, "virtual", 3, 3)
     assert subst_neg_t(t_form) == reference_product(P3, P3.ty, scalars, 3)
     assert t_form.components[0].terms == {(): RING_Y.one}
 
 
 def test_virtual_degree_matches_motivic_route():
-    t_form = virtual_class_series(P3, 3)
+    t_form = kind_series(P3, "virtual", 3, 3)
     lhs = pont_degree(P3, t_form)
     rhs = map_series(virtual_hilb_series(proj_space_class(3), 3), "chi-y")
     assert lhs == rhs
@@ -598,15 +631,15 @@ def aluffi_reference(model, order):
 
 def test_aluffi_sign_relation_eq220():
     # read at -t, the Aluffi series is the MacMahon-exponent product of the Chern class
-    assert subst_neg_t(aluffi_series(P3, 4)) == aluffi_reference(P3, 4)
+    assert subst_neg_t(kind_series(P3, "aluffi", 3, 4)) == aluffi_reference(P3, 4)
 
 
 @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS)
 def test_signed_atoms_read_the_series_at_minus_t(model):
     """sign = -1 multiplies atom (j, x) by (-1)^j, and the exponential of the signed atoms is
     the unsigned series read at -t, with and without the Adams twist."""
-    for gamma, b in ((model.ty, virtual_scalars(N)),
-                     (rational_class(model), chi_alpha_scalars(3, N))):
+    for gamma, b in ((model.ty, class_exponents("virtual", 3, N)),
+                     (rational_class(model), class_exponents("chern", 3, N))):
         atoms = log_atoms(model, gamma, b)
         assert log_atoms(model, gamma, b, -1) == \
             {(j, x): -c if j % 2 else c for (j, x), c in atoms.items()}
@@ -614,7 +647,7 @@ def test_signed_atoms_read_the_series_at_minus_t(model):
         with pytest.raises(ValueError, match="bad sign"):  # an order in the sign's place
             exp_series(model, gamma, b, N)
     if model.proper:
-        assert subst_neg_t(aluffi_series(model, N)) == aluffi_reference(model, N)
+        assert subst_neg_t(kind_series(model, "aluffi", 3, N)) == aluffi_reference(model, N)
 
 
 @pytest.mark.parametrize("order", (3, 4))
@@ -622,11 +655,12 @@ def test_signed_atoms_read_the_series_at_minus_t(model):
                          ids=("point", "P1", "P3", "P1xP1"))
 def test_chern_mnop_virtual_limit_is_aluffi(model, order):
     """Chern-class MNOP: the y -> 1 limit of the virtual classes is the signed Aluffi series."""
-    assert normalized_y1_limit(virtual_class_series(model, order)) == aluffi_series(model, order)
+    assert normalized_y1_limit(kind_series(model, "virtual", 3, order)) == \
+        kind_series(model, "aluffi", 3, order)
 
 
 def test_aluffi_point_degree_is_macmahon_with_sign():
-    aluffi = aluffi_series(POINT, 8)
+    aluffi = kind_series(POINT, "aluffi", 3, 8)
     deg = pont_degree(POINT, aluffi)
     m = macmahon_series(8)
     assert deg.subst(1, -1) == m
@@ -637,8 +671,8 @@ def test_chern_level_coefficients_are_constant_lpolys():
     assert QQ == VarSet(()) and hash(QQ) == hash(VarSet(())) and QQ != RING_Y
     assert [str(r) for r in (QQ, RING_L, RING_UV, RING_Y)] == ["Q", "Q[L]", "Q[u,v]", "Q[y]"]
     coefficients = []
-    for s in (chern_class_series(P2, 2, 4), aluffi_series(P3, 4),
-              normalized_y1_limit(hilb_class_series(P2, 2, 3))):
+    for s in (kind_series(P2, "chern", 2, 4), kind_series(P3, "aluffi", 3, 4),
+              normalized_y1_limit(kind_series(P2, "hilb", 2, 3))):
         assert s.ring == QQ
         coefficients += [c for el in s.components for c in el.terms.values()]
     chi = map_series(hilb_motive_series(proj_space_class(2), 2, 4), "chi")
@@ -652,7 +686,7 @@ VALUES = {
     "LPoly": lambda: Y.scale(Fraction(-2, 3)) + LPoly.var(RING_Y, "y", 1),
     "TSeries": lambda: map_series(punctual_series(2, 3), "chi-y"),
     "PontElement": lambda: d_push(P1, 2, P1.ty),
-    "PontSeries": lambda: chern_class_series(P2, 2, 3),
+    "PontSeries": lambda: kind_series(P2, "chern", 2, 3),
     "VarSet": lambda: RING_Y,
 }
 
