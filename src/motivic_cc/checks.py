@@ -105,7 +105,8 @@ def hom_exp_inv(model: hz.HomologyModel, gamma: po.HClass, k: int, order: int,
 def hom_exponentiation(model: hz.HomologyModel, a: TSeries, gamma: po.HClass) -> po.PontSeries:
     """(1 + sum a_n t^n d^n_*)^gamma: prod_k (1 - t^k d^k_*)^(-b_k gamma) over the Euler
     exponents b_k of a, taken in its own coefficient ring."""
-    return po.exp_series(model, gamma, euler_log(a))
+    b = euler_log(a)
+    return po.collect(model, b, po.exp_terms(model, gamma, b))
 
 
 def mt2_series(model: hz.HomologyModel, a_motivic: TSeries, order: int) -> po.PontSeries:
@@ -142,7 +143,7 @@ def y1_limit_atoms(model: hz.HomologyModel, atoms: dict) -> dict:
     """:func:`normalized_y1_limit` on ``pontrjagin.log_atoms``, atom (j, x) in degree deg x.
 
     The limit is a ring map where finite, so it commutes with the atomwise exponential of
-    ``exp_series``, which is injective on atoms: the limited atoms are the limit's atoms."""
+    ``exp_terms``, which is injective on atoms: the limited atoms are the limit's atoms."""
     degs = model.degs()
     lim = {(j, x): _y1_limit(c, degs[x], "atom", (j, x)) for (j, x), c in atoms.items()}
     return {a: c for a, c in lim.items() if c.num}
@@ -450,8 +451,9 @@ def _random_pont(rng, model, order):
 
 
 def kind_series(model, kind: str, d: int | None, order: int) -> po.PontSeries:
-    """The class series of a kind through t^order, from the kind's own exponents."""
-    return po.class_series(model, kind, po.class_exponents(kind, d, order))
+    """The class series of a kind through t^order: the terms of its own exponents, collected."""
+    b = po.class_exponents(kind, d, order)
+    return po.collect(model, b, po.class_terms(model, kind, b))
 
 
 def _limit_atoms_match(model, y_scalars: TSeries, q_scalars: TSeries) -> bool:

@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .lpoly import ExponentLimitError, LPoly, QQ, RING_L, RING_UV, RING_Y
@@ -251,48 +252,43 @@ def nest(text: str) -> str:
     return text.replace("\n", "\n  ")
 
 
-def pont_json(s: po.PontSeries) -> str:
-    """The ``coefficients`` array of a Pontrjagin series as ``json.dumps(indent=2)``
-    prints it in a report.  Coefficient text (digits, ``+-/*^()``, variable names)
-    needs no escaping; each atom's line is escaped once."""
-    lines: dict = {}
-    comps = []
-    for n, el in enumerate(s.components):
-        coeffs, terms = el.terms, []
-        for ms in sorted(coeffs):
-            for atom in ms:
-                if atom not in lines:
-                    lines[atom] = "            " + encode_basestring_ascii(atom_str(*atom))
-            atoms = "[\n" + ",\n".join([lines[a] for a in ms]) + "\n          ]" if ms else "[]"
-            terms.append(f'        {{\n          "atoms": {atoms},\n'
-                         f'          "c": "{coeff_str(coeffs[ms])}"\n        }}')
-        body = "[\n" + ",\n".join(terms) + "\n      ]" if terms else "[]"
-        comps.append(f'    {{\n      "n": {n},\n      "terms": {body}\n    }}')
-    return "[\n" + ",\n".join(comps) + "\n  ]" if comps else "[]"
+def pont_coefficients(terms, order: int, pretty: bool) -> str:
+    """A Pontrjagin series' ``coefficients`` t^0 .. t^order as ``json.dumps(indent=2)`` prints
+    them in a report, or ``--pretty``, from the terms of ``pontrjagin.exp_terms``, which come in
+    report order.  Coefficient text needs no escaping; each atom's line is escaped once."""
+    buckets: list[list[str]] = [[] for _ in range(order + 1)]
+    if pretty:
+        for n, ms, c in terms:
+            buckets[n].append(f"({coeff_str(c)}) {' '.join([atom_str(*a) for a in ms]) or '1'}")
+        return "\n".join([f"t^{n}: " + (" + ".join(t) or "0") for n, t in enumerate(buckets)])
+    line = cache(lambda atom: "            " + encode_basestring_ascii(atom_str(*atom)))
+    for n, ms, c in terms:
+        atoms = "[\n" + ",\n".join([line(a) for a in ms]) + "\n          ]" if ms else "[]"
+        buckets[n].append(f'        {{\n          "atoms": {atoms},\n'
+                          f'          "c": "{coeff_str(c)}"\n        }}')
+    return "[\n" + ",\n".join([
+        f'    {{\n      "n": {n},\n      "terms": '
+        + ("[\n" + ",\n".join(t) + "\n      ]" if t else "[]") + "\n    }"
+        for n, t in enumerate(buckets)]) + "\n  ]"
 
 
 def print_report(args, command: str, params: dict, order: int, coefficients,
                  checks: list[dict]) -> int:
-    """Print the JSON document {command, params, order, coefficients (a Pontrjagin
-    series or scalar records), checks} or a ``--pretty`` table; the exit code is 1 when a
-    check failed.  The text is made whole first, so a coefficient past the digit limit
-    leaves stdout empty, and the newline ``print`` writes after it raises
-    ``BrokenPipeError`` where unbuffered stdout let a closed pipe cut the text short."""
-    pont = isinstance(coefficients, po.PontSeries)
+    """Print the JSON document {command, params, order, coefficients (scalar records, or
+    :func:`pont_coefficients` text), checks} or a ``--pretty`` table; the exit code is 1 when
+    a check failed.  The text is made whole first, so a coefficient past the digit limit leaves
+    stdout empty, and the newline ``print`` writes after it raises ``BrokenPipeError`` where
+    unbuffered stdout let a closed pipe cut the text short."""
+    text = isinstance(coefficients, str)
     if args.pretty:
-        lines = [f"# {command} {params}"]
-        if pont:
-            lines += [f"t^{n}: " + (" + ".join(
-                f"({coeff_str(el.terms[ms])}) {' '.join([atom_str(*a) for a in ms]) or '1'}"
-                for ms in sorted(el.terms)) or "0") for n, el in enumerate(coefficients.components)]
-        else:
-            lines += [f"alpha_{rec['k']}: {rec['alpha']}" if "alpha" in rec else
-                      f"t^{rec['n']}: {rec['c']}" for rec in coefficients]
+        lines = [f"# {command} {params}"] + ([coefficients] if text else [
+            f"alpha_{rec['k']}: {rec['alpha']}" if "alpha" in rec else f"t^{rec['n']}: {rec['c']}"
+            for rec in coefficients])
         print("\n".join(lines + [f"check {chk['name']}: {chk['status']}" + (
             f" [{chk['detail']}]" if "detail" in chk else "") for chk in checks]))
     else:  # json.dumps renders the small parts; head[:-2] drops its closing "\n}"
         head = json.dumps({"command": command, "params": params, "order": order}, indent=2)
-        body = pont_json(coefficients) if pont else nest(json.dumps(coefficients, indent=2))
+        body = coefficients if text else nest(json.dumps(coefficients, indent=2))
         print(f'{head[:-2]},\n  "coefficients": {body},\n'
               f'  "checks": {nest(json.dumps(checks, indent=2))}\n}}')
     return EXIT_CHECK_FAILED if any(c["status"] == "fail" for c in checks) else EXIT_OK
@@ -365,20 +361,26 @@ def cmd_classes(args) -> int:
     chi = int(mo.hodge_spec(model.e_poly, "chi"))
     # the scalar records and the degree references compare the b the series is built from
     b = po.class_exponents(kind, d, order)
-    series = po.class_series(model, kind, b)
+    ring, degs, degree = b.ring, model.degs(), [[] for _ in range(order + 1)]
+
+    def written(terms):  # the degree map keeps a term whose atoms all have degree 0
+        for n, ms, c in terms:
+            if all(degs[x] == 0 for _, x in ms):
+                degree[n].append((1, c, ring.one))
+            yield n, ms, c
+
+    coefficients = pont_coefficients(written(po.class_terms(model, kind, b)), order, args.pretty)
     checks: list[dict] = []
     params = {"model": model.name, "kind": kind, "dim": d}
 
-    def degree_check(name, make_expected):
-        if not model.proper or make_expected is None:
-            checks.append({"name": name, "status": "skipped"})
-            return
-        got = po.pont_degree(model, series)
-        checks.append({"name": name, "status": "ok" if got == make_expected() else "fail"})
+    def check(name, ok):  # None: the check does not apply
+        checks.append({"name": name, "status": "skipped" if ok is None else "ok" if ok else "fail"})
 
-    def motivic_check(name, motive_series, *args):
-        """The degree against chi_{-y} of ``motive_series(l_class, *args)``; skipped
-        for a model without an L-class."""
+    def degree_check(name, make_expected):  # the written degree-0 terms, one dot per grading
+        check(name, None if not model.proper or make_expected is None else
+              TSeries(ring, [LPoly.dot(ring, t) for t in degree]) == make_expected())
+
+    def motivic_check(name, motive_series, *args):  # chi_{-y} of the model's motivic route
         degree_check(name, None if model.l_class is None else
                      lambda: mo.map_series(motive_series(model.l_class, *args), "chi-y"))
 
@@ -388,24 +390,21 @@ def cmd_classes(args) -> int:
         motivic_check("degree-vs-motivic-route", mo.hilb_motive_series, 1, order)
     elif kind == "config":
         one_plus = TSeries.from_terms(RING_L, order, {0: 1, 1: 1})
-        ok = euler_log(mo.map_series(one_plus, "chi-y")) == b
-        checks.append({"name": "config-vs-exponentiation", "status": "ok" if ok else "fail"})
+        check("config-vs-exponentiation", euler_log(mo.map_series(one_plus, "chi-y")) == b)
         motivic_check("degree-vs-motivic-route", mo.config_space_series, order)
     elif kind == "chern":
         degree_check("degree-vs-euler-product", lambda: euler_exp(b * chi))
     elif kind == "virtual":
         a_y = mo.map_series(mo.virtual_punctual_series(order), "chi-y")
-        ok = euler_log(a_y.subst(1, -1)) == b
-        checks.append({"name": "two-route-forms", "status": "ok" if ok else "fail"})
+        check("two-route-forms", euler_log(a_y.subst(1, -1)) == b)
         motivic_check("degree-vs-motivic-route", mo.virtual_hilb_series, order)
     else:  # aluffi
         # the scalar Chern-MNOP statement: chi of the virtual exponents is k
-        ok = b == mo.map_series(mo.virtual_exponents(order), "chi")
-        checks.append({"name": "sign-relation-vs-chern", "status": "ok" if ok else "fail"})
+        check("sign-relation-vs-chern", b == mo.map_series(mo.virtual_exponents(order), "chi"))
         degree_check("degree-vs-macmahon", lambda: mo.macmahon_series(order, chi).subst(1, -1))
         params["convention"] = "coefficients enumerate against (-t)^n"
 
-    return print_report(args, "classes", params, order, series, checks)
+    return print_report(args, "classes", params, order, coefficients, checks)
 
 
 def cmd_verify(args) -> int:

@@ -80,20 +80,22 @@ def pre_lambda_polyring(p: LPoly, order: int) -> TSeries:
     """lambda_t of an integer polynomial via the monomial product formula.
 
     For p = sum a_w * w over monomials w this is prod_w (1 - w t)^(-a_w), the pre-lambda
-    structure on a polynomial ring.  Each factor is multiplied in once, built from its
-    coefficients C(a+n-1, n) w^n, which vanish past n = |a| when a < 0.  It must agree with
-    ``checks.pre_lambda`` over the same ring; ``verify`` and the tests check that.
+    structure on a polynomial ring (w and a_w negated where ``LPoly.adams`` twists w).  Each
+    factor is built once from its coefficients C(a+n-1, n) w^n, zero past n = |a| if a < 0.
+    It must agree with ``checks.pre_lambda``; ``verify`` and the tests check that.
     """
     ring = p.vars
     if not p.is_integral():
         raise IntegralityError(f"polynomial-ring lambda needs integer coefficients: {p}")
     result = None
     for key, a in sorted(p.num.items()):
+        s = (-1) ** ((key + ring.low_half) & ring.neg_root).bit_count()  # as adams reads it
+        a *= s
         coeffs, c, span = [ring.one] + [ring.zero] * order, 1, ring.span([key])
         for n in range(1, (order if a > 0 else min(order, -a)) + 1):  # the nonzero C(a+n-1, n)
             if n * span >= EXP_LIMIT:  # w^n would leave the packed field, as in adams
                 raise ring.limit_error()
-            c = c * (a + n - 1) // n  # C(a+n-1, n) from C(a+n-2, n-1), exactly
+            c = s * c * (a + n - 1) // n  # s^n C(a+n-1, n) from s^(n-1) C(a+n-2, n-1), exactly
             coeffs[n] = LPoly._of(ring, {key * n: c}, 1)
         factor = TSeries._of(ring, coeffs)
         result = factor if result is None else result * factor

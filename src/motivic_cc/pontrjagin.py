@@ -1,26 +1,23 @@
 """Free symbolic Pontrjagin ring over a homology model.
 
-Classes living on the n-th symmetric product are written in terms of
-pushforward atoms d^k_*(basis class); a term is a multiset of such atoms
-with total index n, stored as a sorted tuple of (k, basis id) pairs.  The
-grading variable t keeps track of n, the product is multiset union with
-coefficients multiplying.  Coefficients are :class:`LPoly` values over
-``RING_Y`` = Q[y^(1/2)] (Hirzebruch level) or over ``QQ``, the ring with no
-variables (Chern level); the series records which, and the ring decides
-whether homological exponentiation carries the Adams twist: ``RING_Y`` does,
-and ``QQ``, the y -> 1 limit, does not.
+Classes living on the n-th symmetric product are written in terms of pushforward atoms
+d^k_*(basis class); a term is a multiset of such atoms with total index n, stored as a sorted
+tuple of (k, basis id) pairs.  The grading variable t keeps track of n, the product is
+multiset union with coefficients multiplying.  Coefficients are :class:`LPoly` values over
+``RING_Y`` = Q[y^(1/2)] (Hirzebruch level) or over ``QQ``, the ring with no variables (Chern
+level); the series records which, and the ring decides whether homological exponentiation
+carries the Adams twist: ``RING_Y`` does, and ``QQ``, the y -> 1 limit, does not.
 
-Every class series is one homological exponentiation prod_k (1 - (sign t)^k
-d^k_*)^(-b_k gamma).  The kinds in :data:`KINDS` differ only in the exponents b,
-the class gamma and the sign of t: :func:`class_exponents` gives a kind's b, whose
-ring sets gamma, and :func:`class_series` exponentiates it.
+Every class series is one homological exponentiation prod_k (1 - (sign t)^k d^k_*)^(-b_k
+gamma).  The kinds in :data:`KINDS` differ only in the exponents b, the class gamma and the
+sign of t: :func:`class_exponents` gives a kind's b, whose ring sets gamma, and
+:func:`class_terms` walks its terms, which a report writes and ``collect`` gathers.
 
-The free model deliberately ignores any relations holding in the honest
-homology of symmetric products: every identity proved by the calculus is
-generated by the same operations on both sides, so equality of free-model
-expressions is the verifiable notion, and degree-level (genus) equalities
-provide the numeric cross-checks for proper models.  This module holds the one
-production route; the reference routes it is checked against live in ``checks``.
+The free model deliberately ignores any relations holding in the honest homology of
+symmetric products: every identity proved by the calculus is generated by the same operations
+on both sides, so equality of free-model expressions is the verifiable notion, and
+degree-level (genus) equalities provide the numeric cross-checks for proper models.  This
+module holds the one production route; the reference routes live in ``checks``.
 """
 
 from __future__ import annotations
@@ -181,30 +178,31 @@ def log_atoms(model: HomologyModel, gamma: HClass, b: TSeries,
     return {atom: c for atom, c in log.items() if c.num}
 
 
-def exp_series(model: HomologyModel, gamma: HClass, b: TSeries, sign: int = 1) -> PontSeries:
-    """prod_k (1 - (sign t)^k d^k_*)^(-b_k gamma) through t^N, N = ``b.order``: exp of
-    :func:`log_atoms`.
-
-    Atoms generate the free Pontrjagin ring, so the exponential factors atom
-    by atom: a multiset with multiplicities m_x gets prod_x a_x^(m_x) / m_x!.
-    The product of ``checks.hom_exp_inv`` factors is the reference route.
-    """
-    ring, order = b.ring, b.order
+def exp_terms(model: HomologyModel, gamma: HClass, b: TSeries, sign: int = 1):
+    """The terms ``(n, multiset, coefficient)`` of prod_k (1 - (sign t)^k d^k_*)^(-b_k gamma)
+    through t^N, N = ``b.order``: a multiset of :func:`log_atoms` a_x with multiplicities m_x
+    gets prod_x a_x^(m_x) / m_x!, never zero.  The walk is a preorder of the multiset trie, a
+    child adding an atom x no smaller than its parent's last, at multiplicity m, for one
+    product: a_x / m times the parent's.  Children go in atom order, so multisets increase."""
     log = log_atoms(model, gamma, b, sign)
-    dicts = [dict() for _ in range(order + 1)]
-    dicts[0][()] = ring.one
-    # multiply in one atom at a time; walking n downward never extends a
-    # multiset that already contains the current atom
-    for atom in sorted(log):
-        a, j = log[atom], atom[0]
-        powers = [ring.one]
-        for m in range(1, order // j + 1):
-            powers.append((powers[-1] * a).div_int(m))
-        for n in range(order - j, -1, -1):
-            for ms, c in dicts[n].items():
-                for m in range(1, (order - n) // j + 1):
-                    dicts[n + m * j][ms + (atom,) * m] = c * powers[m]
-    return PontSeries._of(model, ring, dicts)
+    atoms, order = sorted(log), b.order
+    ends = [sum(j <= r for j, _ in atoms) for r in range(order + 1)]  # atoms of index <= r
+    steps = [[None] + [log[x].div_int(m) for m in range(1, order // x[0] + 1)] for x in atoms]
+    stack = [(0, (), b.ring.one, 0, 0)]  # grading, multiset, coefficient, last atom, its m
+    while stack:
+        n, ms, c, i, m = stack.pop()
+        yield n, ms, c
+        for k in range(ends[order - n] - 1, i - 1, -1):
+            mk = m + 1 if k == i else 1
+            stack.append((n + atoms[k][0], ms + (atoms[k],), c * steps[k][mk], k, mk))
+
+
+def collect(model: HomologyModel, b: TSeries, terms) -> PontSeries:
+    """A walk's terms as the series over ``b.ring`` through t^``b.order``, for ``checks``."""
+    dicts = [dict() for _ in range(b.order + 1)]
+    for n, ms, c in terms:
+        dicts[n][ms] = c
+    return PontSeries._of(model, b.ring, dicts)
 
 
 # -- the generating series of the main results -------------------------------
@@ -238,16 +236,15 @@ def class_exponents(kind: str, d: int | None, order: int) -> TSeries:
     return map_series(e, "chi-y")
 
 
-def class_series(model: HomologyModel, kind: str, b: TSeries) -> PontSeries:
-    """The class series prod_k (1 - (sign t)^k d^k_*)^(-b_k gamma) of a kind, for its
-    exponents b = :func:`class_exponents`.
+def class_terms(model: HomologyModel, kind: str, b: TSeries):
+    """The :func:`exp_terms` of a kind's class series, for its b = :func:`class_exponents`.
 
     The ring of b sets the class: gamma is T_{(-y)*}(X) over ``RING_Y`` and c_*(X) over
     ``QQ``.  The virtual t-form and the Aluffi classes are read against (-t)^n, so their
     atoms are signed: t -> -t commutes with the atomwise exponential.
     """
     gamma = model.ty if b.ring == RING_Y else chern_class_of(model)
-    return exp_series(model, gamma, b, -1 if kind in ("virtual", "aluffi") else 1)
+    return exp_terms(model, gamma, b, -1 if kind in ("virtual", "aluffi") else 1)
 
 
 def pont_degree(model: HomologyModel, s: PontSeries) -> TSeries:

@@ -87,9 +87,9 @@ class TSeries:
         return TSeries._of(self.ring, [-a for a in self.coeffs])
 
     def __mul__(self, other) -> "TSeries":
-        if not isinstance(other, TSeries):
+        if not isinstance(other, TSeries):  # a zero coefficient stays as it is
             c = self.ring.coerce(other)
-            return TSeries._of(self.ring, [a * c for a in self.coeffs])
+            return TSeries._of(self.ring, [a * c if a.num else a for a in self.coeffs])
         self._check(other)
         a, b, ring = self.coeffs, other.coeffs, self.ring
         return TSeries._of(ring, [LPoly.dot(ring, [(1, a[i], b[m - i]) for i in range(m + 1)])
@@ -160,8 +160,8 @@ class TSeries:
         return TSeries._of(self.ring, out)
 
     def map_coeffs(self, target: VarSet, f: Callable) -> "TSeries":
-        """Apply a coefficient-ring homomorphism f to every coefficient."""
-        return TSeries(target, [f(c) for c in self.coeffs])
+        """Apply a coefficient-ring homomorphism f to every coefficient; zero maps to zero."""
+        return TSeries(target, [f(c) if c.num else target.zero for c in self.coeffs])
 
     def assert_integral(self, what: str = "series") -> "TSeries":
         """Fail loudly if any coefficient left the declared integral subring."""

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from motivic_cc.lpoly import LPoly, VarSet, RING_Y
 from motivic_cc.series import TSeries
-from motivic_cc.pontrjagin import PontSeries
+from motivic_cc.pontrjagin import PontSeries, collect, exp_terms, log_atoms
 from motivic_cc.checks import pre_lambda
 
 
@@ -221,6 +221,37 @@ def ref_pont_exp(arg):
             break
         result = result + term
     return result
+
+
+def exp_series(model, gamma, b: TSeries, sign: int = 1) -> PontSeries:
+    """The walk of ``pontrjagin.exp_terms`` collected into a series."""
+    return collect(model, b, exp_terms(model, gamma, b, sign))
+
+
+def ref_exp_series(model, gamma, b: TSeries, sign: int = 1) -> PontSeries:
+    """The exponential of ``log_atoms`` by the route ``pontrjagin.exp_terms`` replaced: one
+    grading dict at a time, multiplying in one atom at a time; the oracle of the walk."""
+    ring, order = b.ring, b.order
+    log = log_atoms(model, gamma, b, sign)
+    dicts = [dict() for _ in range(order + 1)]
+    dicts[0][()] = ring.one
+    # walking n downward never extends a multiset that already contains the current atom
+    for atom in sorted(log):
+        a, j = log[atom], atom[0]
+        powers = [ring.one]
+        for m in range(1, order // j + 1):
+            powers.append((powers[-1] * a).div_int(m))
+        for n in range(order - j, -1, -1):
+            for ms, c in dicts[n].items():
+                for m in range(1, (order - n) // j + 1):
+                    dicts[n + m * j][ms + (atom,) * m] = c * powers[m]
+    return PontSeries(model, ring, dicts)
+
+
+def series_terms(s: PontSeries) -> list:
+    """The terms ``(n, multiset, coefficient)`` of a series, each grading's multisets in
+    increasing order: the stream ``pontrjagin.exp_terms`` yields."""
+    return [(n, ms, el.terms[ms]) for n, el in enumerate(s.components) for ms in sorted(el.terms)]
 
 
 # -- the printers the production writers replaced: oracles for their text -----------

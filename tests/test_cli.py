@@ -14,13 +14,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from motivic_cc.cli import (
     EXIT_OK, EXIT_CHECK_FAILED, EXIT_SCHEMA, EXIT_RANGE, builtin_model, main,
-    model_from_doc, model_to_doc, print_report,
+    model_from_doc, model_to_doc, pont_coefficients, print_report,
 )
 from motivic_cc import motives as mo, pontrjagin as po
 from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_Y
 from motivic_cc.series import TSeries
 from motivic_cc.checks import kind_series
-from helpers import exps, load_bench_cases, ref_report
+from helpers import exps, load_bench_cases, ref_report, series_terms
 
 
 def run(capsys, *argv):
@@ -240,26 +240,27 @@ def test_virtual_check_catches_wrong_scalars(capsys, monkeypatch):
 
 
 def test_each_kind_builds_one_series(capsys, monkeypatch):
-    """Every class kind makes one class_exponents call for its own kind, one exp_series call
-    and constructs one Pontrjagin series: the scalar records and the degree references compare
-    the exponents the series is built from, no self-check rebuilds the series, and no
-    post-pass (such as t -> -t) copies it."""
-    exponents, calls, built = [], [], []
-    real_b, real, real_of = po.class_exponents, po.exp_series, po.PontSeries._of.__func__
+    """Every class kind makes one class_exponents call for its own kind and one exp_terms
+    walk, and constructs no Pontrjagin container: the report is written from the walk, the
+    scalar records and the degree references compare the exponents the series is built
+    from, and no self-check rebuilds the series."""
+    exponents, walks, built = [], [], []
+    real_b, real = po.class_exponents, po.exp_terms
     monkeypatch.setattr(po, "class_exponents", lambda *a: exponents.append(a[0]) or real_b(*a))
-    monkeypatch.setattr(po, "exp_series", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    monkeypatch.setattr(po.PontSeries, "_of",
-                        classmethod(lambda cls, *a: built.append(1) or real_of(cls, *a)))
+    monkeypatch.setattr(po, "exp_terms", lambda *a, **kw: walks.append(1) or real(*a, **kw))
+    for cls in (po.PontSeries, po.PontElement):  # every constructor ends in _of
+        monkeypatch.setattr(cls, "_of", classmethod(
+            lambda c, *a, real_of=cls._of.__func__: built.append(c) or real_of(c, *a)))
     counts = {}
     for kind in po.KINDS:
         exponents.clear()
-        calls.clear()
+        walks.clear()
         built.clear()
         dim = () if kind in ("sym", "config") else ("--dim", "3")
         code, _ = run(capsys, "classes", "--builtin", "P1", *dim, "--kind", kind, "--order", "3")
         assert code == EXIT_OK, kind
-        counts[kind] = (exponents[:], len(calls), len(built))
-    assert counts == {kind: ([kind], 1, 1) for kind in po.KINDS}
+        counts[kind] = (exponents[:], len(walks), len(built))
+    assert counts == {kind: ([kind], 1, 0) for kind in po.KINDS}
 
 
 def test_series_file_boundary(tmp_path, capsys):
@@ -459,8 +460,11 @@ def test_writer_matches_dict_tree_reference(report, pretty):
     """Both forms of every report are the bytes the dict-tree writer printed, and a
     failed check makes the exit code 1."""
     out = io.StringIO()
+    command, params, order, coefficients, checks = report
+    if isinstance(coefficients, po.PontSeries):
+        coefficients = pont_coefficients(series_terms(coefficients), order, pretty)
     with redirect_stdout(out):
-        code = print_report(Namespace(pretty=pretty), *report)
+        code = print_report(Namespace(pretty=pretty), command, params, order, coefficients, checks)
     assert out.getvalue() == ref_report(*report, pretty)
     failed = any(chk["status"] == "fail" for chk in report[-1])
     assert code == (EXIT_CHECK_FAILED if failed else EXIT_OK)
@@ -485,7 +489,8 @@ def test_hostile_basis_ids_through_main(tmp_path, capsys):
         assert code == EXIT_OK
         assert out == ref_report("classes", params, 3, series, skipped, pretty)
         failed = [{"name": "x", "status": "fail", "detail": 'see "d1*[a\\"b]"'}]
-        assert print_report(Namespace(pretty=pretty), "classes", params, 3, series, failed) == \
+        text = pont_coefficients(series_terms(series), 3, pretty)
+        assert print_report(Namespace(pretty=pretty), "classes", params, 3, text, failed) == \
             EXIT_CHECK_FAILED
         assert capsys.readouterr().out == ref_report("classes", params, 3, series, failed, pretty)
     # the ids read back from the JSON report as they were written into the model file
@@ -946,7 +951,7 @@ def test_package_import_loads_no_module():
 def test_tracer_runs_and_counts_both_product_layers(tmp_path):
     """perfbench/tracer.py reads ``LPoly.terms`` and ``PontSeries.components[i].terms`` by
     name: a traced run must print the untraced report and count the products of both layers.
-    ``classes`` builds its series with ``exp_series``, which makes no Pontrjagin product.  The
+    ``classes`` writes its series from ``exp_terms``, which makes no Pontrjagin product.  The
     Euler maps are plain module functions, which the tracer re-binds and counts."""
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     cases = {"verify": ["verify", "--suite", "pontrjagin", "--order", "3", "--seed", "0"],

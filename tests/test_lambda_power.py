@@ -168,11 +168,18 @@ def test_pre_lambda_polyring_examples():
 
 
 def test_pre_lambda_polyring_matches_adams_route():
+    """Over Z[u,v], and over Q[L] with Laurent and half-integer powers, where an odd power
+    of the root -L^(1/2) flips the sign of the even Adams operations."""
     rng = random.Random(45)
-    for _ in range(50):
-        p = random_lpoly(rng, RING_UV, max_deg=3, terms=3)
-        n = rng.randint(1, 6)
-        assert pre_lambda_polyring(p, n) == pre_lambda(RING_UV, p, n)
+    for ring, kw in ((RING_UV, {}), (RING_L, {"laurent": True, "halves": True})):
+        for _ in range(50):
+            p = random_lpoly(rng, ring, max_deg=3, terms=3, **kw)
+            n = rng.randint(1, 6)
+            assert pre_lambda_polyring(p, n) == pre_lambda(ring, p, n), p
+    root = LPoly.var(RING_L, "L", 1)  # L^(1/2): lambda_t(L^(1/2)) = 1 + L^(1/2) t
+    for p in (root, -root + L, 2 * root ** -3 - root ** 5):
+        assert pre_lambda_polyring(p, 4) == pre_lambda(RING_L, p, 4), p
+    assert pre_lambda_polyring(root, 3) == TSeries(RING_L, [1, root, 0, 0])
 
 
 def test_pre_lambda_polyring_factor_coefficients_match_adams_route():

@@ -18,14 +18,18 @@ from motivic_cc.hirzebruch import (
     adams_h, chern_class_of, product_model, proj_space_model,
 )
 from motivic_cc.pontrjagin import (
-    KINDS, PontElement, PontSeries, class_exponents, exp_series, log_atoms, pont_degree,
+    KINDS, PontElement, PontSeries, class_exponents, class_terms, exp_terms, log_atoms,
+    pont_degree,
 )
 from motivic_cc.checks import (
     d_push, hom_exp_inv, hom_exponentiation, kind_series, mt2_series, normalized_y1_limit,
     pont_exp, power_op, pre_lambda, punctual_series, subst_neg_t, y1_limit_atoms,
 )
 from motivic_cc.cli import builtin_model, model_from_doc
-from helpers import exps, load_bench_cases, random_hclass, random_lpoly, random_series, ref_pont_exp
+from helpers import (
+    exp_series, exps, load_bench_cases, random_hclass, random_lpoly, random_series,
+    ref_exp_series, ref_pont_exp,
+)
 
 POINT = proj_space_model(0)
 P1 = proj_space_model(1)
@@ -600,6 +604,50 @@ def test_exp_series_is_the_exponential_of_log_atoms(model):
     # over Q, atom (2, x) collects gamma_x / 2 from b_1 = 1 and -gamma_x / 2 from b_2 = -1/2
     half = exps(QQ, [1, Fraction(-1, 2)])
     assert {j for j, _ in log_atoms(model, rational_class(model), half)} == {1}
+
+
+# the test models and random ModelFiles: non-proper, rational, Laurent and half exponents
+WALK_MODELS = dict(MODELS, **{f"gen{seed}": model_from_doc(load_bench_cases().generate_model(seed))
+                              for seed in (0, 1, 2, 7)})
+# (kind, d, order) for every kind; hilb and chern at d = 3 are known through t^3
+WALK_KINDS = [("hilb", 2, 6), ("hilb", 3, 3), ("sym", None, 6), ("config", None, 6),
+              ("chern", 2, 6), ("chern", 3, 6), ("virtual", 3, 5), ("aluffi", 3, 5)]
+assert {kind for kind, _, _ in WALK_KINDS} == set(KINDS)
+
+
+def assert_walk_matches_reference(model, gamma, b, sign, terms):
+    """``terms`` is the stream of ``ref_exp_series``: each grading's multisets strictly
+    increasing, no zero coefficient, every coefficient over the ring of b."""
+    last = {}
+    dicts = [dict() for _ in range(b.order + 1)]
+    for n, ms, c in terms:
+        assert n not in last or last[n] < ms, (n, ms)
+        assert c.num and c.vars == b.ring, (n, ms)
+        last[n], dicts[n][ms] = ms, c
+    ref = ref_exp_series(model, gamma, b, sign)
+    assert dicts == [el.terms for el in ref.components]
+
+
+@pytest.mark.parametrize("model", WALK_MODELS.values(), ids=WALK_MODELS)
+def test_exp_terms_match_the_dict_walk(model):
+    """The depth-first walk of exp_terms against the grading-by-grading dict walk it
+    replaced, on every kind's exponents and on random exponents with negative, rational,
+    Laurent and half-integer coefficients, at both signs."""
+    for kind, d, order in WALK_KINDS:
+        b = class_exponents(kind, d, order)
+        gamma = model.ty if b.ring == RING_Y else rational_class(model)
+        sign = -1 if kind in ("virtual", "aluffi") else 1
+        terms = (class_terms(model, kind, b) if b.ring == RING_Y or model.proper
+                 else exp_terms(model, gamma, b, sign))
+        assert_walk_matches_reference(model, gamma, b, sign, terms)
+    rng = random.Random(model.name)
+    for order in range(5):
+        for ring, gamma in ((RING_Y, model.ty), (QQ, rational_class(model))):
+            b = random_series(rng, ring, order, zero_constant=True, laurent=True, halves=True,
+                              denom_bound=3)
+            for sign in (1, -1):
+                assert_walk_matches_reference(model, gamma, b, sign,
+                                              exp_terms(model, gamma, b, sign))
 
 
 def test_normalization_limit_matches_chern_series():

@@ -5,7 +5,8 @@ import pytest
 
 from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_UV, RING_Y
 from motivic_cc.series import TSeries, NonUnitError, OrderMismatchError, IntegralityError
-from motivic_cc.lambda_power import euler_exp, euler_log
+from motivic_cc.lambda_power import euler_exp, euler_log, power
+from motivic_cc.motives import map_series
 from motivic_cc.hirzebruch import proj_space_model
 from motivic_cc.pontrjagin import PontSeries
 from helpers import (
@@ -109,6 +110,35 @@ def test_assert_integral():
         TSeries.from_terms(QQ, 2, {1: Fraction(1, 2)}).assert_integral()
     with pytest.raises(IntegralityError):
         TSeries(RING_Y, [RING_Y.one, Y.scale(Fraction(1, 3))]).assert_integral()
+
+
+def test_zero_coefficients_pass_through(monkeypatch):
+    """The scalar product and map_coeffs leave a zero coefficient untouched: power scales no
+    zero exponent (b_0 is always one), and map_series specializes no zero coefficient."""
+    touched = []
+    real_mul, real_substitute = LPoly.__mul__, LPoly.substitute
+
+    def mul(a, b):
+        if not a.num or isinstance(b, LPoly) and not b.num:
+            touched.append(("mul", a, b))
+        return real_mul(a, b)
+
+    def substitute(a, *args, **kw):
+        if not a.num:
+            touched.append(("substitute", a))
+        return real_substitute(a, *args, **kw)
+
+    monkeypatch.setattr(LPoly, "__mul__", mul)
+    monkeypatch.setattr(LPoly, "substitute", substitute)
+    L = LPoly.var(RING_L, "L")
+    a = TSeries(RING_L, [1, L, 0, 2 * L ** 3, 0, 1 - L])
+    for m in (L + 2, -L, 3):
+        power(a, m)
+    for which in ("e", "chi-y", "chi"):
+        mapped = map_series(a, which)
+        assert not mapped.coeffs[2].num and not mapped.coeffs[4].num
+    assert touched == []
+    assert (a * 0).coeffs == (RING_L.zero,) * 6 and (a * L).coeffs[2] == RING_L.zero
 
 
 # coefficient rings with the exponents their variables admit
