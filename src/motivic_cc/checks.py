@@ -8,7 +8,9 @@ inputs produce identical reports.  The reference routes (pre-lambda series,
 the punctual series, Qhat_y, pushforwards, power operations, t -> -t, one-factor
 homological exponentials, the motivic route and the normalized y -> 1 limit
 of a Pontrjagin series) live here and nowhere else: only ``verify`` and the
-tests call them, so no other command pays for loading them.
+tests call them, so no other command pays for loading them.  So does the container they
+build, :class:`PontSeries` (one multiset -> coefficient dict per grading, with the Pontrjagin
+product), with :func:`collect` of a ``pontrjagin.exp_terms`` walk and :func:`pont_degree`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,156 @@ from .lambda_power import euler_exp, euler_log, power, pre_lambda_polyring
 from . import motives as mo
 from . import hirzebruch as hz
 from . import pontrjagin as po
+
+
+# -- the Pontrjagin series container -----------------------------------------
+
+Multiset = tuple[tuple[int, str], ...]
+
+
+class PontElement:
+    """Homogeneous piece of grading n: multisets of atoms with sum of k's = n."""
+
+    __slots__ = ("n", "terms")
+
+    def __new__(cls, n: int, terms: dict[Multiset, LPoly]):
+        """Multisets are sorted; two spellings of one multiset add their coefficients."""
+        clean = {}
+        for ms, c in terms.items():
+            if sum(k for k, _ in ms) != n:
+                raise ValueError(f"multiset {ms} does not have total index {n}")
+            if any(k < 1 for k, _ in ms):
+                raise ValueError(f"atom index must be >= 1 in {ms}")
+            ms = tuple(sorted(ms))
+            clean[ms] = clean[ms] + c if ms in clean else c
+        return cls._of(n, clean)
+
+    @classmethod
+    def _of(cls, n: int, terms: dict[Multiset, LPoly]) -> "PontElement":
+        """Sorted multisets of total index ``n`` taken as they are; zero coefficients drop."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "n", n)
+        object.__setattr__(obj, "terms", {ms: c for ms, c in terms.items() if c.num})
+        return obj
+
+    def __setattr__(self, *a):  # pragma: no cover
+        raise AttributeError("PontElement is immutable")
+
+    def __reduce__(self):
+        return PontElement, (self.n, self.terms)
+
+    def __eq__(self, other):
+        return (isinstance(other, PontElement)
+                and self.n == other.n and self.terms == other.terms)
+
+
+class PontSeries:
+    """t-graded element of the free Pontrjagin ring, truncated at a fixed order.
+
+    ``PontSeries(model, ring, dicts)`` takes one multiset -> coefficient dict
+    per grading n = 0..N, coerces each coefficient into ``ring`` and checks
+    each dict as :class:`PontElement` does.
+    """
+
+    __slots__ = ("model", "ring", "components")
+
+    def __new__(cls, model: hz.HomologyModel, ring: VarSet, dicts):
+        return cls._of(model, ring, [
+            PontElement(n, {ms: ring.coerce(c) for ms, c in d.items()}).terms
+            for n, d in enumerate(dicts)])
+
+    def __setattr__(self, *a):  # pragma: no cover
+        raise AttributeError("PontSeries is immutable")
+
+    def __reduce__(self):
+        return PontSeries, (self.model, self.ring, [el.terms for el in self.components])
+
+    @property
+    def order(self) -> int:
+        return len(self.components) - 1
+
+    @classmethod
+    def _of(cls, model, ring, dicts) -> "PontSeries":
+        """``PontSeries(...)`` of dicts fit for :meth:`PontElement._of`; nothing is checked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "model", model)
+        object.__setattr__(obj, "ring", ring)
+        object.__setattr__(obj, "components",
+                           tuple(PontElement._of(n, d) for n, d in enumerate(dicts)))
+        return obj
+
+    @classmethod
+    def unit(cls, model, ring, order: int) -> "PontSeries":
+        return cls._of(model, ring, [{(): ring.one}] + [{}] * order)
+
+    def _check(self, other: "PontSeries") -> None:
+        if self.model is not other.model and self.model != other.model:
+            raise ValueError("Pontrjagin operands live over different models")
+        if self.order != other.order or self.ring != other.ring:
+            raise ValueError("Pontrjagin operands have different order or ring")
+
+    def __add__(self, other: "PontSeries") -> "PontSeries":
+        self._check(other)
+        out = []
+        for a, b in zip(self.components, other.components):
+            d = dict(a.terms)
+            for ms, c in b.terms.items():
+                d[ms] = d.get(ms, self.ring.zero) + c
+            out.append(d)
+        return PontSeries._of(self.model, self.ring, out)
+
+    def scale(self, c) -> "PontSeries":
+        c = self.ring.coerce(c)
+        return PontSeries._of(
+            self.model, self.ring,
+            [{ms: cc * c for ms, cc in el.terms.items()} for el in self.components])
+
+    def mul(self, other: "PontSeries") -> "PontSeries":
+        """The Pontrjagin product: multiset union, t-degrees add."""
+        self._check(other)
+        n = self.order
+        pairs = [dict() for _ in range(n + 1)]  # target multiset -> its (1, c1, c2) triples
+        for i, a in enumerate(self.components):
+            for j in range(0, n - i + 1):
+                tgt = pairs[i + j]
+                for ms1, c1 in a.terms.items():
+                    for ms2, c2 in other.components[j].terms.items():
+                        tgt.setdefault(tuple(sorted(ms1 + ms2)), []).append((1, c1, c2))
+        return PontSeries._of(self.model, self.ring, [
+            {ms: LPoly.dot(self.ring, t) for ms, t in d.items()} for d in pairs])
+
+    __mul__ = mul
+
+    def __eq__(self, other):
+        return (isinstance(other, PontSeries)
+                and self.model == other.model and self.ring == other.ring
+                and self.components == other.components)
+
+    def __repr__(self):
+        return f"PontSeries[{self.model.name}; {self.ring}; N={self.order}]"
+
+
+def collect(model: hz.HomologyModel, b: TSeries, terms) -> PontSeries:
+    """A walk's terms as the series over ``b.ring`` through t^``b.order``."""
+    dicts = [dict() for _ in range(b.order + 1)]
+    for n, ms, c in terms:
+        dicts[n][ms] = c
+    return PontSeries._of(model, b.ring, dicts)
+
+
+def pont_degree(model: hz.HomologyModel, s: PontSeries) -> TSeries:
+    """Push a Pontrjagin series down to a point: genus-level generating series.
+
+    An atom contributes 1 when its basis class has degree zero and kills the
+    term otherwise; this is a ring homomorphism onto scalar t-series.
+    """
+    if not model.proper:
+        raise ValueError(f"model {model.name} is not proper; no degree map")
+    degs = model.degs()
+    return TSeries(s.ring, [
+        LPoly.dot(s.ring, [(1, c, s.ring.one) for ms, c in el.terms.items()
+                           if all(degs[b] == 0 for _, b in ms)])
+        for el in s.components])
 
 
 # -- reference routes ----------------------------------------------------------
@@ -47,14 +199,14 @@ def qyhat_series(order: int) -> TSeries:
     return den.invert() + TSeries.from_terms(RING_Y, order, {1: -mo.Y})
 
 
-def d_push(model: hz.HomologyModel, k: int, hclass: po.HClass) -> po.PontElement:
+def d_push(model: hz.HomologyModel, k: int, hclass: po.HClass) -> PontElement:
     """d^k_* of a homology class: linear expansion into atoms (k, basis id)."""
     if k < 1:
         raise ValueError("pushforward index must be >= 1")
-    return po.PontElement(k, {((k, b),): c for b, c in hclass.items()})
+    return PontElement(k, {((k, b),): c for b, c in hclass.items()})
 
 
-def power_op(k: int, s: po.PontSeries, order: int | None = None) -> po.PontSeries:
+def power_op(k: int, s: PontSeries, order: int | None = None) -> PontSeries:
     """P_k: atoms (j, b) -> (jk, b), gradings scale by k; a ring map for the product."""
     if k < 1:
         raise ValueError("power operation index must be >= 1")
@@ -63,17 +215,17 @@ def power_op(k: int, s: po.PontSeries, order: int | None = None) -> po.PontSerie
     for m, el in enumerate(s.components[: n // k + 1]):
         for ms, c in el.terms.items():
             out[m * k][tuple((j * k, b) for j, b in ms)] = c
-    return po.PontSeries._of(s.model, s.ring, out)
+    return PontSeries._of(s.model, s.ring, out)
 
 
-def subst_neg_t(s: po.PontSeries) -> po.PontSeries:
+def subst_neg_t(s: PontSeries) -> PontSeries:
     """t -> -t: flip the sign of every odd component."""
-    return po.PontSeries._of(s.model, s.ring, [
+    return PontSeries._of(s.model, s.ring, [
         {ms: (-c if n % 2 else c) for ms, c in el.terms.items()}
         for n, el in enumerate(s.components)])
 
 
-def pont_exp(arg: po.PontSeries) -> po.PontSeries:
+def pont_exp(arg: PontSeries) -> PontSeries:
     """exp for the Pontrjagin product, given a vanishing 0-th component: one pass of the graded
     recurrence n E_n = sum_{k<=n} k A_k E_(n-k), one ``LPoly.dot`` per multiset of E_n."""
     if arg.components[0].terms:
@@ -86,11 +238,11 @@ def pont_exp(arg: po.PontSeries) -> po.PontSeries:
                 for ms2, c2 in out[n - k].items():
                     triples.setdefault(tuple(sorted(ms1 + ms2)), []).append((k, c1, c2))
         out.append({ms: c for ms, t in triples.items() if (c := LPoly.dot(ring, t, n)).num})
-    return po.PontSeries._of(arg.model, ring, out)
+    return PontSeries._of(arg.model, ring, out)
 
 
 def hom_exp_inv(model: hz.HomologyModel, gamma: po.HClass, k: int, order: int,
-                ring: VarSet = RING_Y) -> po.PontSeries:
+                ring: VarSet = RING_Y) -> PontSeries:
     """(1 - t^k d^k_*)^(-gamma) = exp(sum_r d^{rk}_*(Psi_r gamma) t^{rk} / r); over ``QQ``,
     the Chern level, Psi_r is the identity."""
     gamma = {b: ring.coerce(c) for b, c in gamma.items()}
@@ -99,17 +251,17 @@ def hom_exp_inv(model: hz.HomologyModel, gamma: po.HClass, k: int, order: int,
         g = gamma if ring == QQ else hz.adams_h(model, r, gamma)
         for b, c in g.items():
             dicts[r * k][((r * k, b),)] = c * Fraction(1, r)
-    return pont_exp(po.PontSeries(model, ring, dicts))
+    return pont_exp(PontSeries(model, ring, dicts))
 
 
-def hom_exponentiation(model: hz.HomologyModel, a: TSeries, gamma: po.HClass) -> po.PontSeries:
+def hom_exponentiation(model: hz.HomologyModel, a: TSeries, gamma: po.HClass) -> PontSeries:
     """(1 + sum a_n t^n d^n_*)^gamma: prod_k (1 - t^k d^k_*)^(-b_k gamma) over the Euler
     exponents b_k of a, taken in its own coefficient ring."""
     b = euler_log(a)
-    return po.collect(model, b, po.exp_terms(model, gamma, b))
+    return collect(model, b, po.exp_terms(model, gamma, b))
 
 
-def mt2_series(model: hz.HomologyModel, a_motivic: TSeries, order: int) -> po.PontSeries:
+def mt2_series(model: hz.HomologyModel, a_motivic: TSeries, order: int) -> PontSeries:
     """Hirzebruch transformation of a motivic exponentiation (A(t))^X:
     apply chi_{-y} to the coefficients of A, then exponentiate homologically."""
     if a_motivic.ring != RING_L:
@@ -128,13 +280,13 @@ def _y1_limit(c: LPoly, m: int, what: str, key) -> LPoly:
         raise mo.TwoRouteMismatchError(f"pole at y=1 for {what} {key}") from exc
 
 
-def normalized_y1_limit(s: po.PontSeries) -> po.PontSeries:
+def normalized_y1_limit(s: PontSeries) -> PontSeries:
     """The normalization Psi_(1-y) at y = 1, exactly: a term over a multiset of total
     homological degree m goes through ``hirzebruch.y1_limit`` with that m (a pole raises)."""
     if s.ring != RING_Y:
         raise ValueError("normalization limit applies to y-level series")
     degs = s.model.degs()
-    return po.PontSeries._of(s.model, QQ, [
+    return PontSeries._of(s.model, QQ, [
         {ms: _y1_limit(c, sum(degs[b] for _, b in ms), "multiset", ms)
          for ms, c in el.terms.items()} for el in s.components])
 
@@ -421,7 +573,7 @@ def suite_hirzebruch(order: int, seed: int) -> list[dict]:
         models.append(hz.product_model(hz.proj_space_model(1), hz.proj_space_model(1)))
         for m in models:
             for r in (1, 2, 3, 4):
-                hz.chern_limit_check(m, r)
+                hz.chern_class_of(m, r)
 
     return _run_all(qy_specializations, qyhat_defining_relation, degree_chi_y,
                     chern_limit_r_independence)
@@ -447,13 +599,13 @@ def _random_pont(rng, model, order):
             if not c.is_zero():
                 d[ms] = d.get(ms, RING_Y.zero) + c
         dicts.append(d)
-    return po.PontSeries(model, RING_Y, dicts)
+    return PontSeries(model, RING_Y, dicts)
 
 
-def kind_series(model, kind: str, d: int | None, order: int) -> po.PontSeries:
+def kind_series(model, kind: str, d: int | None, order: int) -> PontSeries:
     """The class series of a kind through t^order: the terms of its own exponents, collected."""
     b = po.class_exponents(kind, d, order)
-    return po.collect(model, b, po.class_terms(model, kind, b))
+    return collect(model, b, po.class_terms(model, kind, b))
 
 
 def _limit_atoms_match(model, y_scalars: TSeries, q_scalars: TSeries) -> bool:
@@ -476,16 +628,16 @@ def suite_pontrjagin(order: int, seed: int) -> list[dict]:
             _require(ab == b * a, "pontrjagin commutativity")
             _require(ab * c == a * (b * c), "pontrjagin associativity")
             _require(a * (b + c) == ab + a * c, "pontrjagin distributivity")
-            _require(po.PontSeries.unit(p1, RING_Y, 5) * a == a, "pontrjagin unit")
+            _require(PontSeries.unit(p1, RING_Y, 5) * a == a, "pontrjagin unit")
 
     def power_op_laws():
         for _ in range(100):
             gamma = _random_hclass(rng, p1)
             r, k = rng.randint(1, 3), rng.randint(1, 3)
-            lhs = power_op(k, po.PontSeries(p1, RING_Y, [
+            lhs = power_op(k, PontSeries(p1, RING_Y, [
                 d_push(p1, r, gamma).terms if m == r else {}
                 for m in range(r + 1)]), order=r * k)
-            rhs = po.PontSeries(p1, RING_Y, [
+            rhs = PontSeries(p1, RING_Y, [
                 d_push(p1, r * k, gamma).terms if m == r * k else {}
                 for m in range(r * k + 1)])
             _require(lhs == rhs, lambda: f"P_k d^r = d^rk at r={r}, k={k}")
@@ -516,7 +668,7 @@ def suite_pontrjagin(order: int, seed: int) -> list[dict]:
         for _ in range(100):
             gamma = _random_hclass(rng, p2)
             k = rng.randint(1, 3)
-            lhs = po.pont_degree(p2, hom_exp_inv(p2, gamma, k, 6))
+            lhs = pont_degree(p2, hom_exp_inv(p2, gamma, k, 6))
             rhs = pre_lambda(RING_Y, p2.degree_of(gamma), 6).subst(k)
             _require(lhs == rhs, "degree of exponential vs pre-lambda")
 
@@ -541,7 +693,7 @@ def suite_pontrjagin(order: int, seed: int) -> list[dict]:
     def virtual_two_route():
         # the reference route: hom_exp_inv factors over the Euler-log scalars
         a_y = mo.map_series(mo.virtual_punctual_series(3), "chi-y")
-        ref = po.PontSeries.unit(p3, RING_Y, 3)
+        ref = PontSeries.unit(p3, RING_Y, 3)
         for k, s in enumerate(euler_log(a_y.subst(1, -1)).coeffs[1:], start=1):
             ref = ref * hom_exp_inv(p3, {b: c * s for b, c in p3.ty.items()}, k, 3)
         _require(kind_series(p3, "virtual", 3, 3) == subst_neg_t(ref), "virtual class two routes")
@@ -558,7 +710,7 @@ def suite_pontrjagin(order: int, seed: int) -> list[dict]:
                      lambda: f"Chern-MNOP on the log atoms of {model.name} at t^{order}")
 
     def aluffi_macmahon_degree():
-        deg = po.pont_degree(point, kind_series(point, "aluffi", 3, max(order, 8)))
+        deg = pont_degree(point, kind_series(point, "aluffi", 3, max(order, 8)))
         _require(deg.subst(1, -1) == mo.macmahon_series(max(order, 8)),
                  "point-level Aluffi degree vs MacMahon")
 

@@ -192,8 +192,8 @@ def y1_limit(c: LPoly, m: int) -> Fraction:
     return Fraction(sum(a for _, a in terms), c.den * (-2) ** m)
 
 
-def chern_limit_check(model: HomologyModel, r: int = 1) -> dict[str, Fraction]:
-    """The y -> 1 limit of the twisted normalization of the stored class.
+def chern_class_of(model: HomologyModel, r: int = 1) -> dict[str, Fraction]:
+    """The Chern class c_*(X): the y -> 1 limit of the twisted normalization of the stored class.
 
     Computes Psi_(1-y) Psi_r T_{(-y)*}(X) exactly: the degree-k coordinate
     tau(y) becomes tau(y^r) / (r^k (1-y)^k), whose (1-y)-power must cancel
@@ -216,8 +216,3 @@ def chern_limit_check(model: HomologyModel, r: int = 1) -> dict[str, Fraction]:
             f"model {model.name}: chern limit (r={r}) gave {out}, "
             f"stored class is {model.chern}")
     return out
-
-
-def chern_class_of(model: HomologyModel) -> dict[str, Fraction]:
-    """Rationalized MacPherson Chern class: the y -> 1 limit, checked by a stored one."""
-    return chern_limit_check(model, 1)

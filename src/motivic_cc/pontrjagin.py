@@ -1,17 +1,17 @@
-"""Free symbolic Pontrjagin ring over a homology model.
+"""Class series in the free symbolic Pontrjagin ring over a homology model.
 
 Classes living on the n-th symmetric product are written in terms of pushforward atoms
-d^k_*(basis class); a term is a multiset of such atoms with total index n, stored as a sorted
-tuple of (k, basis id) pairs.  The grading variable t keeps track of n, the product is
-multiset union with coefficients multiplying.  Coefficients are :class:`LPoly` values over
-``RING_Y`` = Q[y^(1/2)] (Hirzebruch level) or over ``QQ``, the ring with no variables (Chern
-level); the series records which, and the ring decides whether homological exponentiation
-carries the Adams twist: ``RING_Y`` does, and ``QQ``, the y -> 1 limit, does not.
+d^k_*(basis class); a term is a multiset of such atoms with total index n, a sorted tuple of
+(k, basis id) pairs, and the product is multiset union with coefficients multiplying.
+Coefficients are :class:`LPoly` values over ``RING_Y`` = Q[y^(1/2)] (Hirzebruch level) or
+over ``QQ``, the ring with no variables (Chern level); the ring decides whether homological
+exponentiation carries the Adams twist: ``RING_Y`` does, and ``QQ``, the y -> 1 limit, does
+not.
 
 Every class series is one homological exponentiation prod_k (1 - (sign t)^k d^k_*)^(-b_k
 gamma).  The kinds in :data:`KINDS` differ only in the exponents b, the class gamma and the
 sign of t: :func:`class_exponents` gives a kind's b, whose ring sets gamma, and
-:func:`class_terms` walks its terms, which a report writes and ``collect`` gathers.
+:func:`class_terms` walks its terms in the order a report writes them.
 
 The free model deliberately ignores any relations holding in the honest homology of
 symmetric products: every identity proved by the calculus is generated by the same operations
@@ -22,135 +22,12 @@ module holds the one production route; the reference routes live in ``checks``.
 
 from __future__ import annotations
 
-from .lpoly import LPoly, VarSet, QQ, RING_L, RING_Y
+from .lpoly import LPoly, QQ, RING_L, RING_Y
 from .series import TSeries
 from .motives import map_series, punctual_exponents, virtual_exponents
 from .hirzebruch import HomologyModel, adams_h, chern_class_of
 
-Multiset = tuple[tuple[int, str], ...]
 HClass = dict[str, object]
-
-
-class PontElement:
-    """Homogeneous piece of grading n: multisets of atoms with sum of k's = n."""
-
-    __slots__ = ("n", "terms")
-
-    def __new__(cls, n: int, terms: dict[Multiset, LPoly]):
-        """Multisets are sorted; two spellings of one multiset add their coefficients."""
-        clean = {}
-        for ms, c in terms.items():
-            if sum(k for k, _ in ms) != n:
-                raise ValueError(f"multiset {ms} does not have total index {n}")
-            if any(k < 1 for k, _ in ms):
-                raise ValueError(f"atom index must be >= 1 in {ms}")
-            ms = tuple(sorted(ms))
-            clean[ms] = clean[ms] + c if ms in clean else c
-        return cls._of(n, clean)
-
-    @classmethod
-    def _of(cls, n: int, terms: dict[Multiset, LPoly]) -> "PontElement":
-        """Sorted multisets of total index ``n`` taken as they are; zero coefficients drop."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "terms", {ms: c for ms, c in terms.items() if c.num})
-        return obj
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("PontElement is immutable")
-
-    def __reduce__(self):
-        return PontElement, (self.n, self.terms)
-
-    def __eq__(self, other):
-        return (isinstance(other, PontElement)
-                and self.n == other.n and self.terms == other.terms)
-
-
-class PontSeries:
-    """t-graded element of the free Pontrjagin ring, truncated at a fixed order.
-
-    ``PontSeries(model, ring, dicts)`` takes one multiset -> coefficient dict
-    per grading n = 0..N, coerces each coefficient into ``ring`` and checks
-    each dict as :class:`PontElement` does.
-    """
-
-    __slots__ = ("model", "ring", "components")
-
-    def __new__(cls, model: HomologyModel, ring: VarSet, dicts):
-        return cls._of(model, ring, [
-            PontElement(n, {ms: ring.coerce(c) for ms, c in d.items()}).terms
-            for n, d in enumerate(dicts)])
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("PontSeries is immutable")
-
-    def __reduce__(self):
-        return PontSeries, (self.model, self.ring, [el.terms for el in self.components])
-
-    @property
-    def order(self) -> int:
-        return len(self.components) - 1
-
-    @classmethod
-    def _of(cls, model, ring, dicts) -> "PontSeries":
-        """``PontSeries(...)`` of dicts fit for :meth:`PontElement._of`; nothing is checked."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "model", model)
-        object.__setattr__(obj, "ring", ring)
-        object.__setattr__(obj, "components",
-                           tuple(PontElement._of(n, d) for n, d in enumerate(dicts)))
-        return obj
-
-    @classmethod
-    def unit(cls, model, ring, order: int) -> "PontSeries":
-        return cls._of(model, ring, [{(): ring.one}] + [{}] * order)
-
-    def _check(self, other: "PontSeries") -> None:
-        if self.model is not other.model and self.model != other.model:
-            raise ValueError("Pontrjagin operands live over different models")
-        if self.order != other.order or self.ring != other.ring:
-            raise ValueError("Pontrjagin operands have different order or ring")
-
-    def __add__(self, other: "PontSeries") -> "PontSeries":
-        self._check(other)
-        out = []
-        for a, b in zip(self.components, other.components):
-            d = dict(a.terms)
-            for ms, c in b.terms.items():
-                d[ms] = d.get(ms, self.ring.zero) + c
-            out.append(d)
-        return PontSeries._of(self.model, self.ring, out)
-
-    def scale(self, c) -> "PontSeries":
-        c = self.ring.coerce(c)
-        return PontSeries._of(
-            self.model, self.ring,
-            [{ms: cc * c for ms, cc in el.terms.items()} for el in self.components])
-
-    def mul(self, other: "PontSeries") -> "PontSeries":
-        """The Pontrjagin product: multiset union, t-degrees add."""
-        self._check(other)
-        n = self.order
-        pairs = [dict() for _ in range(n + 1)]  # target multiset -> its (1, c1, c2) triples
-        for i, a in enumerate(self.components):
-            for j in range(0, n - i + 1):
-                tgt = pairs[i + j]
-                for ms1, c1 in a.terms.items():
-                    for ms2, c2 in other.components[j].terms.items():
-                        tgt.setdefault(tuple(sorted(ms1 + ms2)), []).append((1, c1, c2))
-        return PontSeries._of(self.model, self.ring, [
-            {ms: LPoly.dot(self.ring, t) for ms, t in d.items()} for d in pairs])
-
-    __mul__ = mul
-
-    def __eq__(self, other):
-        return (isinstance(other, PontSeries)
-                and self.model == other.model and self.ring == other.ring
-                and self.components == other.components)
-
-    def __repr__(self):
-        return f"PontSeries[{self.model.name}; {self.ring}; N={self.order}]"
 
 
 # -- the homological exponential -------------------------------------------
@@ -197,14 +74,6 @@ def exp_terms(model: HomologyModel, gamma: HClass, b: TSeries, sign: int = 1):
             stack.append((n + atoms[k][0], ms + (atoms[k],), c * steps[k][mk], k, mk))
 
 
-def collect(model: HomologyModel, b: TSeries, terms) -> PontSeries:
-    """A walk's terms as the series over ``b.ring`` through t^``b.order``, for ``checks``."""
-    dicts = [dict() for _ in range(b.order + 1)]
-    for n, ms, c in terms:
-        dicts[n][ms] = c
-    return PontSeries._of(model, b.ring, dicts)
-
-
 # -- the generating series of the main results -------------------------------
 
 KINDS = ("hilb", "sym", "config", "chern", "virtual", "aluffi")
@@ -245,19 +114,3 @@ def class_terms(model: HomologyModel, kind: str, b: TSeries):
     """
     gamma = model.ty if b.ring == RING_Y else chern_class_of(model)
     return exp_terms(model, gamma, b, -1 if kind in ("virtual", "aluffi") else 1)
-
-
-def pont_degree(model: HomologyModel, s: PontSeries) -> TSeries:
-    """Push a Pontrjagin series down to a point: genus-level generating series.
-
-    An atom contributes 1 when its basis class has degree zero and kills the
-    term otherwise; this is a ring homomorphism onto scalar t-series.
-    """
-    if not model.proper:
-        raise ValueError(f"model {model.name} is not proper; no degree map")
-    degs = model.degs()
-    return TSeries(s.ring, [
-        LPoly.dot(s.ring, [(1, c, s.ring.one) for ms, c in el.terms.items()
-                           if all(degs[b] == 0 for _, b in ms)])
-        for el in s.components])
-

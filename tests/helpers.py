@@ -12,8 +12,8 @@ from pathlib import Path
 
 from motivic_cc.lpoly import LPoly, VarSet, RING_Y
 from motivic_cc.series import TSeries
-from motivic_cc.pontrjagin import PontSeries, collect, exp_terms, log_atoms
-from motivic_cc.checks import pre_lambda
+from motivic_cc.pontrjagin import exp_terms, log_atoms
+from motivic_cc.checks import PontSeries, collect, pre_lambda
 
 
 def random_lpoly(rng: random.Random, vars: VarSet, max_deg: int = 6,

@@ -15,10 +15,11 @@ from motivic_cc.motives import (
     virtual_alpha, hilb_motive_series,
     config_space_series,
 )
-from motivic_cc.hirzebruch import chern_limit_check, proj_space_model
-from motivic_cc.pontrjagin import class_exponents, pont_degree
+from motivic_cc.hirzebruch import chern_class_of, proj_space_model
+from motivic_cc.pontrjagin import class_exponents
 from motivic_cc.checks import (
-    kind_series, mt2_series, normalized_y1_limit, qyhat_series, run_suite, subst_neg_t,
+    kind_series, mt2_series, normalized_y1_limit, pont_degree, qyhat_series, run_suite,
+    subst_neg_t,
 )
 from helpers import euler_log_bruteforce, exps
 
@@ -98,7 +99,7 @@ def test_criterion_08_chern_limit():
     for d in (1, 2, 3):
         m = proj_space_model(d)
         for r in (1, 2, 3, 4):
-            got = chern_limit_check(m, r)
+            got = chern_class_of(m, r)
             expected = {f"P{d - j}": Fraction(_binom(d + 1, j)) for j in range(d + 1)}
             assert got == expected, f"P{d}, r={r}"
     ok(8, "the y->1 normalization limit returns c_*(P^d) from (1+h)^(d+1), every r <= 4;")

@@ -19,7 +19,7 @@ from motivic_cc.cli import (
 from motivic_cc import motives as mo, pontrjagin as po
 from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_Y
 from motivic_cc.series import TSeries
-from motivic_cc.checks import kind_series
+from motivic_cc.checks import PontElement, PontSeries, kind_series
 from helpers import exps, load_bench_cases, ref_report, series_terms
 
 
@@ -248,7 +248,7 @@ def test_each_kind_builds_one_series(capsys, monkeypatch):
     real_b, real = po.class_exponents, po.exp_terms
     monkeypatch.setattr(po, "class_exponents", lambda *a: exponents.append(a[0]) or real_b(*a))
     monkeypatch.setattr(po, "exp_terms", lambda *a, **kw: walks.append(1) or real(*a, **kw))
-    for cls in (po.PontSeries, po.PontElement):  # every constructor ends in _of
+    for cls in (PontSeries, PontElement):  # every constructor ends in _of
         monkeypatch.setattr(cls, "_of", classmethod(
             lambda c, *a, real_of=cls._of.__func__: built.append(c) or real_of(c, *a)))
     counts = {}
@@ -444,7 +444,7 @@ def hostile_reports(draw):
     if draw(st.booleans()):
         series = kind_series(model, "sym", None, order)
         empty = draw(st.sets(st.integers(0, order)))
-        coefficients = po.PontSeries(model, series.ring, [
+        coefficients = PontSeries(model, series.ring, [
             {} if n in empty else el.terms for n, el in enumerate(series.components)])
     else:
         key, value = draw(st.sampled_from([("n", "c"), ("k", "alpha")]))
@@ -461,7 +461,7 @@ def test_writer_matches_dict_tree_reference(report, pretty):
     failed check makes the exit code 1."""
     out = io.StringIO()
     command, params, order, coefficients, checks = report
-    if isinstance(coefficients, po.PontSeries):
+    if isinstance(coefficients, PontSeries):
         coefficients = pont_coefficients(series_terms(coefficients), order, pretty)
     with redirect_stdout(out):
         code = print_report(Namespace(pretty=pretty), command, params, order, coefficients, checks)
@@ -946,6 +946,22 @@ def test_package_import_loads_no_module():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=package_env(), check=True).stdout
     assert out == "False\n"
+
+
+def test_classes_of_every_kind_load_no_pontrjagin_container():
+    # the production route writes from the walk: the container and the reference routes
+    # that build it live in ``checks``, which no ``classes`` run loads
+    script = ("import io, sys, contextlib, motivic_cc.cli as cli, motivic_cc.pontrjagin as po\n"
+              "for kind in po.KINDS:\n"
+              "    dim = [] if kind in ('sym', 'config') else ['--dim', '3']\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(['classes', '--builtin', 'P1', *dim, '--kind', kind,\n"
+              "                         '--order', '3']) == 0, kind\n"
+              "print('motivic_cc.checks' in sys.modules, sorted(\n"
+              "    {'PontSeries', 'PontElement', 'collect', 'pont_degree'} & set(vars(po))))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=package_env(), check=True).stdout
+    assert out == "False []\n"
 
 
 def test_tracer_runs_and_counts_both_product_layers(tmp_path):

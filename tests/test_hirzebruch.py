@@ -7,7 +7,7 @@ from motivic_cc.lpoly import LPoly, QQ, RING_UV, RING_Y
 from motivic_cc.series import TSeries
 from motivic_cc.motives import TwoRouteMismatchError, Y, Y_HALF, chi_of_y, hodge_spec
 from motivic_cc.hirzebruch import (
-    HomologyModel, chern_class_of, chern_limit_check,
+    HomologyModel, chern_class_of,
     product_model, proj_space_model, qy_series, y1_limit,
 )
 from motivic_cc.checks import kind_series, qyhat_series
@@ -134,16 +134,16 @@ def test_product_p1xp1():
 
 
 def test_chern_limit_small():
-    assert chern_limit_check(proj_space_model(0), 1) == {"P0": 1}
-    assert chern_limit_check(proj_space_model(1), 1) == {"P1": 1, "P0": 2}
+    assert chern_class_of(proj_space_model(0), 1) == {"P0": 1}
+    assert chern_class_of(proj_space_model(1), 1) == {"P1": 1, "P0": 2}
     for r in (1, 2, 3):
-        assert chern_limit_check(proj_space_model(2), r) == {"P2": 1, "P1": 3, "P0": 3}
+        assert chern_class_of(proj_space_model(2), r) == {"P2": 1, "P1": 3, "P0": 3}
 
 
 def test_chern_limit_independent_of_r():
     for d in (1, 2, 3):
         m = proj_space_model(d)
-        results = [chern_limit_check(m, r) for r in (1, 2, 3, 4)]
+        results = [chern_class_of(m, r) for r in (1, 2, 3, 4)]
         assert all(res == results[0] for res in results)
         assert results[0] == m.chern
 
@@ -151,7 +151,7 @@ def test_chern_limit_independent_of_r():
 def test_chern_limit_products():
     p = product_model(proj_space_model(1), proj_space_model(1))
     for r in (1, 2, 3):
-        assert chern_limit_check(p, r) == p.chern
+        assert chern_class_of(p, r) == p.chern
 
 
 def test_chern_limit_detects_bad_class():
@@ -160,7 +160,7 @@ def test_chern_limit_detects_bad_class():
     bad = HomologyModel("bad", 1, True, (("a", 1), ("b", 0)), "b",
                         {"a": RING_Y.one, "b": RING_Y.one + Y}, e_p1)
     with pytest.raises(TwoRouteMismatchError):
-        chern_limit_check(bad, 1)
+        chern_class_of(bad, 1)
 
 
 def test_y1_limit_matches_two_step_reference():

@@ -17,13 +17,11 @@ from motivic_cc.motives import (
 from motivic_cc.hirzebruch import (
     adams_h, chern_class_of, product_model, proj_space_model,
 )
-from motivic_cc.pontrjagin import (
-    KINDS, PontElement, PontSeries, class_exponents, class_terms, exp_terms, log_atoms,
-    pont_degree,
-)
+from motivic_cc.pontrjagin import KINDS, class_exponents, class_terms, exp_terms, log_atoms
 from motivic_cc.checks import (
-    d_push, hom_exp_inv, hom_exponentiation, kind_series, mt2_series, normalized_y1_limit,
-    pont_exp, power_op, pre_lambda, punctual_series, subst_neg_t, y1_limit_atoms,
+    PontElement, PontSeries, d_push, hom_exp_inv, hom_exponentiation, kind_series, mt2_series,
+    normalized_y1_limit, pont_degree, pont_exp, power_op, pre_lambda, punctual_series,
+    subst_neg_t, y1_limit_atoms,
 )
 from motivic_cc.cli import builtin_model, model_from_doc
 from helpers import (

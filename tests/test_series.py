@@ -8,7 +8,7 @@ from motivic_cc.series import TSeries, NonUnitError, OrderMismatchError, Integra
 from motivic_cc.lambda_power import euler_exp, euler_log, power
 from motivic_cc.motives import map_series
 from motivic_cc.hirzebruch import proj_space_model
-from motivic_cc.pontrjagin import PontSeries
+from motivic_cc.checks import PontSeries
 from helpers import (
     exps, random_lpoly, random_series, ref_euler_exp, ref_euler_log, ref_exp, ref_invert, ref_log,
     ref_pont_mul, ref_series_mul,
