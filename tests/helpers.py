@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import random
-import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 from motivic_cc.lpoly import LPoly, VarSet, RING_Y
 from motivic_cc.series import TSeries
@@ -355,12 +352,3 @@ def binomial(n: int, k: int) -> int:
         out = out * (n - i) // (i + 1)
     return out
 
-
-def load_bench_cases():
-    """The benchmark's ``perfbench/cases.py``, loaded from its file (it is no package)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
-    spec = importlib.util.spec_from_file_location("perfbench_cases", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses looks the module up while decorating
-    spec.loader.exec_module(module)
-    return module

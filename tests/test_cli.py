@@ -20,7 +20,8 @@ from motivic_cc import motives as mo, pontrjagin as po
 from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_Y
 from motivic_cc.series import TSeries
 from motivic_cc.checks import PontElement, PontSeries, kind_series
-from helpers import exps, load_bench_cases, ref_report, series_terms
+from helpers import exps, ref_report, series_terms
+from reports import load_bench_cases, pinned_reports
 
 
 def run(capsys, *argv):
@@ -389,32 +390,6 @@ def test_builtin_names_empty_factor(capsys):
         code, err = run_err(capsys, "model", "--builtin", name)
         assert code == EXIT_SCHEMA
         assert "empty factor" in err
-
-
-BENCH_CASES = [case for workload in ("classes", "motivic")
-               for case in load_bench_cases().FIXED_CASES[workload]]
-
-
-@pytest.mark.parametrize("case", BENCH_CASES, ids=[c.id for c in BENCH_CASES])
-def test_classes_report_digest(case, capsys, monkeypatch):
-    """Each fixed benchmark case prints the report whose digest is committed."""
-    digests = json.loads(
-        (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text())
-    monkeypatch.setenv("MOTIVIC_CC_MAX_ORDER", "40")  # the cap the benchmark runs under
-    code, out = run(capsys, *case.args)
-    assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == digests[case.id]
-
-
-PRETTY_DIGESTS = json.loads((Path(__file__).parent / "pretty_digests.json").read_text())
-
-
-@pytest.mark.parametrize("cmdline", PRETTY_DIGESTS)
-def test_pretty_report_digest(cmdline, capsys):
-    """Each ``--pretty`` report prints the bytes whose digest is committed."""
-    code, out = run(capsys, *cmdline.split())
-    assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == PRETTY_DIGESTS[cmdline]
 
 
 # text that JSON escapes (quotes, backslashes, control and non-ASCII characters), or that
@@ -902,19 +877,17 @@ def test_verify_passes_at_lowest_orders(capsys, order):
 
 def test_stdout_independent_of_hash_seed():
     # sets and dicts iterate by hash; no report may depend on that order, and each report
-    # hashes to its committed digest
-    cases = {"4b3bc89247ca6a698913e5bf6394ee1b44270cef4e3e19a3d0467fa4d79aded2":
-             ["classes", "--builtin", "P1xP1", "--dim", "2", "--kind", "hilb", "--order", "5"],
-             "cf2ad2c3a82f65206d10ef4482b724e3b692fb5202fb49af92954b61ca1738fc":
-             ["verify", "--suite", "all", "--order", "5", "--seed", "3"]}
-    for digest, argv in cases.items():
+    # hashes to its digest in tests/reports.json
+    digests = {r.argv: r.sha256 for r in pinned_reports()}
+    for argv in (["classes", "--builtin", "P1xP1", "--dim", "2", "--kind", "hilb", "--order", "5"],
+                 ["verify", "--suite", "all", "--order", "5", "--seed", "3"]):
         outs = {seed: subprocess.run([sys.executable, "-m", "motivic_cc.cli", *argv],
                                      capture_output=True, env=dict(package_env(),
                                                                    PYTHONHASHSEED=seed),
                                      check=True).stdout
                 for seed in ("0", "1")}
         assert outs["0"] == outs["1"] and outs["0"].startswith(b"{")
-        assert hashlib.sha256(outs["0"]).hexdigest() == digest, argv
+        assert hashlib.sha256(outs["0"]).hexdigest() == digests[tuple(argv)], argv
 
 
 def test_cli_import_leaves_checks_unloaded():

@@ -25,9 +25,10 @@ from motivic_cc.checks import (
 )
 from motivic_cc.cli import builtin_model, model_from_doc
 from helpers import (
-    exp_series, exps, load_bench_cases, random_hclass, random_lpoly, random_series,
+    exp_series, exps, random_hclass, random_lpoly, random_series,
     ref_exp_series, ref_pont_exp,
 )
+from reports import load_bench_cases
 
 POINT = proj_space_model(0)
 P1 = proj_space_model(1)
