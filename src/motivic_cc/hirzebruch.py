@@ -182,8 +182,6 @@ def y1_limit(c: LPoly, m: int) -> Fraction:
     i < m, or ExactDivisionError flags a pole; the limit is sum a_e C(e, m) / (den (-2)^m).
     C(e, i) is an integer.  By Descartes' rule of signs a c with t terms stops by step t.
     """
-    if not c.num:
-        return Fraction(0)
     terms = c.num.items()
     for i in range(m):
         if sum(a for _, a in terms) or sum(-a if e % 2 else a for e, a in terms):

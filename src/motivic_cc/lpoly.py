@@ -148,9 +148,6 @@ class VarSet:
                 self._text[key] = text
         return text
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -405,69 +402,55 @@ class LPoly:
     def substitute(self, target: VarSet,
                    whole: Mapping[str, "LPoly | Coeff"] | None = None,
                    half: Mapping[str, "LPoly | Coeff"] | None = None) -> "LPoly":
-        """Evaluate into ``target`` by the monomial map the values define.
+        """Evaluate into ``target`` by the signed monomial map the values define.
 
         ``whole[name]`` is the value of the variable itself, legal only where
         ``name`` occurs with integer exponents; ``half[name]`` is the value of
-        ``name**(1/2)`` and covers all exponents.  A value is a rational times
-        at most one monomial over ``target``.  No root is ever taken
-        implicitly: the paper's sign conventions for them are deliberate.
-        Variables in neither mapping must be in ``target`` and are kept.  A
-        term's key is the sum of its exponents times the image keys.
+        ``name**(1/2)`` and covers all exponents.  Every variable needs a
+        value, and a value is 0, 1, -1 (an ``int``, a ``Fraction`` or a
+        constant over ``target``) or a monomial of ``target`` with coefficient
+        +-1, as every specialization of the paper is; anything else raises
+        :class:`SubstitutionError`.  No root is ever taken implicitly: the
+        paper's sign conventions for them are deliberate.  A term's key is the
+        sum of its exponents times the image keys, and its coefficient only
+        flips sign or vanishes.
         """
         whole, half = whole or {}, half or {}
 
-        def image(name: str) -> tuple:  # name, step (1 root, 2 whole), p/q, image key
+        def image(name: str) -> tuple:  # name, step (1 root, 2 whole), sign (0 for 0), key
             if name not in half and name not in whole:
-                if name not in target:
-                    raise SubstitutionError(f"variable {name} neither assigned nor kept")
-                return name, 1, 1, 1, target.pack([int(t == name) for t in target.names])
+                raise SubstitutionError(f"variable {name} has no value")
             step, v = (1, half[name]) if name in half else (2, whole[name])
-            if isinstance(v, (int, Fraction)):
-                return name, step, v.numerator, v.denominator, 0
-            if not isinstance(v, LPoly):
-                raise TypeError(f"bad substitution value for {name}: {v!r}")
-            if v.vars != target:
+            if isinstance(v, LPoly) and v.vars != target:
                 raise VariableMismatchError(f"value for {name} is over {v.vars}, not {target}")
-            if len(v.num) > 1:
-                raise SubstitutionError(f"value for {name} is not a monomial: {v}")
-            ((key, c),) = v.num.items() or [(0, 0)]
-            return name, step, c, v.den, key
+            v = target.coerce(v)
+            if len(v.num) > 1 or v.den != 1 or any(c * c != 1 for c in v.num.values()):
+                raise SubstitutionError(f"value for {name} is not 0 or +- a monomial: {v}")
+            ((key, sign),) = v.num.items() or [(0, 0)]
+            return name, step, sign, key
 
         images = [image(name) for name in self.vars.names]
-        spans = [target.span([img[4]]) for img in images]
+        spans = [target.span([img[3]]) for img in images]
         if any(spans):  # bound the target exponents before their keys are summed
             extent = [max(map(abs, col)) for col in zip(*map(self.vars.unpack, self.num))]
             if sum(x // img[1] * s for x, img, s in zip(extent, images, spans)) >= EXP_LIMIT:
                 raise target.limit_error()
         out: dict[int, int] = {}
         get = out.get
-        den = 1
         for key, c in self.num.items():
-            mono, d = 0, 1
-            for e, (name, step, p, q, img) in zip(self.vars.unpack(key), images):
+            mono = 0
+            for e, (name, step, sign, img) in zip(self.vars.unpack(key), images):
                 if not e:
                     continue
                 k, odd = (e, 0) if step == 1 else divmod(e, step)
                 if odd:
                     raise SubstitutionError(f"{name}^({e}/2) needs a value for {name}^(1/2)")
+                if not sign and k < 0:
+                    raise ExactDivisionError(f"negative power of zero at {name}")
+                c = c * sign if not sign or k & 1 else c
                 mono += img * k
-                if q == 1 and p * p == 1:  # a signed monomial: at most a sign flip
-                    c = -c if p < 0 and k & 1 else c
-                    continue
-                if k < 0:
-                    if not p:
-                        raise ExactDivisionError(f"negative power of zero at {name}")
-                    p, q, k = (q, p, -k) if p > 0 else (-q, -p, -k)
-                c, d = c * p ** k, d * q ** k
-            if den % d:  # widen the common denominator to lcm(den, d)
-                g = d // gcd(den, d)
-                for e in out:
-                    out[e] *= g
-                den *= g
-            out[mono] = get(mono, 0) + c * (den // d)
-        return LPoly._reduce(target, out, den * self.den)
-
+            out[mono] = get(mono, 0) + c
+        return LPoly._reduce(target, out, self.den)
 
     # -- printing --------------------------------------------------------
 

@@ -106,8 +106,8 @@ class TSeries:
         return hash(self.coeffs)
 
     def pow_int(self, m: int) -> "TSeries":
-        if m < 0:
-            return self.invert().pow_int(-m)
+        if m < 0:  # before the loop: m >>= 1 never reaches 0 from below
+            raise ValueError(f"negative power {m}: invert the series first")
         result = TSeries.one(self.ring, self.order)
         base = self
         while m:

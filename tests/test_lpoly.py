@@ -140,7 +140,7 @@ def test_substitute_hodge_to_chi_y():
 
 def test_substitute_identity():
     p = 1 + 2 * U * V + U ** 3
-    assert p.substitute(RING_UV) == p
+    assert p.substitute(RING_UV, whole={"u": U, "v": V}) == p
 
 
 def test_substitute_declared_root():
@@ -151,12 +151,14 @@ def test_substitute_declared_root():
 
 def test_substitute_requires_root():
     with pytest.raises(SubstitutionError):
-        LHALF.substitute(QQ, whole={"L": Fraction(4)})
+        LHALF.substitute(QQ, whole={"L": Fraction(1)})
 
 
 def test_substitute_uncovered_variable():
     with pytest.raises(SubstitutionError):
         (U * V).substitute(RING_Y, whole={"u": Y})
+    with pytest.raises(SubstitutionError):  # no variable is kept, even one of the target
+        (1 + U * V).substitute(RING_UV)
 
 
 def test_substitute_negative_power_at_zero():
@@ -173,8 +175,8 @@ def test_substitute_negative_power_at_zero():
 
 def test_substitute_keeps_half_admissible_variable():
     p = LPoly(VarSet(("L", "y")), {(1, 3): 2, (-3, 0): 1})  # 2 L^(1/2) y^(3/2) + L^(-3/2)
-    assert p.substitute(RING_L, half={"y": 1}) == 2 * LHALF + LHALF ** -3
-    assert p.substitute(RING_L, half={"y": -1}) == -2 * LHALF + LHALF ** -3
+    assert p.substitute(RING_L, half={"L": LHALF, "y": 1}) == 2 * LHALF + LHALF ** -3
+    assert p.substitute(RING_L, half={"L": LHALF, "y": -1}) == -2 * LHALF + LHALF ** -3
 
 
 def test_substitute_values_are_monomials():
@@ -184,6 +186,11 @@ def test_substitute_values_are_monomials():
         (U * V).substitute(RING_Y, whole={"u": Y, "v": U})
     with pytest.raises(TypeError):
         (U * V).substitute(QQ, whole={"u": 1, "v": 0.5})
+    # a value is 0, +-1 or +- a monomial: no other coefficient
+    with pytest.raises(SubstitutionError):
+        (U * V).substitute(RING_UV, whole={"u": 2 * V, "v": U})
+    with pytest.raises(SubstitutionError):
+        (U * V).substitute(QQ, whole={"u": Fraction(2, 3), "v": 1})
 
 
 def test_str_is_canonical_and_exact():
@@ -198,13 +205,13 @@ def test_str_is_canonical_and_exact():
 # variable set -> whether half exponents are legal on it
 VARSETS = {"none": (QQ, False), "L": (RING_L, True), "y": (RING_Y, True), "uv": (RING_UV, False)}
 
-# per variable set: (target, whole, half) substitutions whose values stay
-# invertible, so Laurent exponents are legal
+# per variable set: (target, whole, half) signed monomial substitutions whose
+# values stay invertible, so Laurent exponents are legal
 SUBSTITUTIONS = {
     "none": [(RING_Y, {}, {})],
-    "L": [(RING_Y, {}, {"L": -YHALF}), (QQ, {}, {"L": Fraction(2, 3)})],
-    "y": [(QQ, {}, {"y": Fraction(-3, 2)}), (RING_L, {}, {"y": -LHALF})],
-    "uv": [(RING_Y, {"u": Y, "v": 1}, {}), (RING_UV, {"u": 2 * V}, {})],
+    "L": [(RING_Y, {}, {"L": -YHALF}), (QQ, {}, {"L": Fraction(-1)})],
+    "y": [(QQ, {}, {"y": -1}), (RING_L, {}, {"y": -LHALF})],
+    "uv": [(RING_Y, {"u": Y, "v": 1}, {}), (RING_UV, {"u": -V, "v": U}, {})],
 }
 
 

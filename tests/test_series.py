@@ -57,6 +57,12 @@ def test_invert_requires_unit():
         TSeries.from_terms(QQ, 3, {0: 2}).invert()
 
 
+def test_pow_int_rejects_negative_powers():
+    # a unit, so only the sign of the power can raise
+    with pytest.raises(ValueError):
+        geometric(QQ, 4).pow_int(-1)
+
+
 def test_exp_classical():
     # exp(sum t^r/r) = 1/(1-t)
     arg = TSeries.from_terms(QQ, 8, {r: Fraction(1, r) for r in range(1, 9)})
@@ -213,7 +219,7 @@ def test_unchecked_results_pass_the_checks(name):
         lu = euler_log(unit, require_integral=False)
         for s in (a + b, a - b, a - a, -a, a * b, a * m, a * 0, unit.invert(), nil.exp(),
                   unit.log(), a.subst(k), a.subst(1, -1), TSeries(ring, [0] * (order + 1)),
-                  TSeries.one(ring, order), euler_exp(lu * m), unit.pow_int(-2)):
+                  TSeries.one(ring, order), euler_exp(lu * m), unit.invert().pow_int(2)):
             assert_rebuilds(s)
         for e in (lu, lu * m, lu * 0):
             assert exps(e.ring, e.coeffs[1:]) == e
