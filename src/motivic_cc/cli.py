@@ -324,7 +324,7 @@ def cmd_exponents(args) -> int:
             raise UnsupportedRangeError(
                 f"series file stops at t^{s.order}, need t^{order}")
         try:
-            b = euler_log(TSeries(RING_L, s.coeffs[: order + 1]))
+            b = euler_log(TSeries(RING_L, s.coeffs[: order + 1])).assert_integral("exponents")
         except IntegralityError as exc:
             raise SchemaError(f"series file: {exc}") from exc
         source = "series-file"
@@ -352,7 +352,7 @@ def cmd_classes(args) -> int:
     order = check_order(args.order)
     d = args.dim if args.dim is None else check_dim(args.dim)
     kind = args.kind
-    if kind in ("hilb", "chern") and d is None:
+    if kind not in ("sym", "config") and d is None:
         raise SchemaError(f"--kind {kind} requires --dim")
     if kind in ("sym", "config") and d is not None:
         raise SchemaError(f"--kind {kind} takes no --dim; leave it out")
@@ -395,7 +395,7 @@ def cmd_classes(args) -> int:
     elif kind == "chern":
         degree_check("degree-vs-euler-product", lambda: euler_exp(b * chi))
     elif kind == "virtual":
-        a_y = mo.map_series(mo.virtual_punctual_series(order), "chi-y")
+        a_y = mo.map_series(mo.virtual_hilb_series(1, order), "chi-y")
         check("two-route-forms", euler_log(a_y.subst(1, -1)) == b)
         motivic_check("degree-vs-motivic-route", mo.virtual_hilb_series, order)
     else:  # aluffi

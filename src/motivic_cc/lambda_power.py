@@ -19,7 +19,9 @@ One relation ties the log coefficients c_m = [t^m] log A to the exponents,
     m c_m = sum_{k | m} k Psi_{m/k}(b_k),
 
 and both directions read it: ``euler_exp`` sums it for c_m, and ``euler_log``
-peels the k = m term off to solve for b_m one index at a time.  The test
+peels the k = m term off to solve for b_m one index at a time.  Both maps
+take rational coefficients and never check integrality; ``exponents --series``
+checks the exponents it prints with ``TSeries.assert_integral``.  The test
 suite validates both against Moebius inversion and a brute-force divide-out
 oracle before anything else relies on them.
 """
@@ -50,13 +52,12 @@ def euler_exp(b: TSeries) -> TSeries:
                                             for m in range(1, b.order + 1)]).exp()
 
 
-def euler_log(a: TSeries, require_integral: bool = True) -> TSeries:
+def euler_log(a: TSeries) -> TSeries:
     """Decompose a normalized series into its Euler exponents b = sum_{k>=1} b_k t^k.
 
     The relation of :func:`euler_exp` is solved one index at a time: with c = log A,
     b_m = c_m - (1/m) sum_{k | m, k < m} k Psi_{m/k}(b_k), one ``LPoly.dot`` per m.
-    With ``require_integral`` the b_k must stay in the declared integral subring; a surviving
-    denominator signals a bug or a false claim.
+    Rational exponents are returned as they are; no integrality is checked.
     """
     if a.coeffs[0] != a.ring.one:
         raise NonUnitError("Euler decomposition needs a normalized series")
@@ -64,16 +65,13 @@ def euler_log(a: TSeries, require_integral: bool = True) -> TSeries:
     c = a.log().coeffs
     out = [ring.zero]
     for m in range(1, a.order + 1):
-        bm = LPoly.dot(ring, [(m, c[m], ring.one)] + _adams_sum(ring, out, m, -1), m)
-        if require_integral and not bm.is_integral():
-            raise IntegralityError(f"Euler exponent b_{m} = {bm} is not integral")
-        out.append(bm)
+        out.append(LPoly.dot(ring, [(m, c[m], ring.one)] + _adams_sum(ring, out, m, -1), m))
     return TSeries._of(ring, out)
 
 
-def power(a: TSeries, m, require_integral: bool = True) -> TSeries:
+def power(a: TSeries, m) -> TSeries:
     """The power structure A(t)^m induced by the pre-lambda ring."""
-    return euler_exp(euler_log(a, require_integral=require_integral) * m)
+    return euler_exp(euler_log(a) * m)
 
 
 def pre_lambda_polyring(p: LPoly, order: int) -> TSeries:

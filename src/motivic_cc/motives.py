@@ -153,7 +153,8 @@ def map_series(a: TSeries, which: str) -> TSeries:
 
 def hilb_motive_series(x: LPoly, d: int, order: int) -> TSeries:
     """Generating series of Hilbert-scheme classes: (punctual series)^[X] = prod_k
-    (1 - t^k)^(-alpha_k [X]), one exponential of the scaled punctual exponents."""
+    (1 - t^k)^(-alpha_k [X]), one exponential of the scaled punctual exponents.  At
+    [X] = 1 this is the punctual series itself."""
     return euler_exp(punctual_exponents(d, order) * x)
 
 
@@ -190,11 +191,6 @@ def virtual_exponents(order: int) -> TSeries:
     return TSeries.from_terms(RING_L, order, {k: virtual_alpha(k) for k in range(1, order + 1)})
 
 
-def virtual_punctual_series(order: int) -> TSeries:
-    """Virtual classes of punctual Hilbert schemes: the Euler product at -t."""
-    return euler_exp(virtual_exponents(order)).subst(1, -1)
-
-
 def virtual_hilb_series(x: LPoly, order: int) -> TSeries:
     """Virtual Hilbert-scheme classes of a threefold with class x.
 
@@ -202,7 +198,8 @@ def virtual_hilb_series(x: LPoly, order: int) -> TSeries:
     honest Euler product over the closed-form exponents; the result is read
     back at -t.  (The power structure does not commute with t -> -t over a
     ring with nontrivial Adams operations, so the side matters; this is the
-    side on which the closed-form exponents live.)
+    side on which the closed-form exponents live.)  At x = 1 this is the virtual
+    punctual series.
     """
     return euler_exp(virtual_exponents(order) * x).subst(1, -1)
 

@@ -79,13 +79,6 @@ class TSeries:
         self._check(other)
         return TSeries._of(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: "TSeries") -> "TSeries":
-        self._check(other)
-        return TSeries._of(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "TSeries":
-        return TSeries._of(self.ring, [-a for a in self.coeffs])
-
     def __mul__(self, other) -> "TSeries":
         if not isinstance(other, TSeries):  # a zero coefficient stays as it is
             c = self.ring.coerce(other)

@@ -342,13 +342,3 @@ def random_hclass(rng: random.Random, model, terms: int = 2,
             if not p.is_zero():
                 out[b] = p
     return out
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-

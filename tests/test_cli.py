@@ -152,6 +152,11 @@ def test_classes_aluffi_needs_dim3(capsys):
     code, _ = run(capsys, "classes", "--builtin", "point", "--dim", "2",
                   "--kind", "aluffi", "--order", "3")
     assert code == EXIT_RANGE
+    # every kind but sym and config reads punctual data, so a missing --dim is a usage error
+    for kind in ("hilb", "chern", "virtual", "aluffi"):
+        code, err = run_err(capsys, "classes", "--builtin", "point", "--kind", kind,
+                            "--order", "3")
+        assert code == EXIT_SCHEMA and err == f"error: --kind {kind} requires --dim\n"
 
 
 def test_classes_hilb_range_error(capsys):
@@ -269,13 +274,23 @@ def test_series_file_boundary(tmp_path, capsys):
     one = [{"lNum": 0, "c": "1"}]
     for doc in (
         {"order": -1, "coeffs": []},
-        {"order": 1, "coeffs": [one, [{"lNum": 0, "c": "1/2"}]]},  # b_1 = 1/2
         {"order": True, "coeffs": [one, one]},
         {"order": 1, "coeffs": [one, [{"lNum": False, "c": "1"}]]},
     ):
         path.write_text(json.dumps(doc))
         code, _ = run_err(capsys, "exponents", "--series", str(path), "--order", "1")
         assert code == EXIT_SCHEMA, doc
+    path.write_text(json.dumps({"order": 1, "coeffs": [one, [{"lNum": 0, "c": "1/2"}]]}))
+    code = main(["exponents", "--series", str(path), "--order", "1"])  # b_1 = 1/2
+    out, err = capsys.readouterr()
+    assert code == EXIT_SCHEMA and out == "" and err.count("\n") == 1
+    assert err.startswith("error: series file") and "1/2" in err
+    # b_1 = 1 and b_2 = -1/2: only exponents up to the requested order are checked
+    path.write_text(json.dumps({"order": 2, "coeffs": [one, one, [{"lNum": 0, "c": "1/2"}]]}))
+    code, doc = run_json(capsys, "exponents", "--series", str(path), "--order", "1")
+    assert code == EXIT_OK and doc["coefficients"] == [{"k": 1, "alpha": "1"}]
+    code, _ = run_err(capsys, "exponents", "--series", str(path), "--order", "2")
+    assert code == EXIT_SCHEMA
 
 
 def test_model_file_rejects_booleans(tmp_path, capsys):

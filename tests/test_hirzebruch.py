@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -24,19 +25,12 @@ def bernoulli_plus(n: int) -> list[Fraction]:
     for m in range(1, n + 1):
         acc = Fraction(0)
         for j in range(m):
-            acc += Fraction(_binom(m + 1, j)) * b[j]
+            acc += Fraction(comb(m + 1, j)) * b[j]
         b.append(-acc / (m + 1))
     b_plus = list(b)
     if n >= 1:
         b_plus[1] = -b_plus[1]
     return b_plus
-
-
-def _binom(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def todd_oracle(order: int) -> TSeries:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,10 +14,9 @@ from motivic_cc.motives import (
     proj_space_class, punctual_exponents_small, punctual_hilb_small,
     spec_chi, spec_chi_minus_y, spec_e,
     virtual_alpha, virtual_exponents,
-    virtual_hilb_series, virtual_punctual_series,
+    virtual_hilb_series,
 )
-from motivic_cc.checks import punctual_series
-from helpers import binomial, exps, random_lpoly
+from helpers import exps, random_lpoly
 
 
 def gauss_binomial_recurrence(n, k):
@@ -46,7 +46,7 @@ def test_punctual_series_small():
     # the t^3 coefficient of the d=3 series comes out of exact division
     assert punctual_hilb_small(3).coeffs[3] == l_binomial(4, 2)
     with pytest.raises(UnsupportedRangeError):
-        punctual_series(4, 5)
+        hilb_motive_series(1, 4, 5)
 
 
 def test_punctual_exponents():
@@ -65,7 +65,7 @@ def test_chi_of_punctual_exponents_is_k_for_threefolds():
 
 
 def test_surface_two_route():
-    s = punctual_series(2, 3)
+    s = hilb_motive_series(1, 2, 3)
     assert s == punctual_hilb_small(2)
     assert s.coeffs[2] == 1 + L
     assert s.coeffs[3] == 1 + L + L ** 2
@@ -74,8 +74,7 @@ def test_surface_two_route():
 def test_hilb_series_point_is_punctual():
     one = RING_L.coerce(1)
     for d in (1, 2, 3):
-        a = punctual_series(d, 3)
-        assert hilb_motive_series(one, d, 3) == a
+        assert hilb_motive_series(one, d, 3) == punctual_hilb_small(d)
 
 
 def test_hilb_series_unknown_range():
@@ -125,7 +124,7 @@ def test_config_chi_binomial():
         x = proj_space_class(d)
         chi = d + 1
         s = map_series(config_space_series(x, 6), "chi")
-        assert s.coeffs == tuple(Fraction(binomial(chi, n)) for n in range(7))
+        assert s.coeffs == tuple(Fraction(comb(chi, n)) for n in range(7))
 
 
 def test_specializations():
@@ -159,8 +158,8 @@ def test_specialization_respects_power_structure():
                                  for _ in range(5)]
         a = TSeries(RING_L, coeffs)
         m = random_lpoly(rng, RING_L, max_deg=2, terms=2)
-        lhs = map_series(power(a, m, require_integral=False), "chi-y")
-        rhs = power(map_series(a, "chi-y"), spec_chi_minus_y(m), require_integral=False)
+        lhs = map_series(power(a, m), "chi-y")
+        rhs = power(map_series(a, "chi-y"), spec_chi_minus_y(m))
         assert lhs == rhs
 
 
@@ -178,7 +177,7 @@ def test_specializations_commute_with_the_euler_maps():
             for which in specs:
                 b_spec = map_series(b, which)
                 assert map_series(a, which) == euler_exp(b_spec), (which, b)
-                assert euler_log(map_series(a, which), require_integral=False) == b_spec, which
+                assert euler_log(map_series(a, which)) == b_spec, which
 
 
 def test_virtual_alpha():
@@ -188,18 +187,13 @@ def test_virtual_alpha():
         assert spec_chi(virtual_alpha(k)) == k
 
 
-def test_virtual_punctual_series():
-    s = virtual_punctual_series(4)
+def test_virtual_hilb_point():
+    s = virtual_hilb_series(1, 4)
     assert s.coeffs[1] == L_HALF ** (-3)
     # flipping t back recovers the Euler product of the virtual exponents
     assert s.subst(1, -1) == euler_exp(virtual_exponents(4))
     # round trip through the generic decomposition
     assert euler_exp(euler_log(s)) == s
-
-
-def test_virtual_hilb_point():
-    one = RING_L.coerce(1)
-    assert virtual_hilb_series(one, 4) == virtual_punctual_series(4)
 
 
 def test_motive_series_match_the_power_structure_route():
@@ -211,7 +205,8 @@ def test_motive_series_match_the_power_structure_route():
             x = random_lpoly(rng, RING_L, max_deg=2, terms=3, laurent=True, halves=True,
                              denom_bound=3)
             for d in (1, 2, 3, 4) if n <= 3 else (1, 2):
-                assert hilb_motive_series(x, d, n) == power(punctual_series(d, n), x), (x, d, n)
+                assert hilb_motive_series(x, d, n) == \
+                    power(hilb_motive_series(1, d, n), x), (x, d, n)
             assert virtual_hilb_series(x, n) == \
                 power(euler_exp(virtual_exponents(n)), x).subst(1, -1), (x, n)
 

@@ -12,7 +12,7 @@ from motivic_cc.lambda_power import euler_log
 from motivic_cc.motives import (
     Y, alpha_closed_small, chi_of_y, macmahon_series, map_series, proj_space_class, spec_chi,
     hilb_motive_series, config_space_series, spec_chi_minus_y, virtual_alpha,
-    virtual_hilb_series, virtual_punctual_series, UnsupportedRangeError,
+    virtual_hilb_series, UnsupportedRangeError,
 )
 from motivic_cc.hirzebruch import (
     adams_h, chern_class_of, product_model, proj_space_model,
@@ -20,7 +20,7 @@ from motivic_cc.hirzebruch import (
 from motivic_cc.pontrjagin import KINDS, class_exponents, class_terms, exp_terms, log_atoms
 from motivic_cc.checks import (
     PontElement, PontSeries, d_push, hom_exp_inv, hom_exponentiation, kind_series, mt2_series,
-    normalized_y1_limit, pont_degree, pont_exp, power_op, pre_lambda, punctual_series,
+    normalized_y1_limit, pont_degree, pont_exp, power_op, pre_lambda,
     subst_neg_t, y1_limit_atoms,
 )
 from motivic_cc.cli import builtin_model, model_from_doc
@@ -379,7 +379,7 @@ def chern_case(d, kind="chern"):
 
 def virtual_euler_log_scalars(order):
     """The Euler-log route: exponents of chi_{-y} of the virtual punctual series at -t."""
-    a_y = map_series(virtual_punctual_series(order), "chi-y")
+    a_y = map_series(virtual_hilb_series(1, order), "chi-y")
     return euler_log(a_y.subst(1, -1))
 
 
@@ -523,13 +523,13 @@ def test_hilb_degree_matches_cheah_route_p1():
 
 
 def test_mt2_collapses():
-    geo = map_series(punctual_series(1, 4), "chi-y")
+    geo = map_series(hilb_motive_series(1, 1, 4), "chi-y")
     assert geo == TSeries(RING_Y, [RING_Y.one] * 5)
-    assert mt2_series(P1, punctual_series(1, 4), 4) == kind_series(P1, "sym", None, 4)
+    assert mt2_series(P1, hilb_motive_series(1, 1, 4), 4) == kind_series(P1, "sym", None, 4)
 
 
 def test_mt2_equals_hilb_for_surfaces():
-    assert mt2_series(P2, punctual_series(2, 3), 3) == kind_series(P2, "hilb", 2, 3)
+    assert mt2_series(P2, hilb_motive_series(1, 2, 3), 3) == kind_series(P2, "hilb", 2, 3)
 
 
 def test_config_equals_mt2_of_one_plus_t():
@@ -731,7 +731,7 @@ def test_chern_level_coefficients_are_constant_lpolys():
 
 VALUES = {
     "LPoly": lambda: Y.scale(Fraction(-2, 3)) + LPoly.var(RING_Y, "y", 1),
-    "TSeries": lambda: map_series(punctual_series(2, 3), "chi-y"),
+    "TSeries": lambda: map_series(hilb_motive_series(1, 2, 3), "chi-y"),
     "PontElement": lambda: d_push(P1, 2, P1.ty),
     "PontSeries": lambda: kind_series(P2, "chern", 2, 3),
     "VarSet": lambda: RING_Y,
