@@ -187,13 +187,22 @@ def test_virtual_alpha():
         assert spec_chi(virtual_alpha(k)) == k
 
 
-def test_virtual_hilb_point():
+def test_virtual_punctual_series():
     s = virtual_hilb_series(1, 4)
     assert s.coeffs[1] == L_HALF ** (-3)
     # flipping t back recovers the Euler product of the virtual exponents
     assert s.subst(1, -1) == euler_exp(virtual_exponents(4))
     # round trip through the generic decomposition
     assert euler_exp(euler_log(s)) == s
+
+
+def test_virtual_hilb_point():
+    # the point as a class of the ring gives the punctual series, and a lower
+    # order is its truncation
+    one = RING_L.coerce(1)
+    s = virtual_hilb_series(one, 4)
+    assert s == virtual_hilb_series(1, 4)
+    assert virtual_hilb_series(one, 2).coeffs == s.coeffs[:3]
 
 
 def test_motive_series_match_the_power_structure_route():
