@@ -79,9 +79,9 @@ class PontSeries:
     __slots__ = ("model", "ring", "components")
 
     def __new__(cls, model: hz.HomologyModel, ring: VarSet, dicts):
-        return cls._of(model, ring, [
-            PontElement(n, {ms: ring.coerce(c) for ms, c in d.items()}).terms
-            for n, d in enumerate(dicts)])
+        return cls._with(model, ring, tuple(
+            PontElement(n, {ms: ring.coerce(c) for ms, c in d.items()})
+            for n, d in enumerate(dicts)))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("PontSeries is immutable")
@@ -96,11 +96,14 @@ class PontSeries:
     @classmethod
     def _of(cls, model, ring, dicts) -> "PontSeries":
         """``PontSeries(...)`` of dicts fit for :meth:`PontElement._of`; nothing is checked."""
+        return cls._with(model, ring, tuple(PontElement._of(n, d) for n, d in enumerate(dicts)))
+
+    @classmethod
+    def _with(cls, model, ring, components: tuple) -> "PontSeries":
+        """The series of one :class:`PontElement` per grading, taken as they are."""
         obj = object.__new__(cls)
-        object.__setattr__(obj, "model", model)
-        object.__setattr__(obj, "ring", ring)
-        object.__setattr__(obj, "components",
-                           tuple(PontElement._of(n, d) for n, d in enumerate(dicts)))
+        for attr, val in (("model", model), ("ring", ring), ("components", components)):
+            object.__setattr__(obj, attr, val)
         return obj
 
     @classmethod

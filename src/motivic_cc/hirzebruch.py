@@ -158,7 +158,8 @@ def adams_h(model: HomologyModel, r: int, hclass: dict[str, LPoly]) -> dict[str,
 
     A term n y^e in degree k keeps r^k/|n| in its denominator, as does the one-atom term
     that carries it.  Past 10^limit (``sys.get_int_max_str_digits()``, 0 for none) no report
-    can print that, so it is refused, by bit lengths first: a huge r^k is never built.
+    can print that, so it is refused, by bit lengths first: a huge r^k is never built.  They
+    accept each r^k below 8^limit |n| too; only between the two is 10^limit |n| built.
     """
     if r < 1:
         raise ValueError("Adams index must be >= 1")
@@ -166,7 +167,8 @@ def adams_h(model: HomologyModel, r: int, hclass: dict[str, LPoly]) -> dict[str,
     for b, c in hclass.items():
         k, n = degs[b], min(map(abs, c.num.values()), default=0)
         if limit and r > 1 and n and (k * (r.bit_length() - 1) > 4 * limit + n.bit_length()
-                                      or r ** k >= 10 ** limit * n):
+                                      or k * r.bit_length() >= 3 * limit + n.bit_length()
+                                      and r ** k >= 10 ** limit * n):
             raise UnsupportedRangeError(
                 f"basis class {b} has degree {k}: its Adams twist 1/{r}^{k} passes "
                 f"Python's {limit}-digit limit for printing integers")

@@ -68,11 +68,12 @@ class VarSet:
     """A coefficient ring: Laurent polynomials over Q in ordered variables, ``QQ`` has none.
 
     The names fix the monomial layout: ``key + low_half`` has nonnegative fields, and
-    ``neg_root`` picks the parity bit of each :data:`NEGATIVE_ROOT` field there.  The ring
-    supplies zero, one and the coercion of ``int``/``Fraction`` values.
+    ``neg_root`` picks the parity bit of each :data:`NEGATIVE_ROOT` field there;
+    ``integral`` holds the positions whose exponents must stay even.  The ring supplies
+    zero, one and the coercion of ``int``/``Fraction`` values.
     """
 
-    __slots__ = ("names", "name", "low_half", "neg_root", "zero", "one", "_text")
+    __slots__ = ("names", "name", "low_half", "neg_root", "integral", "zero", "one", "_text")
 
     def __init__(self, names: tuple[str, ...]):
         if len(set(names)) != len(names):
@@ -82,6 +83,7 @@ class VarSet:
                 ("low_half", sum(_HALF << FIELD_BITS * i for i in range(len(names) - 1))),
                 ("neg_root", sum(1 << FIELD_BITS * i for i, name in enumerate(reversed(names))
                                  if name in NEGATIVE_ROOT)),
+                ("integral", tuple(i for i, x in enumerate(names) if x not in HALF_ADMISSIBLE)),
                 ("zero", LPoly._of(self, {}, 1)), ("one", LPoly._of(self, {0: 1}, 1)),
                 ("_text", {})):
             object.__setattr__(self, attr, val)
@@ -158,18 +160,21 @@ class LPoly:
     __slots__ = ("vars", "num", "den")
 
     def __new__(cls, vars: VarSet, terms: Mapping[Expvec, Coeff]):
+        size, integral, dens = len(vars.names), vars.integral, []
         for exps, c in terms.items():
-            if len(exps) != len(vars):
+            if len(exps) != size:
                 raise VariableMismatchError(
                     f"exponent vector {exps} does not match variables {vars}")
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"not an exact coefficient: {c!r}")
-            for name, e in zip(vars.names, exps):
-                if c and e % 2 != 0 and name not in HALF_ADMISSIBLE:
-                    raise ValueError(
-                        f"half-integer exponent {Fraction(e, 2)} on integral variable {name}")
+            if c:
+                for i in integral:
+                    if exps[i] % 2:
+                        raise ValueError(f"half-integer exponent {Fraction(exps[i], 2)} "
+                                         f"on integral variable {vars.names[i]}")
+                dens.append(c.denominator)
         # over the lcm of the reduced denominators the numerators share no factor with it
-        den = lcm(*(c.denominator for c in terms.values() if c))
+        den = lcm(*dens)
         return cls._of(vars, {vars.pack(e): c.numerator * (den // c.denominator)
                               for e, c in terms.items() if c}, den)
 
@@ -191,7 +196,11 @@ class LPoly:
             if g != 1:
                 num = {e: c // g for e, c in num.items()}
                 den //= g
-        return cls._of(vars, num, den)
+        obj = object.__new__(cls)  # what _of does, inline: every product ends here
+        _set_vars(obj, vars)
+        _set_num(obj, num)
+        _set_den(obj, den)
+        return obj
 
     @classmethod
     def _of(cls, vars: VarSet, num: dict[int, int], den: int) -> "LPoly":
@@ -273,7 +282,8 @@ class LPoly:
         """``sum w*a*b / n`` over triples ``(int w, LPoly a, LPoly b)``, reduced once.
 
         The one product loop: numerators accumulate over the lcm of the ``a.den*b.den``,
-        and the key of a product of monomials is the sum of their keys.
+        and the key of a product of monomials is the sum of their keys.  The sum is reduced
+        once, by :meth:`_reduce`, which sets the fields itself.
         """
         out: dict[int, int] = {}
         get = out.get
@@ -284,16 +294,16 @@ class LPoly:
             if not (w and a.num and b.num):
                 continue
             d = a.den * b.den
-            if den % d:  # widen the common denominator to lcm(den, d)
+            if d != 1 and den % d:  # widen the common denominator to lcm(den, d)
                 g = d // gcd(den, d)
                 for e in out:
                     out[e] *= g
                 den *= g
-            f = w * (den // d)
-            bn = b.num.items()
-            for e1, c1 in a.num.items():
-                c1 *= f
-                for e2, c2 in bn:
+            w *= den // d
+            an = a.num.items()
+            for e2, c2 in b.num.items():  # a one-term b is one pass, its coefficient folded
+                c2 *= w
+                for e1, c1 in an:
                     e = e1 + e2
                     out[e] = get(e, 0) + c1 * c2
         # operands are inside the limit, so every field of every sum is exact, and it

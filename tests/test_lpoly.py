@@ -130,6 +130,18 @@ def test_normalization_no_zero_terms():
 def test_half_exponent_guard():
     with pytest.raises(ValueError):
         LPoly.var(RING_UV, "u", 1)
+    # the constructor's checks, term by term: shape, exactness, then parity of the
+    # integral variables, which a zero coefficient skips
+    with pytest.raises(ValueError, match="^half-integer exponent -3/2 on integral variable v$"):
+        LPoly(RING_UV, {(2, 0): 1, (4, -3): Fraction(1, 2)})
+    with pytest.raises(VariableMismatchError,
+                       match=r"^exponent vector \(1,\) does not match variables Q\[u,v\]$"):
+        LPoly(RING_UV, {(1,): 1})
+    with pytest.raises(TypeError, match=r"^not an exact coefficient: 0.5$"):
+        LPoly(RING_UV, {(2, 2): 0.5})
+    assert LPoly(RING_UV, {(1, 3): 0, (2, 2): Fraction(4, 6)}) == U * V * Fraction(2, 3)
+    assert LPoly(RING_Y, {(3,): 1, (0,): Fraction(1, 2)}) == YHALF ** 3 + Fraction(1, 2)
+    assert LPoly(RING_L, {(-1,): 5}) == LHALF ** -1 * 5
 
 
 def test_substitute_hodge_to_chi_y():
@@ -279,10 +291,8 @@ def test_dot_matches_reference(name):
     rng = random.Random(f"dot-{name}")
     assert LPoly.dot(vars, []) == vars.zero
     assert LPoly.dot(vars, [], 5) == vars.zero
-    for _ in range(60):
-        triples = [(rng.randint(-4, 4), dot_operand(rng, vars, halves),
-                    dot_operand(rng, vars, halves)) for _ in range(rng.randint(0, 5))]
-        div = rng.randint(1, 6)
+
+    def check(triples, div=1):
         expect: dict = {}
         for w, a, b in triples:
             expect = ref_add(expect, ref_scale(ref_mul(dict(a.terms), dict(b.terms)),
@@ -291,6 +301,34 @@ def test_dot_matches_reference(name):
         assert_canonical(got)
         assert dict(got.terms) == expect
         assert LPoly.dot(vars, iter(triples), div) == got
+        return got
+
+    def monomial():  # one term, a zero-free coefficient of either sign over 1..6
+        exps = next(iter(rational_lpoly(rng, vars, halves).terms), (0,) * len(vars))
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 6))
+        return LPoly(vars, {exps: c})
+
+    for _ in range(60):
+        triples = [(rng.randint(-4, 4), dot_operand(rng, vars, halves),
+                    dot_operand(rng, vars, halves)) for _ in range(rng.randint(0, 5))]
+        check(triples, rng.randint(1, 6))
+        # one-term operands on either side, weights of both signs
+        p, q = dot_operand(rng, vars, halves), monomial()
+        w = rng.choice([-1, 1]) * rng.randint(1, 4)
+        check([(w, p, q), (-w - 1, q, p), (w, q, monomial()), (1, vars.one, q)],
+              rng.randint(1, 6))
+        # integral operands over n > 1 (or n < 0): the denominator is |n|'s, reduced
+        a, b = random_lpoly(rng, vars, 3, laurent=True), random_lpoly(rng, vars, 3, laurent=True)
+        for div in (rng.randint(2, 6), -rng.randint(1, 6)):
+            check([(rng.randint(-4, 4), a, b), (1, vars.one, a), (2, b, vars.one)], div)
+        # a sum that cancels to zero after widening the denominator is the canonical zero
+        a, b = dot_operand(rng, vars, halves), rational_lpoly(rng, vars, halves)
+        for div in (1, rng.randint(2, 6)):
+            got = check([(2, a, b), (1, vars.coerce(Fraction(1, 7)), b), (-1, b, a),
+                         (-1, b, vars.coerce(Fraction(1, 7))), (-1, a, b)], div)
+            assert got == vars.zero and got.den == 1
+        with pytest.raises(ZeroDivisionError):
+            LPoly.dot(vars, triples, 0)
     if len(vars) > 1:  # products reach one step inside the packed field, from both sides
         a, b = near_limit_operands(vars)
         triples = [(1, a, b), (-3, b, a), (2, a, vars.coerce(Fraction(1, 7)))]

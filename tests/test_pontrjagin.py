@@ -139,6 +139,44 @@ def test_adams_h_refuses_twists_past_the_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_adams_h_screens_accept_by_bit_length():
+    """k*bl(r) < 3*limit + bl(n) proves r^k < 8^limit n <= 10^limit n, so the twist is taken
+    without building 10^limit; at and past that the exact comparison decides, both ways."""
+    def twist(k, c, r):
+        model = model_from_doc({
+            "name": "deep", "dim": k, "proper": False, "basis": [{"id": "a", "deg": k}],
+            "zeroDegreeBasisId": None, "ty_class": {"a": [{"yNum": 0, "c": str(c)}]},
+            "e_poly": [{"u": 0, "v": 0, "c": 1}]})
+        return adams_h(model, r, {"a": RING_Y.one * c})["a"]
+
+    limit = sys.get_int_max_str_digits()
+    low = sys.int_info.str_digits_check_threshold  # the smallest nonzero limit, 640
+    try:
+        sys.set_int_max_str_digits(low)
+        # the last twists the screen accepts, k*bl(r) = 3*low + bl(n) - 1, and one degree
+        # past them, where the exact comparison accepts
+        for k, c, r in ((3 * low // 2, 1, 2), ((3 * low + 2) // 2, 5, 3)):
+            assert k * r.bit_length() == 3 * low + c.bit_length() - 1
+            assert twist(k, c, r) == RING_Y.one * Fraction(c, r ** k)
+            assert twist(k + 1, c, r) == RING_Y.one * Fraction(c, r ** (k + 1))
+        # and between the screens it refuses where r^k >= 10^limit n, a numerator cancelling
+        for k, c, accepted in ((low - 1, 1, True), (low, 1, False),
+                               (low + 1, 10, False), (low + 1, 11, True)):
+            assert 4 * k >= 3 * low + c.bit_length() and 3 * k <= 4 * low + c.bit_length()
+            if accepted:
+                assert twist(k, c, 10) == RING_Y.one * Fraction(c, 10 ** k)
+            else:
+                with pytest.raises(UnsupportedRangeError, match=f"twist 1/10\\^{k} passes"):
+                    twist(k, c, 10)
+        # r = 1 twists nothing, however deep the class
+        assert twist(10 ** 18, 3, 1) == RING_Y.one * 3
+        # the limit 0 refuses nothing
+        sys.set_int_max_str_digits(0)
+        assert twist(5 * low, 1, 10).den == 10 ** (5 * low)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_power_op_on_atoms():
     rng = random.Random(2)
     gamma = random_hclass(rng, P1)
