@@ -23,7 +23,7 @@ from math import comb, factorial
 
 from .lpoly import ExactDivisionError, LPoly, RING_UV, RING_Y
 from .series import TSeries
-from .motives import TwoRouteMismatchError, UnsupportedRangeError, Y, hodge_spec, proj_space_class
+from .motives import TwoRouteMismatchError, UnsupportedRangeError, Y, hodge_spec
 
 
 def qy_series(order: int) -> TSeries:
@@ -41,19 +41,17 @@ class HomologyModel:
     ``basis`` lists (id, homological degree k) pairs; ``ty`` maps basis ids
     to the y-polynomial coefficients of T_{(-y)*}(X).  Proper connected
     models name their degree-zero point class, which the degree map picks
-    out.  Built-in models carry ``l_class``, the Grothendieck-ring proxy of
-    [X], and ``chern``: an independent Chern class over Q, not a cache but the
-    reference the y -> 1 limit of ``ty`` must equal.
+    out.  Only built-in models carry ``chern``: an independent Chern class over
+    Q, not a cache but the reference the y -> 1 limit of ``ty`` must equal.
     """
 
     __slots__ = ("name", "dim", "proper", "basis", "zero_id", "ty",
-                 "e_poly", "chern", "l_class")
+                 "e_poly", "chern")
 
     def __init__(self, name: str, dim: int, proper: bool,
                  basis: tuple[tuple[str, int], ...], zero_id: str | None,
                  ty: dict[str, LPoly], e_poly: LPoly,
-                 chern: dict[str, Fraction] | None = None,
-                 l_class: LPoly | None = None):
+                 chern: dict[str, Fraction] | None = None):
         if dim < 0:
             raise ValueError(f"model {name} has negative dimension {dim}")
         ids = [b for b, _ in basis]
@@ -78,7 +76,6 @@ class HomologyModel:
         self.ty = {b: c for b, c in zip(ty, map(RING_Y.coerce, ty.values())) if c.num}
         self.e_poly = RING_UV.coerce(e_poly)
         self.chern = dict(chern) if chern is not None else None
-        self.l_class = l_class
         if proper:
             got = self.degree_of(self.ty)
             want = hodge_spec(self.e_poly, "chi-y")
@@ -97,8 +94,8 @@ class HomologyModel:
         return hclass.get(self.zero_id, RING_Y.zero)
 
     def __eq__(self, other):
-        # equality covers the serialized surface; chern and l_class are
-        # independent references carried only by built-in models
+        # equality covers the serialized surface; chern is an independent
+        # reference carried only by built-in models
         return (isinstance(other, HomologyModel)
                 and self.name == other.name and self.dim == other.dim
                 and self.proper == other.proper and self.basis == other.basis
@@ -130,8 +127,7 @@ def proj_space_model(d: int) -> HomologyModel:
     e_poly = LPoly(RING_UV, {(2 * i, 2 * i): 1 for i in range(d + 1)})
     chern = {f"P{d - j}": Fraction(comb(d + 1, j)) for j in range(d + 1)}
     name = "point" if d == 0 else f"P{d}"
-    return HomologyModel(name, d, True, basis, "P0", ty, e_poly,
-                         chern=chern, l_class=proj_space_class(d))
+    return HomologyModel(name, d, True, basis, "P0", ty, e_poly, chern=chern)
 
 
 def product_model(m1: HomologyModel, m2: HomologyModel) -> HomologyModel:
@@ -145,12 +141,8 @@ def product_model(m1: HomologyModel, m2: HomologyModel) -> HomologyModel:
         chern = {f"{b1}*{b2}": c1 * c2
                  for b1, c1 in m1.chern.items() for b2, c2 in m2.chern.items()
                  if c1 * c2 != 0}
-    l_class = None
-    if m1.l_class is not None and m2.l_class is not None:
-        l_class = m1.l_class * m2.l_class
     return HomologyModel(f"{m1.name}x{m2.name}", m1.dim + m2.dim, True, basis,
-                         f"{m1.zero_id}*{m2.zero_id}", ty, m1.e_poly * m2.e_poly,
-                         chern=chern, l_class=l_class)
+                         f"{m1.zero_id}*{m2.zero_id}", ty, m1.e_poly * m2.e_poly, chern=chern)
 
 
 def adams_h(model: HomologyModel, r: int, hclass: dict[str, LPoly]) -> dict[str, LPoly]:

@@ -116,6 +116,13 @@ def spec_e(m: LPoly) -> LPoly:
     return m.substitute(RING_UV, whole={"L": U * V})
 
 
+def class_of_e(e: LPoly) -> LPoly:
+    """A class with the chi_{-y} of e(u,v), by u -> L, v -> 1.  chi_{-y} commutes with the
+    motivic exponentiation, so it may stand for [X] in chi_{-y} of a motivic series of X.  Its
+    own e is e exactly when every monomial of e has equal u and v exponents."""
+    return e.substitute(RING_L, whole={"u": L, "v": 1})
+
+
 def spec_chi_minus_y(m: LPoly) -> LPoly:
     """chi_{-y} specialization, with the square-root convention -L^(1/2) -> y^(1/2)."""
     return m.substitute(RING_Y, half={"L": -Y_HALF})

@@ -6,7 +6,8 @@ each report byte for byte.  Two files pin reports:
 - ``tests/reports.json``: each entry gives an argv and the sha256 of its stdout, and
   ``"large": true`` marks an entry that takes a tenth of a second or more; its
   ``inputs`` name the model and series files the argv lists read, each made by
-  ``perfbench/cases.generate_model`` from a seed or written from a literal;
+  ``perfbench/cases.generate_model`` from a seed, written from a literal, or the
+  ``model --builtin`` document of a builtin model;
 - ``perfbench/digests.json``: the benchmark's fixed cases, run under
   ``MOTIVIC_CC_MAX_ORDER=40`` as the benchmark runs them.  Table entries run with
   ``MOTIVIC_CC_MAX_ORDER`` unset.
@@ -68,7 +69,9 @@ def pinned_reports(table: Path = TABLE) -> list[Report]:
 def write_inputs(directory: Path, table: Path = TABLE) -> None:
     generate_model = load_bench_cases().generate_model
     for name, spec in json.loads(table.read_text())["inputs"].items():
-        doc = generate_model(spec["generate_model"]) if "generate_model" in spec else spec["literal"]
+        doc = (generate_model(spec["generate_model"]) if "generate_model" in spec else
+               cli.model_to_doc(cli.builtin_model(spec["builtin"])) if "builtin" in spec else
+               spec["literal"])
         (directory / name).write_text(json.dumps(doc))
 
 

@@ -17,7 +17,7 @@ from motivic_cc.cli import (
     model_from_doc, model_to_doc, pont_coefficients, print_report,
 )
 from motivic_cc import motives as mo, pontrjagin as po
-from motivic_cc.lpoly import LPoly, QQ, RING_L, RING_Y
+from motivic_cc.lpoly import ExponentLimitError, LPoly, QQ, RING_L, RING_Y
 from motivic_cc.series import TSeries
 from motivic_cc.checks import PontElement, PontSeries, kind_series
 from helpers import exps, ref_report, series_terms
@@ -527,6 +527,72 @@ def test_model_roundtrip_via_file(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+REINGESTED = ("point", "P1", "P2", "P3", "P1xP1", "P1xP2")
+CLASS_RUNS = [("sym",), ("config",), ("hilb", "--dim", "1"), ("hilb", "--dim", "2"),
+              ("chern", "--dim", "2"), ("chern", "--dim", "3"), ("virtual", "--dim", "3"),
+              ("aluffi", "--dim", "3")]
+
+
+@pytest.mark.parametrize("name", REINGESTED)
+def test_reingested_builtin_gets_the_same_reports(name, tmp_path, capsys):
+    """``classes`` and ``zeta`` of the ``model --builtin`` document print what the builtin
+    prints, motivic-route records included: each reads ``ok``, none ``skipped``."""
+    code, doc = run(capsys, "model", "--builtin", name)
+    assert code == EXIT_OK
+    path = tmp_path / "m.json"
+    path.write_text(doc)
+    runs = [("classes", "--kind", *kind, "--order", "4") for kind in CLASS_RUNS]
+    for argv in runs + [("zeta", "--order", "6")]:
+        code, out = run(capsys, *argv, "--builtin", name)
+        assert code == EXIT_OK
+        assert {rec["status"] for rec in json.loads(out)["checks"]} == {"ok"}, argv
+        assert run(capsys, *argv, "--model", str(path)) == (code, out), argv
+
+
+# a proper genus-2 curve: e = 1 - 2u - 2v + uv, and T_{(-y)*} = (1 - y)[C] + (-1 - y)[pt]
+GENUS2 = {
+    "name": "C2", "dim": 1, "proper": True,
+    "basis": [{"id": "C", "deg": 1}, {"id": "P0", "deg": 0}], "zeroDegreeBasisId": "P0",
+    "ty_class": {"C": [{"yNum": 0, "c": "1"}, {"yNum": 2, "c": "-1"}],
+                 "P0": [{"yNum": 0, "c": "-1"}, {"yNum": 2, "c": "-1"}]},
+    "e_poly": [{"u": 0, "v": 0, "c": 1}, {"u": 1, "v": 0, "c": -2}, {"u": 0, "v": 1, "c": -2},
+               {"u": 1, "v": 1, "c": 1}],
+}
+GENUS2_MOTIVIC = {("sym",): "degree-vs-motivic-route", ("config",): "degree-vs-motivic-route",
+                  ("hilb", "--dim", "1"): "degree-vs-cheah-route",
+                  ("virtual", "--dim", "3"): "degree-vs-motivic-route"}
+
+
+def genus2_statuses(tmp_path, capsys):
+    """Exit code and motivic-route status of each ``classes`` run, and the ``zeta`` record."""
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps(GENUS2))
+    got = []
+    for kind, name in GENUS2_MOTIVIC.items():
+        code, doc = run_json(capsys, "classes", "--model", str(path), "--kind", *kind,
+                             "--order", "4")
+        got.append((code, [rec["status"] for rec in doc["checks"] if rec["name"] == name]))
+    code, doc = run_json(capsys, "zeta", "--model", str(path), "--order", "4")
+    return got, (code, doc["checks"])
+
+
+def test_model_file_curve_gets_the_motivic_checks(tmp_path, capsys):
+    """A ModelFile with no builtin behind it is checked on the motivic route too; its e is no
+    polynomial in uv, so zeta's check does not apply."""
+    got, zeta = genus2_statuses(tmp_path, capsys)
+    assert got == [(EXIT_OK, ["ok"])] * len(GENUS2_MOTIVIC)
+    assert zeta == (EXIT_OK, [{"name": "symmetric-product-route", "status": "skipped"}])
+
+
+def test_motivic_checks_catch_a_class_with_the_wrong_chi_y(tmp_path, capsys, monkeypatch):
+    """Sending v to L, not 1, gives the curve's class the chi_{-y} e(y, y), and every motivic
+    record fails."""
+    monkeypatch.setattr(mo, "class_of_e",
+                        lambda e: e.substitute(RING_L, whole={"u": mo.L, "v": mo.L}))
+    got, _ = genus2_statuses(tmp_path, capsys)
+    assert got == [(EXIT_CHECK_FAILED, ["fail"])] * len(GENUS2_MOTIVIC)
+
+
 def test_schema_errors(tmp_path, capsys):
     code, _ = run(capsys, "classes", "--builtin", "nope", "--kind", "sym", "--order", "2")
     assert code == EXIT_SCHEMA
@@ -644,6 +710,21 @@ def test_exponent_limit_exits_three(tmp_path, capsys):
         assert [c["c"] for c in json.loads(out)["coefficients"]] == \
             ["1", "u" + v(e)] + [f"u^{n}" + v(n * e) for n in range(2, 5)]
 
+
+
+def test_zeta_check_skips_without_building_the_class(tmp_path, capsys):
+    """e = u^(2^62) is no polynomial in uv, so zeta's check is skipped; it is decided from e,
+    since the e of the class u -> L, v -> 1 would pass the exponent limit of v."""
+    doc = {"name": "U", "dim": 0, "proper": False, "basis": [{"id": "a", "deg": 0}],
+           "zeroDegreeBasisId": None, "ty_class": {"a": [{"yNum": 0, "c": "1"}]},
+           "e_poly": [{"u": 2 ** 62, "v": 0, "c": 1}]}
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "zeta", "--model", str(path), "--order", "3")
+    assert code == EXIT_OK
+    assert out["checks"] == [{"name": "symmetric-product-route", "status": "skipped"}]
+    with pytest.raises(ExponentLimitError):
+        mo.spec_e(mo.class_of_e(model_from_doc(doc).e_poly))
 
 
 def test_zeta_exponent_limit_follows_the_factor_coefficients(tmp_path, capsys):

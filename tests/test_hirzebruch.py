@@ -206,7 +206,7 @@ def test_chern_class_takes_one_route(monkeypatch):
 
     p2 = proj_space_model(2)
     wrong = HomologyModel(p2.name, p2.dim, p2.proper, p2.basis, p2.zero_id, p2.ty, p2.e_poly,
-                          chern={**p2.chern, "P0": Fraction(4)}, l_class=p2.l_class)
+                          chern={**p2.chern, "P0": Fraction(4)})
     assert chern_class_of(p2) == p2.chern
     with pytest.raises(TwoRouteMismatchError):
         kind_series(wrong, "chern", 2, 2)
